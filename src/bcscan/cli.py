@@ -17,8 +17,8 @@ import sys
 from .carlitz import bc_numbers
 from .fields import BaseField, ConsistencyError, FieldError, fq_make
 from .emit import emit
-from .herbrand import ScanOptions, ScanResult, classify_prime, scan, validate_report
-from .poly import Poly, PolyParseError, parse_poly, poly_to_str, residue_field, residue_to_str
+from .herbrand import ScanOptions, ScanResult, classify_prime, fq_modulus_str, scan, validate_report
+from .poly import PolyParseError, parse_poly, residue_field, residue_to_str
 
 
 class _UsageError(Exception):
@@ -56,13 +56,6 @@ def _q_to_base(q: int, fq_modulus: str | None) -> BaseField:
     return fq_make(p, r, modulus)
 
 
-def _fq_modulus_str(base: BaseField) -> str | None:
-    if base.r == 1:
-        return None
-    fp = fq_make(base.p, 1)
-    return poly_to_str(Poly.make(fp, base.modulus), var="x")
-
-
 def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--q", type=int, required=True, help="base field size, a prime power")
     sp.add_argument("--fq-modulus", help="modulus of F_q over F_p, a polynomial in x")
@@ -71,7 +64,8 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
                     help="cross-check Bernoulli-Carlitz residues against the local model")
     sp.add_argument("--cross-check", action="store_true",
                     help="recompute L-values along the graded route as well")
-    sp.add_argument("--threads", type=int, help="worker processes (default 1 or BCSCAN_THREADS)")
+    sp.add_argument("--threads", type=int,
+                    help="worker processes (default 1 or BCSCAN_THREADS), at most the cpu count")
     sp.add_argument("--timings", action="store_true", help="print per-prime timings to stderr")
     sp.add_argument("--format", choices=["table", "json", "csv"], default="table")
     sp.add_argument("--out", help="write output to a file instead of stdout")
@@ -130,7 +124,7 @@ def main(argv=None) -> int:
             report = classify_prime(prime, _options(args))
             result = ScanResult(
                 q=base.size,
-                fq_modulus=_fq_modulus_str(base),
+                fq_modulus=fq_modulus_str(base),
                 max_degree=prime.degree,
                 precision=args.precision,
                 primes_scanned=1,

@@ -158,13 +158,6 @@ def _pl_powmod(F, a, e: int, mod) -> list[int]:
     return result
 
 
-def _pl_eval(F, a, x: int) -> int:
-    acc = 0
-    for c in reversed(a):
-        acc = F.add(F.mul(acc, x), c)
-    return acc
-
-
 def _pl_deriv(F, a) -> list[int]:
     out = []
     for i in range(1, len(a)):
@@ -349,17 +342,8 @@ class PackedField:
             v //= self.p
         return tuple(out)
 
-    def pack(self, coords) -> int:
-        v = 0
-        for c in reversed(list(coords)):
-            v = v * self.p + c % self.p
-        return v
-
     def elements(self) -> range:
         return range(self.size)
-
-    def units(self) -> range:
-        return range(1, self.size)
 
     # -- vectorized operations (packed int32 numpy arrays) -------------
 
@@ -604,11 +588,11 @@ def residue_field_raw(base: BaseField, prime_coeffs, check: bool = True) -> Resi
         raise FieldError("prime must be monic of degree >= 1")
     if any(not 0 <= c < base.size for c in coeffs):
         raise FieldError("prime coefficients out of range")
-    if check and not _pl_is_irreducible(base, list(coeffs)):
-        raise FieldError("polynomial is not irreducible")
     if base.size ** (len(coeffs) - 1) > MAX_FIELD_SIZE:
         raise FieldError(
             f"residue field size q^d = {base.size ** (len(coeffs) - 1)} exceeds "
             f"supported limit {MAX_FIELD_SIZE}"
         )
+    if check and not _pl_is_irreducible(base, list(coeffs)):
+        raise FieldError("polynomial is not irreducible")
     return _residue_cached(base.p, base.r, base.modulus, coeffs)

@@ -23,6 +23,7 @@ attached.
 
 from __future__ import annotations
 
+import functools
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -31,7 +32,7 @@ from dataclasses import dataclass, field, replace
 from .carlitz import bc_numbers, irregular_indices
 from .fields import BaseField, ConsistencyError, FieldError, fq_make
 from .lseries import character_context, l_report, pic_eigenspace_length
-from .localfield import bc_local_sweep, local_model
+from .localfield import LocalSweep, bc_local_sweep, local_model
 from .poly import Poly, monic_irreducibles, poly_to_str, residue_field
 
 DIM_ZERO = "0"
@@ -83,32 +84,50 @@ class ScanResult:
     reports: tuple[PrimeReport, ...]
 
 
-def classify_index(prime: Poly, n: int, options: ScanOptions | None = None) -> IndexClassification:
+class PrimeContext:
+    """What classification needs at one prime, built once: the residue
+    field, the Bernoulli-Carlitz vector and the options.  The local
+    sweep is built on first use, which only check_local asks for."""
+
+    def __init__(self, prime: Poly, options: ScanOptions):
+        self.prime = prime
+        self.options = options
+        self.rf = residue_field(prime)
+        self.bc = bc_numbers(self.rf)
+
+    @functools.cached_property
+    def sweep(self) -> LocalSweep:
+        return bc_local_sweep(local_model(self.prime))
+
+
+def classify_index(
+    at: Poly | PrimeContext, n: int, options: ScanOptions | None = None
+) -> IndexClassification:
     """Classify a single character power at a prime; any 0 < n < Q-1.
 
-    In-scope n (multiples of q-1) always get a pic_length, whether or
-    not BC_n vanishes; the L-valuation at a regular index carries no
-    dimension information but is honest data.  bc_divisible means an
-    in-scope divisibility event: for (q-1) not dividing n the residue
-    is zero for support reasons and the flag stays False.
+    ``at`` is a prime, classified under ``options``, or the context of
+    one, which carries its own options.  In-scope n (multiples of q-1)
+    always get a pic_length, whether or not BC_n vanishes; the
+    L-valuation at a regular index carries no dimension information but
+    is honest data.  bc_divisible means an in-scope divisibility event:
+    for (q-1) not dividing n the residue is zero for support reasons and
+    the flag stays False.
     """
-    options = options or ScanOptions()
-    rf = residue_field(prime)
+    ctx = at if isinstance(at, PrimeContext) else PrimeContext(at, options or ScanOptions())
+    options, rf = ctx.options, ctx.rf
     order = rf.size - 1
     if not 0 < n < order:
         raise FieldError(f"character power must satisfy 0 < n < {order}")
     if n % (rf.q - 1) != 0:
-        ctx = character_context(rf, options.precision, options.witt_lift_offsets)
-        rep = l_report(ctx, n)
-        diag = {"s1_valuation": ctx.W.valuation(rep.s_at_one)}
+        chars = character_context(rf, options.precision, options.witt_lift_offsets)
+        rep = l_report(chars, n)
+        diag = {"s1_valuation": chars.W.valuation(rep.s_at_one)}
         return IndexClassification(n, False, False, None, OUT_OF_SCOPE, diag)
-    bc = bc_numbers(rf)
-    residue = int(bc.values[n])
+    residue = int(ctx.bc.values[n])
     diag = {"bc_residue": residue}
     if options.check_local and 2 <= n <= rf.size - 2:
-        sweep = bc_local_sweep(local_model(prime))
-        diag["local_component_vanished"] = sweep.vanished[n]
-        if sweep.values[n] != residue:
+        diag["local_component_vanished"] = ctx.sweep.vanished[n]
+        if ctx.sweep.values[n] != residue:
             raise ConsistencyError(
                 f"local extraction and power-series route disagree at n={n}"
             )
@@ -118,9 +137,9 @@ def classify_index(prime: Poly, n: int, options: ScanOptions | None = None) -> I
     if options.cross_check:
         # polynomial route recomputes S_n, checks its exact vanishing at
         # T=1 and the prefix-sum L against the closed form internally
-        ctx = character_context(rf, options.precision, options.witt_lift_offsets)
-        rep = l_report(ctx, n)
-        diag["l_valuation_graded"] = ctx.W.valuation(rep.l_value)
+        chars = character_context(rf, options.precision, options.witt_lift_offsets)
+        rep = l_report(chars, n)
+        diag["l_valuation_graded"] = chars.W.valuation(rep.l_value)
     if residue != 0:
         return IndexClassification(n, True, False, pic, DIM_ZERO, diag)
     return IndexClassification(
@@ -131,16 +150,16 @@ def classify_index(prime: Poly, n: int, options: ScanOptions | None = None) -> I
 def classify_prime(prime: Poly, options: ScanOptions | None = None) -> PrimeReport:
     """Full per-index report for one prime: every 1 <= n <= q^d - 2."""
     options = options or ScanOptions()
-    rf = residue_field(prime)
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
-    bc = bc_numbers(rf)
-    irr = sorted(irregular_indices(bc))
+    ctx = PrimeContext(prime, options)
+    rf = ctx.rf
+    irr = sorted(irregular_indices(ctx.bc))
     timings["bc"] = time.perf_counter() - t0
     t0 = time.perf_counter()
-    classifications = tuple(
-        classify_index(prime, n, options) for n in range(1, rf.size - 1)
-    )
+    # a module-level call, so a wrapper patched onto
+    # herbrand.classify_index sees every index
+    classifications = tuple(classify_index(ctx, n) for n in range(1, rf.size - 1))
     timings["classify"] = time.perf_counter() - t0
     return PrimeReport(
         q=rf.q,
@@ -153,16 +172,24 @@ def classify_prime(prime: Poly, options: ScanOptions | None = None) -> PrimeRepo
     )
 
 
-def _resolve_threads(options: ScanOptions) -> int:
-    if options.threads is not None:
-        return max(1, options.threads)
-    env = os.environ.get(THREADS_ENV)
-    if env:
+def _resolve_threads(options: ScanOptions, jobs: int) -> int:
+    """Worker count: the requested one (option, else environment, else
+    1), at most os.cpu_count() and at most ``jobs``, and at least 1."""
+    requested = options.threads
+    if requested is None:
+        env = os.environ.get(THREADS_ENV)
         try:
-            return max(1, int(env))
+            requested = int(env) if env else 1
         except ValueError:
             raise FieldError(f"{THREADS_ENV} must be an integer, got {env!r}")
-    return 1
+    return max(1, min(requested, os.cpu_count() or 1, jobs))
+
+
+def fq_modulus_str(base: BaseField) -> str | None:
+    """The modulus of a non-prime F_q over F_p as text in x; None for F_p."""
+    if base.r == 1:
+        return None
+    return poly_to_str(Poly.make(fq_make(base.p, 1), base.modulus), var="x")
 
 
 def _classify_worker(payload):
@@ -180,7 +207,7 @@ def scan(base: BaseField, max_degree: int, options: ScanOptions | None = None) -
     if base.size**max_degree > 1 << 16:
         raise FieldError("residue fields beyond 2^16 elements are not supported")
     primes = [f for d in range(1, max_degree + 1) for f in monic_irreducibles(base, d)]
-    threads = _resolve_threads(options)
+    threads = _resolve_threads(options, len(primes))
     if threads > 1:
         payloads = [
             (base.p, base.r, base.modulus, f.coeffs, options) for f in primes
@@ -190,13 +217,9 @@ def scan(base: BaseField, max_degree: int, options: ScanOptions | None = None) -
     else:
         all_reports = [classify_prime(f, options) for f in primes]
     reports = tuple(r for r in all_reports if r.irregular_indices)
-    fq_modulus = None
-    if base.r > 1:
-        fp = fq_make(base.p, 1)
-        fq_modulus = poly_to_str(Poly.make(fp, base.modulus), var="x")
     return ScanResult(
         q=base.size,
-        fq_modulus=fq_modulus,
+        fq_modulus=fq_modulus_str(base),
         max_degree=max_degree,
         precision=options.precision,
         primes_scanned=len(primes),

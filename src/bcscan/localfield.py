@@ -119,13 +119,10 @@ class LocalModel:
 
     # -- the t-expansion ----------------------------------------------------
 
-    def _eval_at_t(self, poly: Poly, T: TruncSeries) -> TruncSeries:
-        return T.eval_poly_coeffs(poly.coeffs)
-
     def _torsion_residual(self, T: TruncSeries) -> TruncSeries:
         out = TruncSeries.zero(self.rf, self.n_work)
         for i, c in enumerate(self.torsion.coeffs):
-            out = out + self._eval_at_t(c, T).shift_up(self.q**i - 1)
+            out = out + T.eval_poly_coeffs(c.coeffs).shift_up(self.q**i - 1)
         return out
 
     def _solve_t_series(self) -> TruncSeries:
@@ -143,7 +140,7 @@ class LocalModel:
             for i, c in enumerate(self.torsion.coeffs):
                 dc = c.derivative()
                 if not dc.is_zero:
-                    dG = dG + self._eval_at_t(dc, T).shift_up(self.q**i - 1)
+                    dG = dG + T.eval_poly_coeffs(dc.coeffs).shift_up(self.q**i - 1)
             T = T - r * dG.inverse()
             r = self._torsion_residual(T)
             if not r.is_zero and r.valuation() <= v:
@@ -164,7 +161,7 @@ class LocalModel:
         op = carlitz_action(lift_to_poly(self.rf, g))
         out = TruncSeries.zero(self.rf, self.n_work)
         for i, c in enumerate(op.coeffs):
-            out = out + self._eval_at_t(c, self.t_series).shift_up(self.q**i)
+            out = out + self.t_series.eval_poly_coeffs(c.coeffs).shift_up(self.q**i)
         return out
 
     def _apply_series_operator(self, coeff_series: list[TruncSeries], x: TruncSeries) -> TruncSeries:
@@ -183,7 +180,7 @@ class LocalModel:
         if self._rows is None:
             R = self.rf
             gamma_op = carlitz_action(lift_to_poly(R, R.generator))
-            coeff_series = [self._eval_at_t(c, self.t_series) for c in gamma_op.coeffs]
+            coeff_series = [self.t_series.eval_poly_coeffs(c.coeffs) for c in gamma_op.coeffs]
             rows = [TruncSeries.monomial(R, self.n_work, 1)]
             for _ in range(R.size - 2):
                 rows.append(self._apply_series_operator(coeff_series, rows[-1]))
@@ -244,34 +241,6 @@ class LocalModel:
             self._eig = EigenUniformizer(pi, pi.derivative())
         return self._eig
 
-    # -- Bernoulli-Carlitz extraction ---------------------------------------------
-
-    def bc_from_local(self, n: int) -> int:
-        """Residue of the n-th Bernoulli-Carlitz number read off the
-        lambda-adic side: the n-th dlog component must be a scalar times
-        pi^(n-1) pi', and that scalar is it.
-
-        Defined for 2 <= n <= q^d - 2; at n = 1 the comparison error term
-        of the underlying congruence is not below lambda^(q^d) yet.  The
-        extraction reads the standard truncation, so it is independent of
-        the model depth.
-        """
-        if not 2 <= n <= self.N - 2:
-            raise FieldError(f"local extraction needs 2 <= n <= {self.N - 2}")
-        comp = self.dlog_lambda_component(n).truncate(self.N)
-        ref = self._eigen_power(n)
-        c = comp[n - 1]
-        if not (comp - ref.scale(c)).is_zero:
-            raise ConsistencyError(
-                f"dlog component at n={n} is not proportional to pi^(n-1) pi'"
-            )
-        return c
-
-    def _eigen_power(self, n: int) -> TruncSeries:
-        eig = self.eigen_uniformizer()
-        piN = eig.series.truncate(self.N)
-        return (piN ** (n - 1)) * eig.derivative.truncate(self.N)
-
 
 @dataclass(frozen=True)
 class LocalSweep:
@@ -288,6 +257,11 @@ class LocalSweep:
 
 
 def bc_local_sweep(model: LocalModel) -> LocalSweep:
+    """Bernoulli-Carlitz residues read off the lambda-adic side: the n-th
+    dlog component must be a scalar times pi^(n-1) pi', and that scalar
+    is the residue.  At n = 1 the error term of the underlying congruence
+    is not below lambda^(q^d) yet, so only vanishing is recorded there.
+    Reads the standard truncation, so it is independent of model depth."""
     R = model.rf
     vanished: dict[int, bool] = {}
     values: dict[int, int] = {}

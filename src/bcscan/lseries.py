@@ -38,7 +38,6 @@ class CharacterContext:
     def __init__(self, rf: ResidueField, k: int, lift_offsets: tuple[int, ...] | None = None):
         self.rf = rf
         self.W = witt_ring(rf, k)
-        self.lift_offsets = lift_offsets
         q, d = rf.q, rf.d
         self.Q = rf.size
         self.order = self.Q - 1
@@ -85,9 +84,6 @@ class CharacterContext:
         jidx = (-n * np.arange(self.order, dtype=np.int64)) % self.order
         total = (self.deg_weight[:, None] * self.teich[jidx]).sum(axis=0) % self.W.pk
         return self.W.from_coords(int(v) for v in total)
-
-    def with_precision(self, k2: int) -> "CharacterContext":
-        return character_context(self.rf, k2, self.lift_offsets)
 
 
 @functools.lru_cache(maxsize=32)

@@ -16,7 +16,9 @@ from dataclasses import dataclass
 from .fields import (
     BaseField,
     FieldError,
+    MAX_FIELD_SIZE,
     ResidueField,
+    _pl_add,
     _pl_deriv,
     _pl_divmod,
     _pl_gcd,
@@ -95,14 +97,7 @@ class Poly:
         return Poly(self.field, tuple(coeffs))
 
     def __add__(self, other: "Poly") -> "Poly":
-        F = self.field
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, v in enumerate(b):
-            out[i] = F.add(out[i], v)
-        return self._wrap(_pl_trim(out))
+        return self._wrap(_pl_add(self.field, self.coeffs, other.coeffs))
 
     def __neg__(self) -> "Poly":
         F = self.field
@@ -298,7 +293,7 @@ def _parse_coeff_atom(field, tok: str) -> int:
     tok = tok.strip()
     if not tok:
         raise PolyParseError("empty coefficient")
-    if tok.isdigit():
+    if tok.isdecimal():
         return int(tok) % field.p if field.r == 1 else _int_embed(field, int(tok))
     if tok == "a":
         return _a_power(field, 1)
@@ -352,8 +347,13 @@ def _parse_term(field, chunk: str, var: str) -> tuple[int, int]:
         rest = s[vpos + len(var) :]
         if rest == "":
             exp = 1
-        elif rest.startswith("^") and rest[1:].isdigit():
-            exp = int(rest[1:])
+        elif rest.startswith("^") and rest[1:].isdecimal():
+            # bounded before int() (which refuses very long digit strings)
+            # and before parse_poly allocates: no supported degree is higher
+            digits = rest[1:].lstrip("0") or "0"
+            if len(digits) > len(str(MAX_FIELD_SIZE)) or int(digits) > MAX_FIELD_SIZE:
+                raise PolyParseError(f"exponent exceeds the supported limit {MAX_FIELD_SIZE}")
+            exp = int(digits)
         else:
             raise PolyParseError(f"bad exponent in {chunk!r}")
     if head:

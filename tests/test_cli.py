@@ -90,6 +90,20 @@ def test_reducible_prime_exits_1(capsys):
     assert code == 1
 
 
+def test_oversized_prime_exits_1(capsys):
+    code, _, err = run(["classify", "--q", "2", "--prime", "t^200 + t + 1"], capsys)
+    assert code == 1
+    assert "exceeds supported limit" in err
+
+
+def test_huge_exponent_exits_1(capsys):
+    code, _, err = run(
+        ["bc", "--q", "2", "--prime", "t^1000000000000000000000000000000 + 1"], capsys
+    )
+    assert code == 1
+    assert err.startswith("bcscan: ") and "exceeds the supported limit" in err
+
+
 def test_fq_modulus_on_prime_q_exits_1(capsys):
     code, _, err = run(
         ["scan", "--q", "3", "--max-degree", "2", "--fq-modulus", "x^2 + 1"], capsys

@@ -12,6 +12,7 @@ from bcscan.fields import (
     fq_make,
     residue_field_raw,
 )
+from bcscan.poly import parse_poly, residue_field
 
 SMALL_FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (2, 3), (2, 4), (3, 2)]
 
@@ -113,6 +114,13 @@ def test_construction_rejections():
         residue_field_raw(F3, (1, 2))  # not monic
     with pytest.raises(ZeroDivisionError):
         F3.inv(0)
+
+
+def test_residue_field_size_cap_precedes_irreducibility_test():
+    # 2^200 elements: rejected for its size before the irreducibility
+    # test, which takes seconds at this degree, ever runs
+    with pytest.raises(FieldError, match="exceeds supported limit"):
+        residue_field(parse_poly("t^200 + t + 1", fq_make(2, 1)))
 
 
 def test_residue_field_q2_quadratic():

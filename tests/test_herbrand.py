@@ -1,7 +1,10 @@
 """Classification and scan behavior."""
 
+import dataclasses
+
 import pytest
 
+from bcscan import herbrand
 from bcscan.carlitz import bc_numbers, irregular_indices
 from bcscan.fields import ConsistencyError, FieldError, fq_make
 from bcscan.herbrand import (
@@ -10,7 +13,9 @@ from bcscan.herbrand import (
     DIM_ZERO,
     OUT_OF_SCOPE,
     IndexClassification,
+    PrimeContext,
     ScanOptions,
+    _resolve_threads,
     classify_index,
     classify_prime,
     scan,
@@ -94,6 +99,43 @@ def test_check_local_option_records_vanishing():
             assert c.diagnostics["local_component_vanished"] == c.bc_divisible
 
 
+def test_classify_prime_builds_each_per_prime_quantity_once(monkeypatch):
+    counts = {}
+    for name in ("residue_field", "bc_numbers", "bc_local_sweep"):
+        def counted(*args, _orig=getattr(herbrand, name), _name=name):
+            counts[_name] = counts.get(_name, 0) + 1
+            return _orig(*args)
+
+        monkeypatch.setattr(herbrand, name, counted)
+    rep = classify_prime(parse_poly("t^3 - t + 1", F3), ScanOptions(check_local=True))
+    assert len(rep.classifications) == 25
+    assert counts == {"residue_field": 1, "bc_numbers": 1, "bc_local_sweep": 1}
+
+
+def test_check_local_disagreement_still_raises(monkeypatch):
+    real = herbrand.bc_local_sweep
+
+    def skewed(model):
+        sweep = real(model)
+        values = dict(sweep.values)
+        values[12] = (values[12] + 1) % model.rf.size
+        return dataclasses.replace(sweep, values=values)
+
+    monkeypatch.setattr(herbrand, "bc_local_sweep", skewed)
+    f = parse_poly("t^3 - t + 1", F3)
+    assert classify_index(f, 10, ScanOptions(check_local=True)).bc_divisible
+    with pytest.raises(ConsistencyError, match="n=12"):
+        classify_prime(f, ScanOptions(check_local=True))
+
+
+def test_classify_index_takes_a_prime_or_its_context():
+    f = parse_poly("t^4 + t + 1", F2)
+    options = ScanOptions(cross_check=True)
+    ctx = PrimeContext(f, options)
+    for n in (3, 5, 9):
+        assert classify_index(ctx, n) == classify_index(f, n, options)
+
+
 def test_cross_check_option_matches_pic():
     f = parse_poly("t^3 - t + 1", F3)
     rep = classify_prime(f, ScanOptions(cross_check=True))
@@ -120,7 +162,7 @@ def test_scan_empty_q5():
 
 def test_scan_thread_determinism():
     r1 = scan(F3, 3, ScanOptions(threads=1))
-    r2 = scan(F3, 3, ScanOptions(threads=3))
+    r2 = scan(F3, 3, ScanOptions(threads=2))
     assert strip_timings(r1) == strip_timings(r2)
 
 
@@ -132,6 +174,22 @@ def test_scan_threads_env_override(monkeypatch):
     monkeypatch.setenv("BCSCAN_THREADS", "zebra")
     with pytest.raises(FieldError):
         scan(F2, 2)
+
+
+def test_thread_count_is_clamped(monkeypatch):
+    # pure function: no pool is started
+    monkeypatch.setattr(herbrand.os, "cpu_count", lambda: 4)
+    monkeypatch.delenv("BCSCAN_THREADS", raising=False)
+    assert _resolve_threads(ScanOptions(), 100) == 1
+    assert _resolve_threads(ScanOptions(threads=64), 100) == 4
+    assert _resolve_threads(ScanOptions(threads=64), 3) == 3
+    assert _resolve_threads(ScanOptions(threads=2), 100) == 2
+    assert _resolve_threads(ScanOptions(threads=0), 100) == 1
+    monkeypatch.setenv("BCSCAN_THREADS", "100000")
+    assert _resolve_threads(ScanOptions(), 100) == 4
+    assert _resolve_threads(ScanOptions(threads=1), 100) == 1
+    monkeypatch.setattr(herbrand.os, "cpu_count", lambda: None)
+    assert _resolve_threads(ScanOptions(threads=8), 100) == 1
 
 
 def test_scan_rejects_bad_degree_and_size():
@@ -159,8 +217,6 @@ def test_validator_rejects_tampering():
     rep = r.reports[0]
     bad = rep.classifications[8]
     assert bad.n == 9
-    import dataclasses
-
     forged = dataclasses.replace(bad, h1_dim=DIM_AT_LEAST_ONE)
     cls = rep.classifications[:8] + (forged,) + rep.classifications[9:]
     forged_rep = dataclasses.replace(rep, classifications=cls)
@@ -170,8 +226,6 @@ def test_validator_rejects_tampering():
 
 
 def test_validator_rejects_missing_indices():
-    import dataclasses
-
     r = scan(F2, 4)
     rep = r.reports[0]
     shrunk = dataclasses.replace(rep, classifications=rep.classifications[:5])
@@ -180,8 +234,6 @@ def test_validator_rejects_missing_indices():
 
 
 def test_validator_rejects_offscope_claims():
-    import dataclasses
-
     r = scan(F3, 3)
     rep = r.reports[0]
     idx = next(i for i, c in enumerate(rep.classifications) if not c.q_minus_1_divides)

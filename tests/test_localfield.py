@@ -63,7 +63,7 @@ class TestQuadraticOverF2:
         assert list(self.m.dlog_lambda_component(1).c) == [1, 0, 0, 1]
 
     def test_bc_extraction(self):
-        assert self.m.bc_from_local(2) == 1 == bc_numbers(self.m.rf).values[2]
+        assert bc_local_sweep(self.m).values[2] == 1 == bc_numbers(self.m.rf).values[2]
 
     def test_sweep(self):
         sweep = bc_local_sweep(self.m)
@@ -120,7 +120,7 @@ def test_torsion_annihilates_every_row(s, F):
     """phi(f) kills each g.lambda to full working precision, the fact
     that makes the one-generator iteration legitimate."""
     m = model(s, F)
-    coeff_series = [m._eval_at_t(c, m.t_series) for c in m.torsion.coeffs]
+    coeff_series = [m.t_series.eval_poly_coeffs(c.coeffs) for c in m.torsion.coeffs]
     for j in range(min(m.rf.size - 1, 6)):
         x = m.galois_rows()[j]
         acc = TruncSeries.zero(m.rf, m.n_work)
@@ -219,13 +219,6 @@ def test_components_of_non_character_indices_vanish():
     m = model("t^2 + 1", F3)
     for n in range(3, m.N - 1, 2):
         assert m.dlog_lambda_component(n).is_zero
-
-
-def test_extraction_range_guard():
-    m = model("t^3 + t + 1", F2)
-    for bad in [0, 1, m.N - 1, m.N]:
-        with pytest.raises(FieldError):
-            m.bc_from_local(bad)
 
 
 def test_galois_image_rejects_non_units():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bcscan.fields import fq_make
+from bcscan.fields import MAX_FIELD_SIZE, fq_make
 from bcscan.poly import (
     Poly,
     PolyParseError,
@@ -81,9 +81,20 @@ def test_parse_tolerates_spacing_stars_and_alpha():
 
 def test_parse_rejects_garbage():
     F = fq_make(3, 1)
-    for bad in ["t +", "+ + t", "t^-2", "(t", "b*t", "t^"]:
+    for bad in ["t +", "+ + t", "t^-2", "(t", "b*t", "t^", "t^\u00b2 + 1", "\u00b2*t + 1"]:
         with pytest.raises(PolyParseError):
             parse_poly(bad, F)
+
+
+def test_parse_rejects_exponents_past_the_field_size_cap():
+    # refused before a coefficient list that long is allocated
+    with pytest.raises(PolyParseError, match="exceeds the supported limit"):
+        parse_poly("t^1000000000000000000000000000000 + 1", fq_make(2, 1))
+    with pytest.raises(PolyParseError):
+        parse_poly(f"t^{MAX_FIELD_SIZE + 1}", fq_make(2, 1))
+    with pytest.raises(PolyParseError):
+        parse_poly("t^" + "1" * 5000, fq_make(2, 1))  # past int()'s digit limit
+    assert parse_poly(f"t^{MAX_FIELD_SIZE}", fq_make(2, 1)).degree == MAX_FIELD_SIZE
 
 
 def test_parse_x_variable():
