@@ -268,12 +268,18 @@ class PackedField:
 
         self._npexp = np.array(exp, dtype=np.int32)
         self._nplog = np.array(log, dtype=np.int32)
+        # Zero-aware pair: the log of 0 is the sentinel 2*order, and every
+        # sum involving it indexes the zero tail of _zexp, so a product of
+        # packed arrays is one add and one gather, with no mod and no mask.
+        self._zlog = self._nplog.copy()
+        self._zlog[0] = 2 * order
+        self._zexp = np.concatenate((self._npexp, self._npexp, np.zeros(2 * order + 1, np.int32)))
         qb = self.frob_exponent
         frobq = np.zeros(self.size, dtype=np.int32)
         for v in range(1, self.size):
             frobq[v] = self.pow(v, qb)
         self._npfrobq = frobq
-        for arr in (self._npexp, self._nplog, self._npfrobq, self._unpack):
+        for arr in (self._npexp, self._nplog, self._zlog, self._zexp, self._npfrobq, self._unpack):
             arr.setflags(write=False)
 
     # q-power used by series Frobenius; residue fields override.
@@ -365,21 +371,14 @@ class PackedField:
         return self.vadd(a, self.vneg(b))
 
     def vmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        a = np.asarray(a, dtype=np.int32)
-        b = np.asarray(b, dtype=np.int32)
-        mask = (a != 0) & (b != 0)
-        idx = (self._nplog[a] + self._nplog[b]) % max(self.order, 1)
-        out = self._npexp[idx]
-        return np.where(mask, out, 0).astype(np.int32)
+        return self._zexp[self._zlog[np.asarray(a)] + self._zlog[np.asarray(b)]]
 
     def vscale(self, c: int, a: np.ndarray) -> np.ndarray:
         if c == 0:
             return np.zeros_like(a)
         if c == 1:
             return a.copy()
-        lc = self._log[c]
-        out = self._npexp[(self._nplog[a] + lc) % self.order]
-        return np.where(a != 0, out, 0).astype(np.int32)
+        return self._zexp[self._zlog[a] + self._log[c]]
 
     def vsum(self, a: np.ndarray, axis: int = 0) -> np.ndarray:
         if self.p == 2:

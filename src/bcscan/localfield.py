@@ -31,7 +31,7 @@ import numpy as np
 from .carlitz import TorsionPoly, additive_apply, carlitz_action, cyclotomic_poly, exp_coeffs
 from .fields import ConsistencyError, FieldError
 from .poly import Poly, lift_to_poly, residue_field
-from .series import TruncSeries
+from .series import TruncSeries, derivative_rows, inverse_rows, mul_rows
 
 NWORK_EXTRA = 2
 
@@ -41,50 +41,6 @@ def dlog(u: TruncSeries) -> TruncSeries:
     if u.valuation() != 0:
         raise FieldError("logarithmic derivative needs a unit series")
     return u.derivative() * u.inverse()
-
-
-# Row-wise series arithmetic on (rows, width) coefficient matrices.  The
-# dlog table needs one inverse per unit and a per-element loop would pay
-# numpy overhead rows*width times; column loops pay it width times.
-
-
-def _batch_mul(F, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    n = A.shape[1]
-    cols = np.flatnonzero(A.any(axis=0))
-    if F.p == 2:
-        out = np.zeros_like(A)
-        for j in cols:
-            out[:, j:] ^= F.vmul(A[:, j : j + 1], B[:, : n - j])
-    else:
-        acc = np.zeros((A.shape[0], n, F.m), dtype=np.int64)
-        for j in cols:
-            acc[:, j:] += F._unpack[F.vmul(A[:, j : j + 1], B[:, : n - j])]
-        out = ((acc % F.p) @ F._packw).astype(np.int32)
-    return out
-
-
-def _batch_inverse(F, A: np.ndarray) -> np.ndarray:
-    if not A[:, 0].all():
-        raise ZeroDivisionError("series has no inverse: zero constant term")
-    y = np.zeros_like(A)
-    y[:, 0] = [F.inv(int(v)) for v in A[:, 0]]
-    prec = 1
-    while prec < A.shape[1]:
-        prec *= 2
-        ay2 = _batch_mul(F, A, _batch_mul(F, y, y))
-        y = F.vsub(F.vadd(y, y), ay2)
-    return y
-
-
-def _batch_derivative(F, A: np.ndarray) -> np.ndarray:
-    n = A.shape[1]
-    out = np.zeros((A.shape[0], n - 1), dtype=np.int32)
-    scalars = np.arange(1, n, dtype=np.int64) % F.p
-    for s in range(1, F.p):
-        sel = np.flatnonzero(scalars == s)
-        if sel.size:
-            out[:, sel] = F.vscale(s, A[:, sel + 1]) if s != 1 else A[:, sel + 1]
-    return out
 
 
 @dataclass(frozen=True)
@@ -200,7 +156,7 @@ class LocalModel:
             if any(int(r.c[0]) != 0 or int(r.c[1]) == 0 for r in rows):
                 raise ConsistencyError("a Galois image of lambda lost valuation 1")
             U = np.stack([r.c[1:] for r in rows])
-            mat = _batch_mul(R, _batch_derivative(R, U), _batch_inverse(R, U[:, : self.depth]))
+            mat = mul_rows(R, derivative_rows(R, U), inverse_rows(R, U[:, : self.depth]))
             mat.setflags(write=False)
             self._dlog_matrix = mat
         return self._dlog_matrix

@@ -294,21 +294,31 @@ def _parse_coeff_atom(field, tok: str) -> int:
     if not tok:
         raise PolyParseError("empty coefficient")
     if tok.isdecimal():
-        return int(tok) % field.p if field.r == 1 else _int_embed(field, int(tok))
+        return _int_embed(field, _bounded_int(tok, "coefficient"))
     if tok == "a":
         return _a_power(field, 1)
     m = re.fullmatch(r"a\^(\d+)", tok)
     if m:
-        return _a_power(field, int(m.group(1)))
+        return _a_power(field, _bounded_int(m.group(1), "exponent"))
     m = re.fullmatch(r"(\d+)\*?a(?:\^(\d+))?", tok)
     if m:
-        c = _int_embed(field, int(m.group(1)))
-        return field.mul(c, _a_power(field, int(m.group(2) or 1)))
+        c = _int_embed(field, _bounded_int(m.group(1), "coefficient"))
+        return field.mul(c, _a_power(field, _bounded_int(m.group(2) or "1", "exponent")))
     raise PolyParseError(f"cannot parse coefficient {tok!r}")
+
+
+def _bounded_int(digits: str, what: str) -> int:
+    # bounded before int(), which refuses very long digit strings, and
+    # before parse_poly allocates: no supported degree or field is larger
+    digits = digits.lstrip("0") or "0"
+    if len(digits) > len(str(MAX_FIELD_SIZE)) or int(digits) > MAX_FIELD_SIZE:
+        raise PolyParseError(f"{what} exceeds the supported limit {MAX_FIELD_SIZE}")
+    return int(digits)
 
 
 def _int_embed(field, n: int) -> int:
     return n % field.p  # image of an integer under Z -> F_q
+
 
 def _a_power(field, j: int) -> int:
     if field.r == 1:
@@ -348,12 +358,7 @@ def _parse_term(field, chunk: str, var: str) -> tuple[int, int]:
         if rest == "":
             exp = 1
         elif rest.startswith("^") and rest[1:].isdecimal():
-            # bounded before int() (which refuses very long digit strings)
-            # and before parse_poly allocates: no supported degree is higher
-            digits = rest[1:].lstrip("0") or "0"
-            if len(digits) > len(str(MAX_FIELD_SIZE)) or int(digits) > MAX_FIELD_SIZE:
-                raise PolyParseError(f"exponent exceeds the supported limit {MAX_FIELD_SIZE}")
-            exp = int(digits)
+            exp = _bounded_int(rest[1:], "exponent")
         else:
             raise PolyParseError(f"bad exponent in {chunk!r}")
     if head:

@@ -6,8 +6,13 @@ of top coefficients (derivative, division by z) returns a shorter
 series, and binary operations between different truncation orders work
 at the shorter one.  No coefficient in a result is ever a guess.
 
-Coefficients live in a numpy int32 array (packed field elements), and
-multiplication/frobenius/scaling run through the field's vector tables.
+Coefficients live in a numpy int32 array (packed field elements).
+Product, inverse and derivative have one implementation each, the row
+kernel below: ``mul_rows``, ``inverse_rows`` and ``derivative_rows`` act
+on (rows, n) coefficient matrices, one series per row.  ``TruncSeries``
+calls them on a one-row view, and the local model's dlog table calls
+them on all of its rows at once, so numpy overhead is paid per column
+rather than per element.
 """
 
 from __future__ import annotations
@@ -15,6 +20,60 @@ from __future__ import annotations
 import numpy as np
 
 from .fields import FieldError
+
+
+# -- the row kernel ----------------------------------------------------------
+
+
+def mul_rows(F, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Row-wise product mod z^n of two (rows, n) coefficient matrices.
+
+    Schoolbook: one shifted, scaled copy of the other operand per nonzero
+    column of whichever operand has fewer of them (e(z)/z in bc_numbers
+    has d).  Both discrete logs are looked up once per product."""
+    n = A.shape[1]
+    if np.count_nonzero(A.any(axis=0)) > np.count_nonzero(B.any(axis=0)):
+        A, B = B, A
+    cols = np.flatnonzero(A.any(axis=0))
+    logA, logB = F._zlog[A], F._zlog[B]
+    if F.p == 2:
+        out = np.zeros_like(A)
+        for j in cols:
+            out[:, j:] ^= F._zexp[logA[:, j, None] + logB[:, : n - j]]
+        return out
+    acc = np.zeros(A.shape + (F.m,), dtype=np.int64)
+    for j in cols:
+        acc[:, j:] += F._unpack[F._zexp[logA[:, j, None] + logB[:, : n - j]]]
+    return ((acc % F.p) @ F._packw).astype(np.int32)
+
+
+def inverse_rows(F, A: np.ndarray) -> np.ndarray:
+    """Row-wise inverse mod z^n by Newton iteration, y <- 2y - A y^2.  A
+    step that doubles the precision to prec reads only A[:, :prec]."""
+    if not A[:, 0].all():
+        raise ZeroDivisionError("series has no inverse: zero constant term")
+    y = np.array([[F.inv(int(v))] for v in A[:, 0]], dtype=np.int32)
+    prec = 1
+    while prec < A.shape[1]:
+        prec = min(2 * prec, A.shape[1])
+        y = np.pad(y, ((0, 0), (0, prec - y.shape[1])))
+        ay2 = mul_rows(F, A[:, :prec], mul_rows(F, y, y))
+        y = F.vsub(F.vadd(y, y), ay2)
+    return y
+
+
+def derivative_rows(F, A: np.ndarray) -> np.ndarray:
+    """Row-wise d/dz; column i of the result needs column i+1 of A."""
+    n = A.shape[1]
+    if n == 1:
+        raise FieldError("cannot differentiate a series known only mod z")
+    out = np.zeros((A.shape[0], n - 1), dtype=np.int32)
+    scalars = np.arange(1, n) % F.p
+    # i * c_i is a scale by (i mod p)
+    for s in range(1, F.p):
+        sel = np.flatnonzero(scalars == s)
+        out[:, sel] = F.vscale(s, A[:, sel + 1])
+    return out
 
 
 class TruncSeries:
@@ -133,20 +192,7 @@ class TruncSeries:
 
     def __mul__(self, other: "TruncSeries") -> "TruncSeries":
         n, a, b = self._align(other)
-        F = self.field
-        if np.count_nonzero(a) > np.count_nonzero(b):
-            a, b = b, a
-        idx = np.flatnonzero(a)
-        if F.p == 2:
-            out = np.zeros(n, dtype=np.int32)
-            for i in idx:
-                out[i:] ^= F.vscale(int(a[i]), b[: n - i])
-        else:
-            acc = np.zeros((n, F.m), dtype=np.int64)
-            for i in idx:
-                acc[i:] += F._unpack[F.vscale(int(a[i]), b[: n - i])]
-            out = ((acc % F.p) @ F._packw).astype(np.int32)
-        return TruncSeries(F, n, out)
+        return TruncSeries(self.field, n, mul_rows(self.field, a[None], b[None])[0])
 
     def __pow__(self, e: int) -> "TruncSeries":
         if e < 0:
@@ -162,19 +208,7 @@ class TruncSeries:
 
     def inverse(self) -> "TruncSeries":
         """Multiplicative inverse mod z^n; constant term must be a unit."""
-        F, n = self.field, self.n
-        c0 = int(self.c[0])
-        if c0 == 0:
-            raise ZeroDivisionError("series has no inverse: zero constant term")
-        y = TruncSeries.const(F, n, F.inv(c0))
-        prec = 1
-        while prec < n:
-            prec *= 2
-            # y <- 2y - a*y^2, correct mod z^prec
-            y2 = y * y
-            ay2 = self * y2
-            y = y + y - ay2
-        return y
+        return TruncSeries(self.field, self.n, inverse_rows(self.field, self.c[None])[0])
 
     def shift_up(self, k: int) -> "TruncSeries":
         """Multiply by z^k (same truncation order)."""
@@ -195,17 +229,7 @@ class TruncSeries:
 
     def derivative(self) -> "TruncSeries":
         """d/dz; coefficient i of the result needs coefficient i+1 here."""
-        F, n = self.field, self.n
-        if n == 1:
-            raise FieldError("cannot differentiate a series known only mod z")
-        out = np.zeros(n - 1, dtype=np.int32)
-        scalars = np.arange(1, n, dtype=np.int64) % F.p
-        # i * c_i computed as repeated addition collapsed to a scale by (i mod p)
-        for s in range(1, F.p):
-            sel = np.flatnonzero(scalars == s)
-            if sel.size:
-                out[sel] = F.vscale(s, self.c[sel + 1]) if s != 1 else self.c[sel + 1]
-        return TruncSeries(F, n - 1, out)
+        return TruncSeries(self.field, self.n - 1, derivative_rows(self.field, self.c[None])[0])
 
     def frobenius_q(self) -> "TruncSeries":
         """q-power: sum a_i z^(i q) with coefficients raised to the q."""

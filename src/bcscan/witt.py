@@ -180,9 +180,6 @@ class WittRing:
                 break
         return best
 
-    def with_precision(self, k2: int) -> "WittRing":
-        return witt_ring(self.rf, k2)
-
     def __repr__(self) -> str:
         return f"W_{self.k}(F_{self.p}^{self.m})"
 

@@ -1,11 +1,13 @@
 """CLI behavior: arguments, formats, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import bcscan
 from bcscan import cli
 from bcscan.fields import ConsistencyError
 
@@ -104,6 +106,17 @@ def test_huge_exponent_exits_1(capsys):
     assert err.startswith("bcscan: ") and "exceeds the supported limit" in err
 
 
+@pytest.mark.parametrize(
+    "q,prime",
+    [("2", "1" * 5000 + "*t + 1"), ("4", "t^2 + a^" + "1" * 5000 + "*t + 1")],
+)
+def test_oversized_coefficient_integer_exits_1(q, prime, capsys):
+    code, _, err = run(["bc", "--q", q, "--prime", prime], capsys)
+    assert code == 1
+    assert err.startswith("bcscan: ") and "exceeds the supported limit" in err
+    assert "Traceback" not in err
+
+
 def test_fq_modulus_on_prime_q_exits_1(capsys):
     code, _, err = run(
         ["scan", "--q", "3", "--max-degree", "2", "--fq-modulus", "x^2 + 1"], capsys
@@ -146,11 +159,15 @@ def test_timings_go_to_stderr(capsys):
 
 
 def test_module_entry_point():
+    # the child imports the same bcscan as this process, installed or not
+    src = os.path.dirname(os.path.dirname(bcscan.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "bcscan.cli", "scan", "--q", "2", "--max-degree", "4"],
         capture_output=True,
         text=True,
         timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "t^4 + t + 1" in proc.stdout

@@ -97,6 +97,30 @@ def test_parse_rejects_exponents_past_the_field_size_cap():
     assert parse_poly(f"t^{MAX_FIELD_SIZE}", fq_make(2, 1)).degree == MAX_FIELD_SIZE
 
 
+@pytest.mark.parametrize(
+    "text,q",
+    [
+        ("1" * 5000 + "*t + 1", (2, 1)),  # integer coefficient
+        ("t^2 + a^" + "1" * 5000 + "*t + 1", (2, 2)),  # a^N
+        ("t^2 + " + "1" * 5000 + "*a^2*t + 1", (2, 2)),  # N*a^M
+        ("t^2 + 2*a^" + "1" * 5000 + "*t + 1", (2, 2)),
+        (f"{MAX_FIELD_SIZE + 1}*t + 1", (3, 1)),
+    ],
+)
+def test_parse_rejects_oversized_coefficient_integers(text, q):
+    # past int()'s digit limit or the field-size cap: a parse error, not a ValueError
+    with pytest.raises(PolyParseError, match="exceeds the supported limit"):
+        parse_poly(text, fq_make(*q))
+
+
+def test_parse_reduces_integer_coefficients_up_to_the_cap():
+    F4 = fq_make(2, 2)
+    assert parse_poly(f"{MAX_FIELD_SIZE}*t + 3", fq_make(3, 1)).coeffs == (0, 1)
+    assert parse_poly("t + 0007", fq_make(5, 1)).coeffs == (2, 1)
+    assert parse_poly("t + a^3", F4).coeffs == (1, 1)  # a^3 = 1 in F_4
+    assert parse_poly("t + 3*a^0004", F4) == parse_poly("t + a", F4)
+
+
 def test_parse_x_variable():
     m = parse_poly("x^2 + x + 1", fq_make(2, 1), var="x")
     assert m.coeffs == (1, 1, 1)

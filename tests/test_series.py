@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bcscan.fields import FieldError, fq_make, residue_field_raw
-from bcscan.series import TruncSeries
+from bcscan.series import TruncSeries, derivative_rows, inverse_rows, mul_rows
 
 FIELDS = [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2)]
 
@@ -218,3 +218,75 @@ def test_pow_matches_repeated_mul():
     for e in range(6):
         assert s**e == acc
         acc = acc * s
+
+
+# -- the row kernel against the schoolbook oracle ----------------------------
+
+
+def rand_rows(F, rows, n, rng, density=1.0, unit=False):
+    M = np.array(
+        [[rng.randrange(F.size) if rng.random() < density else 0 for _ in range(n)] for _ in range(rows)],
+        dtype=np.int32,
+    )
+    if unit:
+        M[:, 0] = [rng.randrange(1, F.size) for _ in range(rows)]
+    return M
+
+
+def as_series(F, M):
+    return [TruncSeries(F, M.shape[1], row) for row in M]
+
+
+@pytest.mark.parametrize("p,r", FIELDS)
+def test_mul_rows_matches_schoolbook_row_by_row(p, r):
+    F = fq_make(p, r)
+    rng = random.Random(43 * p + r)
+    n = 19
+    dense = rand_rows(F, 5, n, rng)
+    dense[:, 4] = 0  # an all-zero column
+    sparse = np.zeros((5, n), dtype=np.int32)
+    sparse[:, [0, 3, 11]] = rand_rows(F, 5, 3, rng)  # rows share the columns
+    sparse[2] = 0  # and one row has no support at all
+    mixed = rand_rows(F, 5, n, rng, density=0.3)  # supports differ by row
+    for A, B in [(dense[:1], mixed[:1]), (dense, mixed), (dense, sparse), (sparse, dense), (mixed, mixed)]:
+        got = mul_rows(F, A, B)
+        assert got.shape == A.shape and got.dtype == np.int32
+        for a, b, c in zip(as_series(F, A), as_series(F, B), as_series(F, got)):
+            assert c == ref_mul(a, b)
+
+
+@pytest.mark.parametrize("p,r", FIELDS)
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 16, 21])
+def test_inverse_rows_is_checked_by_schoolbook(p, r, n):
+    # lengths that are and are not powers of two: the last Newton step is
+    # truncated to n in the second case
+    F = fq_make(p, r)
+    rng = random.Random(47 * p + 5 * r + n)
+    A = np.concatenate([rand_rows(F, 4, n, rng, unit=True), rand_rows(F, 2, n, rng, 0.2, unit=True)])
+    Y = inverse_rows(F, A)
+    assert Y.shape == A.shape
+    for a, y in zip(as_series(F, A), as_series(F, Y)):
+        assert ref_mul(a, y) == TruncSeries.one(F, n)
+
+
+def test_inverse_rows_rejects_a_nonunit_row():
+    F = fq_make(3, 1)
+    with pytest.raises(ZeroDivisionError):
+        inverse_rows(F, np.array([[1, 2, 0], [0, 1, 1]], dtype=np.int32))
+
+
+@pytest.mark.parametrize("p,r", FIELDS)
+def test_derivative_rows_is_the_coefficient_formula(p, r):
+    F = fq_make(p, r)
+    rng = random.Random(53 * p + r)
+    A = rand_rows(F, 4, 14, rng)
+    D = derivative_rows(F, A)
+    assert D.shape == (4, 13)
+    for row, drow in zip(A, D):
+        for i in range(13):
+            want = 0  # (i+1) * a_{i+1} as repeated addition
+            for _ in range(i + 1):
+                want = F.add(want, int(row[i + 1]))
+            assert int(drow[i]) == want
+    with pytest.raises(FieldError):
+        derivative_rows(F, A[:, :1])

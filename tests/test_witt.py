@@ -136,7 +136,6 @@ def test_with_precision_and_cache_identity():
     F2 = fq_make(2, 1)
     R = residue_field(parse_poly("t^2 + t + 1", F2))
     W = witt_ring(R, 4)
-    assert W.with_precision(8) is witt_ring(R, 8)
     assert witt_ring(R, 4) is W
     # digit-0 behaviour consistent across precisions
     lo, hi = witt_ring(R, 2), witt_ring(R, 9)
