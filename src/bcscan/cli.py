@@ -19,6 +19,7 @@ from .fields import BaseField, ConsistencyError, FieldError, fq_make
 from .emit import emit
 from .herbrand import ScanOptions, ScanResult, classify_prime, fq_modulus_str, scan, validate_report
 from .poly import PolyParseError, parse_poly, residue_field, residue_to_str
+from .witt import MAX_PRECISION
 
 
 class _UsageError(Exception):
@@ -72,6 +73,10 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
 
 
 def _options(args) -> ScanOptions:
+    if args.threads is not None and args.threads < 1:
+        raise FieldError(f"--threads must be at least 1, got {args.threads}")
+    if not 1 <= args.precision <= MAX_PRECISION:
+        raise FieldError(f"--precision must be in 1..{MAX_PRECISION}, got {args.precision}")
     return ScanOptions(
         precision=args.precision,
         check_local=args.check_local,
@@ -120,8 +125,9 @@ def main(argv=None) -> int:
                 _print_timings(result)
             text = emit(result, args.format, args.out)
         elif args.command == "classify":
+            options = _options(args)
             prime = parse_poly(args.prime, base)
-            report = classify_prime(prime, _options(args))
+            report = classify_prime(prime, options)
             result = ScanResult(
                 q=base.size,
                 fq_modulus=fq_modulus_str(base),

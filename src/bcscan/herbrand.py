@@ -120,8 +120,10 @@ def classify_index(
         raise FieldError(f"character power must satisfy 0 < n < {order}")
     if n % (rf.q - 1) != 0:
         chars = character_context(rf, options.precision, options.witt_lift_offsets)
-        rep = l_report(chars, n)
-        diag = {"s1_valuation": chars.W.valuation(rep.s_at_one)}
+        s1_valuation = chars.valuation(n)
+        if options.cross_check and chars.W.valuation(l_report(chars, n).s_at_one) != s1_valuation:
+            raise ConsistencyError(f"graded S_{n}(1) and the valuation table disagree")
+        diag = {"s1_valuation": s1_valuation}
         return IndexClassification(n, False, False, None, OUT_OF_SCOPE, diag)
     residue = int(ctx.bc.values[n])
     diag = {"bc_residue": residue}
@@ -140,6 +142,8 @@ def classify_index(
         chars = character_context(rf, options.precision, options.witt_lift_offsets)
         rep = l_report(chars, n)
         diag["l_valuation_graded"] = chars.W.valuation(rep.l_value)
+        if diag["l_valuation_graded"] != min(pic, options.precision):
+            raise ConsistencyError(f"graded L_{n} and the valuation table disagree")
     if residue != 0:
         return IndexClassification(n, True, False, pic, DIM_ZERO, diag)
     return IndexClassification(

@@ -12,11 +12,17 @@ Q_n given by prefix sums, and the L-value at 1 is
 
     L_n = Q_n(1) = - sum over monic g, deg g < d of deg(g) omega(g)^(-n).
 
-The right-hand closed form is how the fast path computes it: one table
-gather per n, using omega(gamma^j) built once by successive Witt
-multiplications from a single Teichmuller lift of a generator gamma.
-The polynomial route stays available as an independent cross-check and
-for out-of-scope diagnostics.
+The right-hand closed form is how the fast path computes it, as one
+weighted sum over a table of omega(gamma^j) built once by successive
+Witt multiplications from a single Teichmuller lift of a generator
+gamma.  Valuations are read from one table per context, covering v(L_n)
+at in-scope n and v(S_n(1)) elsewhere.  The weights are rational
+integers and Frobenius sends omega(x) to omega(x)^p, so both sums at n
+and at pn mod (Q-1) have the same valuation and the table computes each
+p-orbit once, at its least member.  Since omega(g) reduces to g mod p,
+a sum over F_Q first settles every member of valuation 0; only the
+rest take the exact Witt sum.  The polynomial route stays available as
+an independent cross-check.
 """
 
 from __future__ import annotations
@@ -30,6 +36,9 @@ from .fields import ConsistencyError, FieldError, ResidueField
 from .witt import MAX_PRECISION, PrecisionError, WittElem, WittRing, witt_ring
 
 INT64_SAFE_BOUND = 1 << 62
+# cells one gather of the character-sum primitive may produce: 32K int64
+# cells are 256 KB, so the temporaries of a chunk stay well under 1 MB
+CHUNK_CELLS = 1 << 15
 
 
 class CharacterContext:
@@ -41,6 +50,17 @@ class CharacterContext:
         q, d = rf.q, rf.d
         self.Q = rf.size
         self.order = self.Q - 1
+
+        # discrete logs of the monic degree-j representatives; packed
+        # values of those representatives are exactly [q^j, 2 q^j)
+        log = self.rf._nplog
+        self.monic_logs = [log[q**j : 2 * q**j].astype(np.int64) for j in range(d)]
+        logs = np.concatenate(self.monic_logs)
+        degs = np.repeat(np.arange(d, dtype=np.int64), [q**j for j in range(d)])
+        # (logs, weights) of the two sums the valuation table serves:
+        # deg(g) for L_n at in-scope n, 1 for S_n(1) elsewhere
+        self._deg_weights = (logs[degs > 0], degs[degs > 0])
+        self._unit_weights = (logs, np.ones_like(degs))
 
         gamma = rf.generator
         if lift_offsets:
@@ -54,36 +74,91 @@ class CharacterContext:
         for _ in range(self.order - 1):
             cur = cur * wg
             rows.append(cur.coords)
-        total_weight = sum(j * q**j for j in range(d))
+        total_weight = max(int(w.sum()) for _, w in (self._deg_weights, self._unit_weights))
         self._int64 = total_weight * (self.W.pk - 1) < INT64_SAFE_BOUND
         dtype = np.int64 if self._int64 else object
         self.teich = np.array(rows, dtype=dtype)
 
-        # discrete logs of the monic degree-j representatives; packed
-        # values of those representatives are exactly [q^j, 2 q^j)
-        log = self.rf._nplog
-        self.monic_logs = [log[q**j : 2 * q**j].astype(np.int64) for j in range(d)]
-        self.deg_weight = np.zeros(self.order, dtype=np.int64)
-        for j in range(1, d):
-            np.add.at(self.deg_weight, self.monic_logs[j], j)
-
     def in_scope(self, n: int) -> bool:
         return 0 < n < self.order and n % (self.rf.q - 1) == 0
 
-    def _gather_sum(self, logs: np.ndarray, n: int) -> WittElem:
-        idx = (-n * logs) % self.order
-        total = self.teich[idx].sum(axis=0) % self.W.pk
+    def _char_sums(self, table: np.ndarray, logs: np.ndarray, reduce, ns) -> np.ndarray:
+        """reduce(table[-n * logs mod (Q-1)]) for each n in ns, stacked.
+
+        Row i of ``table`` is a function of gamma^i: omega(gamma^i) in
+        W_k, or gamma^i itself in F_Q.  ``reduce`` folds axis 1 of a
+        (rows, len(logs), ...) gather; ns is taken a bounded chunk of
+        rows at a time, so no gather exceeds CHUNK_CELLS cells unless a
+        single row does."""
+        ns = np.asarray(ns, dtype=np.int64)
+        step = max(1, CHUNK_CELLS // max(1, logs.size * table[0].size))
+        starts = range(0, ns.size, step) or [0]  # an empty ns gives an empty stack
+        return np.concatenate([
+            reduce(table[(-ns[s : s + step, None] * logs) % self.order]) for s in starts
+        ])
+
+    def _witt_sum(self, weights, n: int) -> WittElem:
+        """sum of w(g) omega(g)^(-n) over the (logs, weights) pairs."""
+        logs, w = weights
+        pk = self.W.pk
+        (total,) = self._char_sums(
+            self.teich, logs, lambda g: (g * w[:, None]).sum(axis=1) % pk, [n]
+        )
         return self.W.from_coords(int(v) for v in total)
+
+    def _unit_mod_p(self, weights, ns) -> np.ndarray:
+        """Whether each weighted sum at n in ns is a unit, i.e. has
+        valuation 0: omega(g) reduces to g, so the sum reduces to
+        sum (w(g) mod p) g^(-n) in F_Q, decided without the Witt ring."""
+        rf, (logs, w) = self.rf, weights
+        p = rf.p
+        keep = w % p != 0
+        logs, w = logs[keep], w[keep] % p
+        if p == 2:  # every kept weight is 1 and F_Q addition is XOR
+            return self._char_sums(
+                rf._npexp, logs, lambda g: np.bitwise_xor.reduce(g, axis=1) != 0, ns
+            )
+        digits = rf._unpack[rf._npexp]  # F_p-coordinates of gamma^i
+        return self._char_sums(
+            digits, logs, lambda g: (np.einsum("rjc,j->rc", g, w) % p).any(axis=1), ns
+        )
+
+    @functools.cached_property
+    def _valuations(self) -> np.ndarray:
+        """Entry n: v(L_n) at in-scope n, v(S_n(1)) at the other
+        0 < n < Q-1, each capped at k (entry 0 is unused)."""
+        order, p = self.order, self.rf.p
+        rep = np.arange(order, dtype=np.int64)  # least member of each n -> pn orbit
+        cur = rep.copy()
+        for _ in range(self.rf.m - 1):
+            cur = cur * p % order
+            np.minimum(rep, cur, out=rep)
+        reps = np.flatnonzero(rep == np.arange(order))[1:]
+        vals = np.zeros(order, dtype=np.int64)
+        for in_scope in (True, False):
+            ns = reps[(reps % (self.rf.q - 1) == 0) == in_scope]
+            weights = self._deg_weights if in_scope else self._unit_weights
+            for r in ns[~self._unit_mod_p(weights, ns)]:
+                r = int(r)
+                s = self.closed_weighted_sum(r) if in_scope else self._witt_sum(weights, r)
+                vals[r] = self.W.valuation(s)
+        return vals[rep]
+
+    def valuation(self, n: int) -> int:
+        """v_p of L_n for an in-scope n, of S_n(1) for any other
+        0 < n < Q-1; k means zero as far as W_k can see."""
+        if not 0 < n < self.order:
+            raise FieldError(f"index must satisfy 0 < n < {self.order}")
+        return int(self._valuations[n])
 
     def char_degree_sum(self, n: int, j: int) -> WittElem:
         """sum of omega(g)^(-n) over monic g of degree j < d."""
-        return self._gather_sum(self.monic_logs[j], n)
+        logs = self.monic_logs[j]
+        return self._witt_sum((logs, np.ones_like(logs)), n)
 
     def closed_weighted_sum(self, n: int) -> WittElem:
         """sum of deg(g) omega(g)^(-n) over monic g of degree < d."""
-        jidx = (-n * np.arange(self.order, dtype=np.int64)) % self.order
-        total = (self.deg_weight[:, None] * self.teich[jidx]).sum(axis=0) % self.W.pk
-        return self.W.from_coords(int(v) for v in total)
+        return self._witt_sum(self._deg_weights, n)
 
 
 @functools.lru_cache(maxsize=32)
@@ -172,6 +247,8 @@ def pic_eigenspace_length(
 
     def valuation_at(kk: int) -> int:
         ctx = character_context(rf, kk, lift_offsets)
-        return ctx.W.valuation(l_value_at_one(ctx, n))
+        if not ctx.in_scope(n):
+            raise FieldError(f"index {n} is not an in-scope character power")
+        return ctx.valuation(n)
 
     return saturating_valuation(valuation_at, k, cap)

@@ -230,10 +230,6 @@ class WittElem:
             e >>= 1
         return result
 
-    def int_scale(self, n: int) -> "WittElem":
-        pk = self.ring.pk
-        return WittElem(self.ring, tuple((a * n) % pk for a in self.coords))
-
     @property
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)

@@ -117,6 +117,36 @@ def test_oversized_coefficient_integer_exits_1(q, prime, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["scan", "--q", "2", "--max-degree", "3", "--threads", "-4"],
+        ["scan", "--q", "2", "--max-degree", "3", "--threads", "0"],
+        ["scan", "--q", "2", "--max-degree", "3", "--precision", "0"],
+        ["classify", "--q", "2", "--prime", "t + 1", "--precision", "500"],
+        ["classify", "--q", "2", "--prime", "t + 1", "--threads", "-1"],
+    ],
+)
+def test_bad_options_refused_before_any_prime(args, capsys, monkeypatch):
+    def never(*_):
+        raise AssertionError("a prime was enumerated or classified")
+
+    monkeypatch.setattr(bcscan.herbrand, "monic_irreducibles", never)
+    monkeypatch.setattr(cli, "classify_prime", never)
+    code, out, err = run(args, capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("bcscan: --")
+
+
+def test_degree_one_prime_at_the_precision_cap(capsys):
+    # 3^96 overflows int64: the Teichmuller table must fall back to
+    # Python integers even though no sum has more than one term
+    code, out, _ = run(["classify", "--q", "3", "--prime", "t + 1", "--precision", "96"], capsys)
+    assert code == 0
+    assert "v(S_n(1))=0" in out
+
+
 def test_fq_modulus_on_prime_q_exits_1(capsys):
     code, _, err = run(
         ["scan", "--q", "3", "--max-degree", "2", "--fq-modulus", "x^2 + 1"], capsys

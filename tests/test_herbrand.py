@@ -1,6 +1,7 @@
 """Classification and scan behavior."""
 
 import dataclasses
+import re
 
 import pytest
 
@@ -22,6 +23,7 @@ from bcscan.herbrand import (
     strip_timings,
     validate_report,
 )
+from bcscan.lseries import CharacterContext
 from bcscan.poly import parse_poly, residue_field
 
 F2 = fq_make(2, 1)
@@ -142,6 +144,18 @@ def test_cross_check_option_matches_pic():
     for c in rep.classifications:
         if c.q_minus_1_divides:
             assert c.diagnostics["l_valuation_graded"] == c.pic_length
+
+
+@pytest.mark.parametrize("n,label", [(3, "S_3(1)"), (4, "L_4")])
+def test_cross_check_compares_the_valuation_table(monkeypatch, n, label):
+    real = CharacterContext.valuation
+    monkeypatch.setattr(
+        CharacterContext, "valuation", lambda self, m: real(self, m) + (m == n)
+    )
+    f = parse_poly("t^2 + 1", F3)
+    classify_prime(f)  # without the cross-check the table is trusted
+    with pytest.raises(ConsistencyError, match=re.escape(label)):
+        classify_prime(f, ScanOptions(cross_check=True))
 
 
 def test_scan_q2_table():

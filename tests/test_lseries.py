@@ -4,9 +4,11 @@ scope rules, valuations, precision behaviour."""
 import numpy as np
 import pytest
 
+from bcscan import lseries
 from bcscan.fields import FieldError, fq_make
-from bcscan.poly import parse_poly, residue_field
+from bcscan.poly import monic_irreducibles, parse_poly, residue_field
 from bcscan.lseries import (
+    CharacterContext,
     character_context,
     l_report,
     l_value_at_one,
@@ -54,7 +56,8 @@ def test_closed_weighted_sum_matches_bruteforce():
         acc = W.zero()
         for j in range(2):
             for v in range(3**j, 2 * 3**j):
-                acc = acc + (W.teichmuller(v) ** ((-n) % ctx.order)).int_scale(j)
+                x = W.teichmuller(v) ** ((-n) % ctx.order)
+                acc = acc + W.from_coords(j * c for c in x.coords)
         assert acc == ctx.closed_weighted_sum(n)
         assert l_value_at_one(ctx, n) == -acc
 
@@ -170,3 +173,64 @@ def test_big_n_small_n_periodicity_guard():
         l_report(ctx, 7)  # n = Q-1 out of range
     with pytest.raises(FieldError):
         l_report(ctx, 0)
+
+
+# (p, r, largest degree) for q = 2, 3, 4, 5: every prime with q^d <= 256
+SMALL_PRIMES = [(2, 1, 8), (3, 1, 5), (2, 2, 4), (5, 1, 3)]
+
+
+@pytest.mark.parametrize("p,r,max_d", SMALL_PRIMES)
+def test_valuation_table_equals_per_index_route(p, r, max_d):
+    F = fq_make(p, r)
+    for d in range(1, max_d + 1):
+        for f in monic_irreducibles(F, d):
+            rf = residue_field(f)
+            for k in (12, 1):
+                ctx = character_context(rf, k)
+                per_n = {}
+                for n in range(1, ctx.order):
+                    if ctx.in_scope(n):
+                        per_n[n] = ctx.W.valuation(l_value_at_one(ctx, n))
+                    elif k == 12:
+                        per_n[n] = ctx.W.valuation(l_report(ctx, n).s_at_one)
+                    else:
+                        continue
+                    assert ctx.valuation(n) == per_n[n], (str(f), k, n)
+                for n, v in per_n.items():
+                    assert per_n[p * n % ctx.order] == v, (str(f), k, n)
+
+
+def test_valuation_table_gathers_once_per_frobenius_orbit(monkeypatch):
+    rf = residue_field(parse_poly("t^12 + t^3 + 1", fq_make(2, 1)))
+    reps = {min(n * 2**i % 4095 for i in range(12)) for n in range(1, 4095)}
+    assert 340 <= len(reps) <= 360
+    calls = {"closed_weighted_sum": 0, "rows": 0}
+    closed, char_sums = CharacterContext.closed_weighted_sum, CharacterContext._char_sums
+
+    def counted_closed(self, n):
+        calls["closed_weighted_sum"] += 1
+        return closed(self, n)
+
+    def counted_rows(self, table, logs, reduce, ns):
+        calls["rows"] += len(ns)
+        return char_sums(self, table, logs, reduce, ns)
+
+    monkeypatch.setattr(CharacterContext, "closed_weighted_sum", counted_closed)
+    monkeypatch.setattr(CharacterContext, "_char_sums", counted_rows)
+    lseries._context_cached.cache_clear()
+    vals = [pic_eigenspace_length(rf, n) for n in range(1, 4095)]
+    assert 1 <= calls["closed_weighted_sum"] <= len(reps)
+    # the screen sees each representative once, the Witt sums only survivors
+    assert calls["rows"] <= len(reps) + calls["closed_weighted_sum"]
+    assert sum(v > 0 for v in vals) == 2
+
+
+def test_escalation_and_scope_go_through_the_table():
+    rf = residue_field(parse_poly("t^4 + t^2 - 1", fq_make(3, 1)))
+    # v_3(L_40) = 1 saturates W_1, so k = 1 escalates to k = 2
+    assert character_context(rf, 1).valuation(40) == 1
+    assert character_context(rf, 2).valuation(40) == 1
+    assert pic_eigenspace_length(rf, 40, k=1) == 1
+    for n in (0, 41, 80, 81):
+        with pytest.raises(FieldError):
+            pic_eigenspace_length(rf, n)

@@ -129,7 +129,7 @@ def test_valuation():
     assert W.valuation(W.from_coords((9, 3, 0))) == 1
     assert W.valuation(W.from_coords((0, 0, 3**5))) == 5
     # valuation is multiplicative-ish: p * unit has valuation 1
-    assert W.valuation(W.one().int_scale(3)) == 1
+    assert W.valuation(W.from_coords(3 * c for c in W.one().coords)) == 1
 
 
 def test_with_precision_and_cache_identity():
