@@ -13,6 +13,8 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
+import numpy as np
+
 from .fields import FieldError, ResidueField
 from .poly import Poly
 from .series import TruncSeries
@@ -165,10 +167,10 @@ class BCVector:
     """Bernoulli-Carlitz residues mod a prime of degree d.
 
     values[n] is the coefficient of z^n in the inverse of
-    e(z)/z = sum(e_i z^(q^i - 1), i < d), taken mod z^(q^d - 1).  This is
-    the Bernoulli-Carlitz number over the Carlitz factorial, and the
-    factorial is a unit here, so values[n] == 0 is exactly divisibility
-    of the n-th Bernoulli-Carlitz number by the prime.
+    E(z) = e(z)/z = sum(e_i z^(q^i - 1), i < d), taken mod z^(q^d - 1).
+    This is the Bernoulli-Carlitz number over the Carlitz factorial, and
+    the factorial is a unit here, so values[n] == 0 is exactly
+    divisibility of the n-th Bernoulli-Carlitz number by the prime.
     """
 
     rf: ResidueField
@@ -182,15 +184,45 @@ class BCVector:
 
 
 def bc_numbers(R: ResidueField) -> BCVector:
+    """BC residues by the sparse recurrence of 1/E.
+
+    E has d terms and e_0 = 1, so b = 1/E satisfies b_0 = 1 and
+    b_k = -sum(e_i b_(k - (q^i - 1)), 1 <= i < d): O(Q d) field
+    operations.  Every shift is at least q - 1, so q - 1 coefficients
+    depend only on earlier ones and are filled together."""
     q, d = R.q, R.d
     n = q**d - 1
     ec = exp_coeffs(R)
-    coeffs = {q**i - 1: ec[i] for i in range(d) if q**i - 1 < n}
-    series = TruncSeries.from_coeffs(
-        R, n, [coeffs.get(i, 0) for i in range(n)]
-    )
-    inv = series.inverse()
-    return BCVector(R, tuple(int(v) for v in inv.c))
+    shifts = [q**i - 1 for i in range(1, d)]
+    if R.p == 2:
+        # addition is XOR and -1 = 1: a scalar loop over the log tables
+        # beats numpy calls on one coefficient at a time
+        exp2, log = R._exp * 2, R._log
+        terms = [(s, log[e]) for s, e in zip(shifts, ec[1:])]
+        b = [1] + [0] * (n - 1)
+        for k in range(1, n):
+            acc = 0
+            for s, le in terms:
+                if s > k:
+                    break
+                v = b[k - s]
+                if v:
+                    acc ^= exp2[log[v] + le]
+            b[k] = acc
+        return BCVector(R, tuple(b))
+    # odd p: coefficients as F_p-coordinate rows; multiplication by e_i is
+    # the m x m matrix of the images of the basis p^j, stacked over i
+    p, m = R.p, R.m
+    M = R._unpack[[R.mul(p**j, e) for e in ec[1:] for j in range(m)]]
+    B = np.zeros((n + 1, m), dtype=np.int64)  # row n stays 0: indices below 0 read it
+    B[0, 0] = 1
+    w = q - 1
+    offsets = np.arange(w)[:, None] - np.array(shifts, dtype=np.int64)
+    for k in range(1, n, w):
+        rows = min(w, n - k)
+        src = np.maximum(k + offsets[:rows], -1)
+        B[k : k + rows] = -(B[src].reshape(rows, len(M)) @ M) % p
+    return BCVector(R, tuple((B[:n] @ R._packw).tolist()))
 
 
 def irregular_indices(bc: BCVector) -> frozenset[int]:

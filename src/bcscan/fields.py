@@ -12,7 +12,9 @@ sum(c_i * p**i).  Two constructions share this core:
   degree-< d representative, which keeps lifting and reduction trivial.
 
 Multiplication, inversion and q-power Frobenius run through discrete-log
-tables of size p^m; addition is coordinatewise mod p.  Everything is
+tables of size p^m; addition is coordinatewise mod p.  The exp table is
+filled by doubling (``power_rows``), since multiplication by the
+generator is an F_p-linear map on coordinate vectors.  Everything is
 exact integer arithmetic.  numpy mirrors of the tables drive the
 vectorized helpers (``vadd``, ``vmul``, ``vscale``, ``vsum``, ``vfrobq``)
 that the truncated-series layer is built on.
@@ -193,6 +195,26 @@ def _pl_is_irreducible(F, f) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def power_rows(first, M: np.ndarray, count: int, modulus: int) -> np.ndarray:
+    """Rows first @ M^j mod modulus for 0 <= j < count, one per row.
+
+    Filled by doubling: with rows 0..N-1 known, rows N..2N-1 are those
+    rows times M^N, and M^N squares to M^(2N); log2(count) matrix
+    products in all.  Entries stay exact when M's dtype holds
+    m * (modulus - 1)^2 for the m x m matrix M; an object M computes in
+    Python integers."""
+    rows = np.empty((count, M.shape[0]), dtype=M.dtype)
+    rows[0] = first
+    n = 1
+    while n < count:
+        take = min(n, count - n)
+        rows[n : n + take] = rows[:take] @ M % modulus
+        n += take
+        if n < count:
+            M = M @ M % modulus
+    return rows
+
+
 class PackedField:
     """Arithmetic core shared by BaseField and ResidueField."""
 
@@ -233,28 +255,9 @@ class PackedField:
                 raise FieldError("no multiplicative generator found")
         self.generator = gen
 
-        exp = [1] * order
-        for j in range(1, order):
-            exp[j] = mul0(exp[j - 1], gen)
-        log = [0] * self.size
-        seen = 0
-        for j, v in enumerate(exp):
-            if log[v] == 0 and v != 1:
-                seen += 1
-            log[v] = j
-        if order > 1 and (seen != order - 1 or exp[0] != 1):
-            raise FieldError("generator does not enumerate the unit group")
-        log[1] = 0
-        self._exp = exp
-        self._log = log
-
-        self._inv_t = [0] * self.size
-        for v in range(1, self.size):
-            self._inv_t[v] = exp[(order - log[v]) % order] if order else 1
-
-        p, m = self.p, self.m
-        unpack = np.zeros((self.size, m), dtype=np.int16)
-        vals = np.arange(self.size)
+        p, m, size = self.p, self.m, self.size
+        unpack = np.zeros((size, m), dtype=np.int16)
+        vals = np.arange(size)
         for i in range(m):
             unpack[:, i] = (vals // p**i) % p
         self._unpack = unpack
@@ -266,19 +269,35 @@ class PackedField:
         else:
             self._neg_t = None
 
-        self._npexp = np.array(exp, dtype=np.int32)
-        self._nplog = np.array(log, dtype=np.int32)
+        # multiplication by gen is F_p-linear; row i of M holds the
+        # coordinates of p^i * gen, so the coordinates of gen^j are row 0
+        # of M^j and power_rows fills all of them in log2(order) steps
+        M = unpack[[mul0(p**i, gen) for i in range(m)]].astype(np.int64)
+        exp = (power_rows(unpack[1], M, order, p) @ self._packw).astype(np.int32)
+        seen = np.zeros(size, dtype=bool)
+        seen[exp] = True
+        if seen[0] or not seen[1:].all():
+            raise FieldError("generator does not enumerate the unit group")
+        if mul0(int(exp[-1]), gen) != 1:
+            raise FieldError("exp table does not close: gen^(order-1) * gen != 1")
+        log = np.zeros(size, dtype=np.int32)
+        log[exp] = np.arange(order, dtype=np.int32)
+        inv = exp[(order - log) % order]
+        inv[0] = 0
+        frobq = exp[log.astype(np.int64) * self.frob_exponent % order]
+        frobq[0] = 0
+        self._exp = exp.tolist()
+        self._log = log.tolist()
+        self._inv_t = inv.tolist()
+        self._npexp = exp
+        self._nplog = log
+        self._npfrobq = frobq
         # Zero-aware pair: the log of 0 is the sentinel 2*order, and every
         # sum involving it indexes the zero tail of _zexp, so a product of
         # packed arrays is one add and one gather, with no mod and no mask.
         self._zlog = self._nplog.copy()
         self._zlog[0] = 2 * order
         self._zexp = np.concatenate((self._npexp, self._npexp, np.zeros(2 * order + 1, np.int32)))
-        qb = self.frob_exponent
-        frobq = np.zeros(self.size, dtype=np.int32)
-        for v in range(1, self.size):
-            frobq[v] = self.pow(v, qb)
-        self._npfrobq = frobq
         for arr in (self._npexp, self._nplog, self._zlog, self._zexp, self._npfrobq, self._unpack):
             arr.setflags(write=False)
 

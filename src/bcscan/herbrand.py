@@ -176,17 +176,27 @@ def classify_prime(prime: Poly, options: ScanOptions | None = None) -> PrimeRepo
     )
 
 
+def _requested_threads(options: ScanOptions) -> int:
+    """The requested worker count: the option, else the environment,
+    else 1.  An environment value must be an integer of at least 1."""
+    if options.threads is not None:
+        return options.threads
+    env = os.environ.get(THREADS_ENV)
+    if not env:
+        return 1
+    try:
+        requested = int(env)
+    except ValueError:
+        raise FieldError(f"{THREADS_ENV} must be an integer, got {env!r}")
+    if requested < 1:
+        raise FieldError(f"{THREADS_ENV} must be at least 1, got {env!r}")
+    return requested
+
+
 def _resolve_threads(options: ScanOptions, jobs: int) -> int:
-    """Worker count: the requested one (option, else environment, else
-    1), at most os.cpu_count() and at most ``jobs``, and at least 1."""
-    requested = options.threads
-    if requested is None:
-        env = os.environ.get(THREADS_ENV)
-        try:
-            requested = int(env) if env else 1
-        except ValueError:
-            raise FieldError(f"{THREADS_ENV} must be an integer, got {env!r}")
-    return max(1, min(requested, os.cpu_count() or 1, jobs))
+    """Worker count: the requested one, at most os.cpu_count() and at
+    most ``jobs``, and at least 1."""
+    return max(1, min(_requested_threads(options), os.cpu_count() or 1, jobs))
 
 
 def fq_modulus_str(base: BaseField) -> str | None:
@@ -210,6 +220,7 @@ def scan(base: BaseField, max_degree: int, options: ScanOptions | None = None) -
         raise FieldError("max_degree must be at least 1")
     if base.size**max_degree > 1 << 16:
         raise FieldError("residue fields beyond 2^16 elements are not supported")
+    _requested_threads(options)  # refuse a bad environment value before enumerating
     primes = [f for d in range(1, max_degree + 1) for f in monic_irreducibles(base, d)]
     threads = _resolve_threads(options, len(primes))
     if threads > 1:

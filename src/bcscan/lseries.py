@@ -13,13 +13,16 @@ Q_n given by prefix sums, and the L-value at 1 is
     L_n = Q_n(1) = - sum over monic g, deg g < d of deg(g) omega(g)^(-n).
 
 The right-hand closed form is how the fast path computes it, as one
-weighted sum over a table of omega(gamma^j) built once by successive
-Witt multiplications from a single Teichmuller lift of a generator
-gamma.  Valuations are read from one table per context, covering v(L_n)
-at in-scope n and v(S_n(1)) elsewhere.  The weights are rational
-integers and Frobenius sends omega(x) to omega(x)^p, so both sums at n
-and at pn mod (Q-1) have the same valuation and the table computes each
-p-orbit once, at its least member.  Since omega(g) reduces to g mod p,
+weighted sum over a table of omega(gamma^j), built once from a single
+Teichmuller lift of a generator gamma.  Multiplication by omega(gamma)
+is a linear map on W_k, so the table is filled by doubling: rows
+N..2N-1 are rows 0..N-1 times the matrix of omega(gamma)^N, log2(Q)
+matrix products in all.  Valuations are read from one table per
+context, covering v(L_n) at in-scope n and v(S_n(1)) elsewhere.  The
+weights are rational integers and Frobenius sends omega(x) to
+omega(x)^p, so both sums at n and at pn mod (Q-1) have the same
+valuation and the table computes each p-orbit once, at its least
+member.  Since omega(g) reduces to g mod p,
 a sum over F_Q first settles every member of valuation 0; only the
 rest take the exact Witt sum.  The polynomial route stays available as
 an independent cross-check.
@@ -32,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import ConsistencyError, FieldError, ResidueField
+from .fields import ConsistencyError, FieldError, ResidueField, power_rows
 from .witt import MAX_PRECISION, PrecisionError, WittElem, WittRing, witt_ring
 
 INT64_SAFE_BOUND = 1 << 62
@@ -68,16 +71,22 @@ class CharacterContext:
             # serves primes of every degree in a scan
             m = self.W.m
             lift_offsets = tuple(lift_offsets[i % len(lift_offsets)] for i in range(m))
-        wg = self.W.teichmuller(gamma, lift_offsets)
-        rows = [self.W.one().coords]
-        cur = self.W.one()
-        for _ in range(self.order - 1):
-            cur = cur * wg
-            rows.append(cur.coords)
+        W = self.W
+        wg = W.teichmuller(gamma, lift_offsets)
+        # multiplication by omega(gamma) is Z/p^k-linear; row i of M holds
+        # the coordinates of x^i * omega(gamma), so omega(gamma^j) is row 0
+        # of M^j.  int64 products are exact while m (p^k - 1)^2 < 2^63.
+        exact64 = W.m * (W.pk - 1) ** 2 < 1 << 63
+        M = np.array(
+            [(W.from_coords(int(i == j) for j in range(W.m)) * wg).coords for i in range(W.m)],
+            dtype=np.int64 if exact64 else object,
+        )
+        teich = power_rows(W.one().coords, M, self.order, W.pk)
+        if W.from_coords(teich[-1]) * wg != W.one():
+            raise ConsistencyError("Teichmuller table does not close: omega(gamma)^(Q-1) != 1")
         total_weight = max(int(w.sum()) for _, w in (self._deg_weights, self._unit_weights))
-        self._int64 = total_weight * (self.W.pk - 1) < INT64_SAFE_BOUND
-        dtype = np.int64 if self._int64 else object
-        self.teich = np.array(rows, dtype=dtype)
+        self._int64 = total_weight * (W.pk - 1) < INT64_SAFE_BOUND
+        self.teich = teich.astype(np.int64 if self._int64 else object, copy=False)
 
     def in_scope(self, n: int) -> bool:
         return 0 < n < self.order and n % (self.rf.q - 1) == 0

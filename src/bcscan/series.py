@@ -29,8 +29,9 @@ def mul_rows(F, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Row-wise product mod z^n of two (rows, n) coefficient matrices.
 
     Schoolbook: one shifted, scaled copy of the other operand per nonzero
-    column of whichever operand has fewer of them (e(z)/z in bc_numbers
-    has d).  Both discrete logs are looked up once per product."""
+    column of whichever operand has fewer of them, so a sparse operand
+    costs one pass per nonzero term.  Both discrete logs are looked up
+    once per product."""
     n = A.shape[1]
     if np.count_nonzero(A.any(axis=0)) > np.count_nonzero(B.any(axis=0)):
         A, B = B, A

@@ -166,6 +166,59 @@ def test_bc_times_exp_is_one():
         assert s == (1 if k == 0 else 0)
 
 
+def bc_by_newton(R):
+    """1/E mod z^(Q-1) by Newton iteration on the dense series: the route
+    the sparse recurrence replaced, kept as its oracle."""
+    q, d = R.q, R.d
+    n = q**d - 1
+    e = exp_coeffs(R)
+    coeffs = [0] * n
+    for i in range(d):
+        if q**i - 1 < n:
+            coeffs[q**i - 1] = e[i]
+    E = TruncSeries.from_coeffs(R, n, coeffs)
+    return E, tuple(int(v) for v in E.inverse().c)
+
+
+# every prime with q^d <= 256 for q = 2, 3, 4, 5, and the two Q ~ 5000
+# primes the benchmark draws at seed 0
+RECURRENCE_CASES = [((2, 1), 8), ((3, 1), 5), ((2, 2), 4), ((5, 1), 3)]
+LARGE_PRIMES = [((2, 1), "t^12 + t^3 + 1"), ((3, 1), "t^8 + t^2 - 1")]
+
+
+@pytest.mark.parametrize("pr,max_d", RECURRENCE_CASES)
+def test_bc_recurrence_equals_newton_and_the_log_derivative(pr, max_d):
+    F = fq_make(*pr)
+    for d in range(1, max_d + 1):
+        for f in monic_irreducibles(F, d):
+            R = residue_field(f)
+            E, newton = bc_by_newton(R)
+            values = bc_numbers(R).values
+            assert values == newton, str(f)
+            if len(values) > 1:
+                # z E' = 1 - E because q^i - 1 = -1 mod p, so E'/E =
+                # (1/E - 1)/z: its coefficient of z^(n-1) is BC_n
+                dlog = E.derivative() * E.inverse()
+                assert tuple(int(v) for v in dlog.c) == values[1:], str(f)
+
+
+@pytest.mark.parametrize("pr,prime", LARGE_PRIMES)
+def test_bc_recurrence_equals_newton_at_the_benchmark_primes(pr, prime):
+    R = residue_field(parse_poly(prime, fq_make(*pr)))
+    assert bc_numbers(R).values == bc_by_newton(R)[1]
+
+
+def test_bc_numbers_does_not_invert_a_series(monkeypatch):
+    from bcscan import series
+
+    def refuse(*_):
+        raise AssertionError("bc_numbers ran a Newton inverse")
+
+    monkeypatch.setattr(series, "inverse_rows", refuse)
+    R = residue_field(parse_poly("t^4 + t^2 - 1", fq_make(3, 1)))
+    assert irregular_indices(bc_numbers(R)) == frozenset({40})
+
+
 def test_irregular_table_q2():
     F2 = fq_make(2, 1)
     R = residue_field(parse_poly("t^4 + t + 1", F2))

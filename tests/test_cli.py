@@ -139,6 +139,19 @@ def test_bad_options_refused_before_any_prime(args, capsys, monkeypatch):
     assert err.startswith("bcscan: --")
 
 
+@pytest.mark.parametrize("value", ["-4", "0"])
+def test_bad_thread_environment_refused_before_any_prime(value, capsys, monkeypatch):
+    def never(*_):
+        raise AssertionError("a prime was enumerated or classified")
+
+    monkeypatch.setenv("BCSCAN_THREADS", value)
+    monkeypatch.setattr(bcscan.herbrand, "monic_irreducibles", never)
+    code, out, err = run(["scan", "--q", "2", "--max-degree", "3"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("bcscan: BCSCAN_THREADS must be at least 1")
+
+
 def test_degree_one_prime_at_the_precision_cap(capsys):
     # 3^96 overflows int64: the Teichmuller table must fall back to
     # Python integers even though no sum has more than one term
@@ -188,16 +201,39 @@ def test_timings_go_to_stderr(capsys):
     assert "timing" not in out
 
 
-def test_module_entry_point():
+def _child_env():
     # the child imports the same bcscan as this process, installed or not
     src = os.path.dirname(os.path.dirname(bcscan.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "bcscan.cli", "scan", "--q", "2", "--max-degree", "4"],
         capture_output=True,
         text=True,
         timeout=120,
-        env={**os.environ, "PYTHONPATH": path},
+        env=_child_env(),
     )
     assert proc.returncode == 0
     assert "t^4 + t + 1" in proc.stdout
+
+
+def test_classifying_imports_no_extra_numpy_submodule():
+    # each of these costs resident memory in every run (numpy.ma alone
+    # about 1.5 MB), and none is needed to classify a prime
+    code = (
+        "import sys\n"
+        "from bcscan import ScanOptions, classify_prime, fq_make, parse_poly\n"
+        "opts = ScanOptions(check_local=True, cross_check=True)\n"
+        "classify_prime(parse_poly('t^3 - t + 1', fq_make(3, 1)), opts)\n"
+        "classify_prime(parse_poly('t^4 + t + 1', fq_make(2, 1)), opts)\n"
+        "extra = ('numpy.ma', 'numpy.fft', 'numpy.random', 'numpy.polynomial')\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[:2] in [x.split('.') for x in extra]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=_child_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -6,13 +6,16 @@ import random
 import numpy as np
 import pytest
 
+from bcscan import fields
 from bcscan.fields import (
+    BaseField,
     FieldError,
+    ResidueField,
     default_modulus,
     fq_make,
     residue_field_raw,
 )
-from bcscan.poly import parse_poly, residue_field
+from bcscan.poly import monic_irreducibles, parse_poly, residue_field
 
 SMALL_FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (2, 3), (2, 4), (3, 2)]
 
@@ -201,3 +204,115 @@ def test_residue_frobenius_fixes_base_scalars():
         assert R.pow(c, 4) == c
     arr = R.varr(list(range(4)))
     assert list(R.vfrobq(arr)) == list(range(4))
+
+
+# -- table construction against the sequential build --------------------------
+
+
+def _digits(v, radix, n):
+    return [v // radix**i % radix for i in range(n)]
+
+
+def reference_mul0(F):
+    """Multiplication in F by schoolbook polynomial arithmetic on packed
+    digits, reading none of F's tables."""
+    p = F.p
+    if isinstance(F, ResidueField):
+        cmul, radix, mod, n = reference_mul0(F.base), F.q, F.prime_coeffs, F.d
+    elif F.r == 1:
+        return lambda a, b: a * b % p
+    else:
+        cmul, radix, mod, n = (lambda a, b: a * b % p), p, F.modulus, F.r
+    r = F.m // n  # F_p-digits per coefficient
+
+    def cadd(a, b, sign=1):
+        return sum((x + sign * y) % p * p**i for i, (x, y) in enumerate(zip(_digits(a, p, r), _digits(b, p, r))))
+
+    def mul0(a, b):
+        A, B = _digits(a, radix, n), _digits(b, radix, n)
+        prod = [0] * (2 * n - 1)
+        for i, x in enumerate(A):
+            for j, y in enumerate(B):
+                if x and y:
+                    prod[i + j] = cadd(prod[i + j], cmul(x, y))
+        for i in range(2 * n - 2, n - 1, -1):  # mod is monic of degree n
+            c, prod[i] = prod[i], 0
+            for j in range(n):
+                if c and mod[j]:
+                    prod[i - n + j] = cadd(prod[i - n + j], cmul(c, mod[j]), -1)
+        return sum(c * radix**i for i, c in enumerate(prod[:n]))
+
+    return mul0
+
+
+def assert_tables_match_sequential_build(F):
+    mul0, order, g = reference_mul0(F), F.order, F.generator
+    exp = [1]
+    for _ in range(order - 1):
+        exp.append(mul0(exp[-1], g))
+    assert mul0(exp[-1], g) == 1
+    log = [0] * F.size
+    for j, v in enumerate(exp):
+        log[v] = j
+    inv = [0] + [exp[-log[v] % order] for v in range(1, F.size)]
+    frobq = [0] + [exp[log[v] * F.frob_exponent % order] for v in range(1, F.size)]
+    assert F._npexp.tolist() == exp == F._exp, F
+    assert F._nplog.tolist() == log == F._log, F
+    assert F._inv_t == inv
+    assert F._npfrobq.tolist() == frobq
+    assert F._zlog.tolist() == [2 * order] + log[1:]
+    assert F._zexp.tolist() == exp + exp + [0] * (2 * order + 1)
+    neg = [sum((-c) % F.p * F.p**i for i, c in enumerate(_digits(v, F.p, F.m))) for v in range(F.size)]
+    assert (neg if F.p != 2 else None) == (None if F._neg_t is None else F._neg_t.tolist())
+    for t in (F._npexp, F._nplog, F._npfrobq, F._zlog, F._zexp):
+        assert t.dtype == np.int32
+
+
+BASE_FIELDS = [(p, r) for p in range(2, 257) if fields._is_prime(p) for r in range(1, 9) if p**r <= 256]
+
+
+def test_doubled_base_field_tables_equal_the_sequential_build():
+    assert len(BASE_FIELDS) == 70  # 54 primes and 16 higher powers
+    for p, r in BASE_FIELDS:
+        assert_tables_match_sequential_build(fq_make(p, r))
+
+
+# every residue field with q^d <= 256 over the base fields up to q = 16
+@pytest.mark.parametrize("p,r", [(p, r) for p, r in BASE_FIELDS if p**r <= 16])
+def test_doubled_residue_tables_equal_the_sequential_build(p, r):
+    F = fq_make(p, r)
+    d = 1
+    while F.size**d <= 256:
+        for f in monic_irreducibles(F, d):
+            assert_tables_match_sequential_build(residue_field(f))
+        d += 1
+
+
+@pytest.mark.parametrize("shift", [1, -1])
+def test_a_table_that_does_not_close_is_refused(shift, monkeypatch):
+    # rows of M^(j + shift) still enumerate the units, but gen^(order-1)
+    # no longer sits in the last row
+    doubled = fields.power_rows
+
+    def shifted(first, M, count, modulus):
+        rows = doubled(first, M, count, modulus)
+        return np.roll(rows, -shift, axis=0)
+
+    monkeypatch.setattr(fields, "power_rows", shifted)
+    with pytest.raises(FieldError, match="does not close"):
+        BaseField(2, 3, (1, 1, 0, 1))
+    with pytest.raises(FieldError, match="does not close"):
+        ResidueField(fq_make(3, 1), (2, 1, 1))
+
+
+def test_a_table_that_repeats_an_element_is_refused(monkeypatch):
+    doubled = fields.power_rows
+
+    def repeated(first, M, count, modulus):
+        rows = doubled(first, M, count, modulus)
+        rows[count // 2] = rows[count // 2 - 1]
+        return rows
+
+    monkeypatch.setattr(fields, "power_rows", repeated)
+    with pytest.raises(FieldError, match="enumerate the unit group"):
+        ResidueField(fq_make(2, 1), (1, 1, 0, 0, 1))

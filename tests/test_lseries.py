@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from bcscan import lseries
-from bcscan.fields import FieldError, fq_make
+from bcscan.fields import ConsistencyError, FieldError, fq_make
 from bcscan.poly import monic_irreducibles, parse_poly, residue_field
 from bcscan.lseries import (
     CharacterContext,
@@ -15,7 +15,7 @@ from bcscan.lseries import (
     pic_eigenspace_length,
     saturating_valuation,
 )
-from bcscan.witt import PrecisionError, witt_ring
+from bcscan.witt import PrecisionError, WittElem, WittRing, witt_ring
 
 
 def ctx_for(q_params, prime_str, k=12):
@@ -234,3 +234,62 @@ def test_escalation_and_scope_go_through_the_table():
     for n in (0, 41, 80, 81):
         with pytest.raises(FieldError):
             pic_eigenspace_length(rf, n)
+
+
+# k = 12 builds the table in int64; at k = 40 the products m (p^k - 1)^2
+# overflow int64, so the table is built in Python integers
+TEICH_PRIMES = [((2, 1), "t^5 + t^2 + 1"), ((3, 1), "t^3 - t + 1"), ((2, 2), "t^2 + t + a"), ((5, 1), "t^2 + 2")]
+
+
+@pytest.mark.parametrize("pr,prime", TEICH_PRIMES)
+@pytest.mark.parametrize("k", [12, 40])
+@pytest.mark.parametrize("offsets", [None, (1, 0, 2)])
+def test_teich_table_equals_successive_witt_products(pr, prime, k, offsets):
+    rf = residue_field(parse_poly(prime, fq_make(*pr)))
+    ctx = CharacterContext(rf, k, offsets)
+    W = ctx.W
+    assert (W.m * (W.pk - 1) ** 2 < 1 << 63) == (k == 12)
+    wg, cur, rows = W.teichmuller(rf.generator), W.one(), []
+    for _ in range(ctx.order):
+        rows.append(cur.coords)
+        cur = cur * wg
+    assert cur == W.one()
+    assert ctx.teich.tolist() == [list(r) for r in rows]
+    assert ctx.teich.dtype == (np.int64 if ctx._int64 else object)
+
+
+def test_teich_table_takes_few_witt_multiplications(monkeypatch):
+    # Q = 4096: the table needs m products for its matrix and one for the
+    # closure check, besides those inside the Teichmuller lift itself
+    rf = residue_field(parse_poly("t^12 + t^3 + 1", fq_make(2, 1)))
+    count = {"all": 0, "lift": 0}
+    mul, teichmuller = WittElem.__mul__, WittRing.teichmuller
+
+    def counted_mul(self, other):
+        count["all"] += 1
+        return mul(self, other)
+
+    def counted_teichmuller(self, v, offsets=None):
+        before = count["all"]
+        out = teichmuller(self, v, offsets)
+        count["lift"] += count["all"] - before
+        return out
+
+    monkeypatch.setattr(WittElem, "__mul__", counted_mul)
+    monkeypatch.setattr(WittRing, "teichmuller", counted_teichmuller)
+    ctx = CharacterContext(rf, 12)
+    assert ctx.teich.shape == (4095, 12)
+    assert count["all"] - count["lift"] == rf.m + 1
+
+
+def test_a_teich_table_that_does_not_close_is_refused(monkeypatch):
+    doubled = lseries.power_rows
+
+    def off_by_one(first, M, count, modulus):
+        rows = doubled(first, M, count + 1, modulus)
+        return rows[1:]
+
+    monkeypatch.setattr(lseries, "power_rows", off_by_one)
+    rf = residue_field(parse_poly("t^3 - t + 1", fq_make(3, 1)))
+    with pytest.raises(ConsistencyError, match="does not close"):
+        CharacterContext(rf, 12)
