@@ -139,21 +139,16 @@ def twisted_apply(op: TwistedPoly, x, field: ResidueField | None = None):
 # ---------------------------------------------------------------------------
 # Carlitz exponential mod a prime.
 
-def exp_coeffs(R: ResidueField, count: int | None = None) -> tuple[int, ...]:
-    """First ``count`` exponential coefficients reduced mod the prime.
+def exp_coeffs(R: ResidueField) -> tuple[int, ...]:
+    """The d exponential coefficients that reduce mod the prime.
 
     e_0 = 1 and e_i = e_{i-1}^q / (t^(q^i) - t); the denominator is a
-    unit in the residue field exactly for i < d, so count caps at d.
+    unit in the residue field exactly for i < d.
     """
-    d = R.d
-    if count is None:
-        count = d
-    if not 1 <= count <= d:
-        raise FieldError(f"exponential coefficients reduce mod the prime only up to index {d - 1}")
     q = R.q
     out = [1]
     tq = R.t_res
-    for i in range(1, count):
+    for i in range(1, R.d):
         tq = R.pow(tq, q)  # t^(q^i) mod the prime
         den = R.sub(tq, R.t_res)
         if den == 0:

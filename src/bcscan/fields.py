@@ -599,8 +599,8 @@ def _residue_cached(p, r, modulus, prime_coeffs) -> ResidueField:
     return ResidueField(_fq_cached(p, r, modulus), prime_coeffs)
 
 
-def residue_field_raw(base: BaseField, prime_coeffs, check: bool = True) -> ResidueField:
-    """Residue field from raw coefficients; irreducibility check optional."""
+def residue_field_raw(base: BaseField, prime_coeffs) -> ResidueField:
+    """Residue field from raw coefficients of a monic irreducible."""
     coeffs = tuple(int(c) for c in prime_coeffs)
     if len(coeffs) < 2 or coeffs[-1] != 1:
         raise FieldError("prime must be monic of degree >= 1")
@@ -611,6 +611,6 @@ def residue_field_raw(base: BaseField, prime_coeffs, check: bool = True) -> Resi
             f"residue field size q^d = {base.size ** (len(coeffs) - 1)} exceeds "
             f"supported limit {MAX_FIELD_SIZE}"
         )
-    if check and not _pl_is_irreducible(base, list(coeffs)):
+    if not _pl_is_irreducible(base, list(coeffs)):
         raise FieldError("polynomial is not irreducible")
     return _residue_cached(base.p, base.r, base.modulus, coeffs)

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field, replace
 from .carlitz import bc_numbers, irregular_indices
 from .fields import BaseField, ConsistencyError, FieldError, fq_make
 from .lseries import character_context, l_report, pic_eigenspace_length
-from .localfield import LocalSweep, bc_local_sweep, local_model
+from .localfield import LocalSweep, bc_local_sweep, check_local_size, local_model
 from .poly import Poly, monic_irreducibles, poly_to_str, residue_field
 
 DIM_ZERO = "0"
@@ -87,9 +87,12 @@ class ScanResult:
 class PrimeContext:
     """What classification needs at one prime, built once: the residue
     field, the Bernoulli-Carlitz vector and the options.  The local
-    sweep is built on first use, which only check_local asks for."""
+    sweep is built on first use, which only check_local asks for; its
+    size bound is checked first."""
 
     def __init__(self, prime: Poly, options: ScanOptions):
+        if options.check_local:
+            check_local_size(prime.field.size**prime.degree)
         self.prime = prime
         self.options = options
         self.rf = residue_field(prime)
@@ -220,6 +223,8 @@ def scan(base: BaseField, max_degree: int, options: ScanOptions | None = None) -
         raise FieldError("max_degree must be at least 1")
     if base.size**max_degree > 1 << 16:
         raise FieldError("residue fields beyond 2^16 elements are not supported")
+    if options.check_local:
+        check_local_size(base.size**max_degree)
     _requested_threads(options)  # refuse a bad environment value before enumerating
     primes = [f for d in range(1, max_degree + 1) for f in monic_irreducibles(base, d)]
     threads = _resolve_threads(options, len(primes))

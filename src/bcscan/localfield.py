@@ -5,20 +5,20 @@ field, Q = q^d.  A primitive f-torsion point lambda of the Carlitz
 module generates a totally ramified extension of degree Q-1, and the
 completed picture is the power-series model R[[lambda]]:
 
-* t acts as a series t(lambda) solving the torsion equation
-  sum(c_i(t) lambda^(q^i - 1)) = 0, lying over the residue t-bar;
+* t acts as a series T = t(lambda) solving the torsion equation
+  phi(f)(lambda) = 0, lying over the residue t-bar;
 * the unit group of R acts by g . lambda = phi(a_g)(lambda) for any
   lift a_g of g, which is well defined because phi(f)(lambda) = 0;
 * an eigen-uniformizer pi with ebar(pi) = lambda turns logarithmic
   derivatives of the cyclotomic unit ratios g.lambda / lambda into
   Bernoulli-Carlitz residues, one character component at a time.
 
-Internal truncation is depth + 2, where depth defaults to q^d: a
-logarithmic derivative costs one index to the division by lambda and
-one to d/dlambda, so reported series are exact mod lambda^depth.
-Bernoulli-Carlitz extraction always reads the standard mod-lambda^(q^d)
-truncation; deeper models exist to decide whether a dlog component that
-vanishes there is nonzero further out.
+Both actions apply phi(t) = t + F with t acting as multiplication by T;
+T itself is Newton's root of phi(f)(lambda) / lambda as a function of T.
+
+Internal truncation is q^d + 2: a logarithmic derivative costs one
+index to the division by lambda and one to d/dlambda, so reported
+series are exact mod lambda^(q^d).
 """
 
 from __future__ import annotations
@@ -33,7 +33,16 @@ from .fields import ConsistencyError, FieldError
 from .poly import Poly, lift_to_poly, residue_field
 from .series import TruncSeries, derivative_rows, inverse_rows, mul_rows
 
-NWORK_EXTRA = 2
+# The dlog table is (Q-1) x Q and its build O(Q^3): on a 2-core host,
+# classify --check-local at t^11 + t^2 + 1 over F_2 (Q = 2^11) took 97 s
+# with a 209 MB resident peak, at Q = 2^10 12 s and 76 MB.
+MAX_LOCAL_SIZE = 1 << 11
+
+
+def check_local_size(size: int) -> None:
+    """Refuse a local model over more than MAX_LOCAL_SIZE elements."""
+    if size > MAX_LOCAL_SIZE:
+        raise FieldError(f"the local model is supported up to q^d = {MAX_LOCAL_SIZE}, not {size}")
 
 
 def dlog(u: TruncSeries) -> TruncSeries:
@@ -41,6 +50,23 @@ def dlog(u: TruncSeries) -> TruncSeries:
     if u.valuation() != 0:
         raise FieldError("logarithmic derivative needs a unit series")
     return u.derivative() * u.inverse()
+
+
+def _apply_phi(T: TruncSeries, coeffs, x: TruncSeries, twist: int = 0, slope: bool = False):
+    """phi(a)(x) with t acting as T, for a = sum(a_k t^k) over F_q:
+    sum(a_k x_k), x_0 = x, x_(k+1) = T x_k + z^twist x_k^q.  twist = q - 1
+    applies phi(a) to z x and divides by z.  With slope, also the derivative
+    in T for x free of T: x'_(k+1) = x_k + T x'_k, as (x_k^q)' = q (...) = 0."""
+    acc = dacc = dx = TruncSeries.zero(x.field, x.n)
+    for k, a in enumerate(coeffs):
+        acc = acc + x.scale(int(a))
+        if slope:
+            dacc = dacc + dx.scale(int(a))
+        if k + 1 < len(coeffs):
+            if slope:
+                dx = x + T * dx
+            x = T * x + x.frobenius_q().shift_up(twist)
+    return (acc, dacc) if slope else acc
 
 
 @dataclass(frozen=True)
@@ -53,18 +79,14 @@ class EigenUniformizer:
 
 
 class LocalModel:
-    def __init__(self, prime: Poly, depth: int | None = None):
+    def __init__(self, prime: Poly):
+        check_local_size(prime.field.size ** prime.degree)
         self.prime = prime
         self.rf = residue_field(prime)
         self.q = self.rf.q
         self.d = self.rf.d
         self.N = self.q**self.d
-        if depth is None:
-            depth = self.N
-        elif depth < self.N:
-            raise FieldError(f"model depth below q^d = {self.N} loses the torsion equation")
-        self.depth = depth
-        self.n_work = depth + NWORK_EXTRA
+        self.n_work = self.N + 2
         self.torsion: TorsionPoly = cyclotomic_poly(prime)
         if not self.torsion.eisenstein_ok():
             raise ConsistencyError("torsion polynomial is not Eisenstein at its prime")
@@ -75,16 +97,12 @@ class LocalModel:
 
     # -- the t-expansion ----------------------------------------------------
 
-    def _torsion_residual(self, T: TruncSeries) -> TruncSeries:
-        out = TruncSeries.zero(self.rf, self.n_work)
-        for i, c in enumerate(self.torsion.coeffs):
-            out = out + T.eval_poly_coeffs(c.coeffs).shift_up(self.q**i - 1)
-        return out
-
     def _solve_t_series(self) -> TruncSeries:
+        """Newton's method in T on phi(f)(lambda) / lambda = 0."""
         R = self.rf
+        one = TruncSeries.one(R, self.n_work)
         T = TruncSeries.const(R, self.n_work, R.t_res)
-        r = self._torsion_residual(T)
+        r, dG = _apply_phi(T, self.prime.coeffs, one, self.q - 1, slope=True)
         v = r.valuation()
         # Eisenstein middle coefficients all vanish at t-bar, so only the
         # monic top term survives: the first residual sits at q^d - 1
@@ -92,13 +110,8 @@ class LocalModel:
             raise ConsistencyError(f"initial torsion residual at depth {v}, expected >= {self.N - 1}")
         steps = 0
         while not r.is_zero:
-            dG = TruncSeries.zero(R, self.n_work)
-            for i, c in enumerate(self.torsion.coeffs):
-                dc = c.derivative()
-                if not dc.is_zero:
-                    dG = dG + T.eval_poly_coeffs(dc.coeffs).shift_up(self.q**i - 1)
             T = T - r * dG.inverse()
-            r = self._torsion_residual(T)
+            r, dG = _apply_phi(T, self.prime.coeffs, one, self.q - 1, slope=True)
             if not r.is_zero and r.valuation() <= v:
                 raise ConsistencyError("Newton iteration for t(lambda) stalled")
             v = r.valuation()
@@ -120,32 +133,18 @@ class LocalModel:
             out = out + self.t_series.eval_poly_coeffs(c.coeffs).shift_up(self.q**i)
         return out
 
-    def _apply_series_operator(self, coeff_series: list[TruncSeries], x: TruncSeries) -> TruncSeries:
-        acc = TruncSeries.zero(x.field, x.n)
-        fx = x
-        for i, cs in enumerate(coeff_series):
-            acc = acc + cs * fx
-            if i + 1 < len(coeff_series):
-                fx = fx.frobenius_q()
-        return acc
-
     def galois_rows(self) -> list[TruncSeries]:
-        """row[j] = gamma^j . lambda, built by iterating the generator's
-        operator; valid because lambda is annihilated by phi(f) to full
-        working precision, so the action only sees lifts mod f."""
+        """row[j] = gamma^j . lambda, built by iterating phi of the
+        generator's lift; valid because lambda is annihilated by phi(f) to
+        full working precision, so the action only sees lifts mod f."""
         if self._rows is None:
             R = self.rf
-            gamma_op = carlitz_action(lift_to_poly(R, R.generator))
-            coeff_series = [self.t_series.eval_poly_coeffs(c.coeffs) for c in gamma_op.coeffs]
+            gamma = lift_to_poly(R, R.generator).coeffs
             rows = [TruncSeries.monomial(R, self.n_work, 1)]
             for _ in range(R.size - 2):
-                rows.append(self._apply_series_operator(coeff_series, rows[-1]))
+                rows.append(_apply_phi(self.t_series, gamma, rows[-1]))
             self._rows = rows
         return self._rows
-
-    def unit_ratio(self, j: int) -> TruncSeries:
-        """(gamma^j . lambda) / lambda, a 1-unit times chi(gamma^j)."""
-        return self.galois_rows()[j].shift_down(1)
 
     # -- dlog components -------------------------------------------------------
 
@@ -156,21 +155,21 @@ class LocalModel:
             if any(int(r.c[0]) != 0 or int(r.c[1]) == 0 for r in rows):
                 raise ConsistencyError("a Galois image of lambda lost valuation 1")
             U = np.stack([r.c[1:] for r in rows])
-            mat = mul_rows(R, derivative_rows(R, U), inverse_rows(R, U[:, : self.depth]))
+            mat = mul_rows(R, derivative_rows(R, U), inverse_rows(R, U[:, : self.N]))
             mat.setflags(write=False)
             self._dlog_matrix = mat
         return self._dlog_matrix
 
     def dlog_lambda_component(self, n: int) -> TruncSeries:
         """-sum over units g of chi(g)^(-n) dlog(g.lambda / lambda),
-        exact mod lambda^depth."""
+        exact mod lambda^(q^d)."""
         R = self.rf
         order = R.size - 1
         M = self.dlog_matrix()
         j = np.arange(order, dtype=np.int64)
         w = R._npexp[(-n * j) % order]
         comp = R.vsum(R.vmul(w[:, None], M), axis=0)
-        return TruncSeries(R, self.depth, R.vneg(comp))
+        return TruncSeries(R, self.N, R.vneg(comp))
 
     # -- eigen-uniformizer ------------------------------------------------------
 
@@ -216,8 +215,7 @@ def bc_local_sweep(model: LocalModel) -> LocalSweep:
     """Bernoulli-Carlitz residues read off the lambda-adic side: the n-th
     dlog component must be a scalar times pi^(n-1) pi', and that scalar
     is the residue.  At n = 1 the error term of the underlying congruence
-    is not below lambda^(q^d) yet, so only vanishing is recorded there.
-    Reads the standard truncation, so it is independent of model depth."""
+    is not below lambda^(q^d) yet, so only vanishing is recorded there."""
     R = model.rf
     vanished: dict[int, bool] = {}
     values: dict[int, int] = {}
@@ -241,5 +239,5 @@ def bc_local_sweep(model: LocalModel) -> LocalSweep:
 
 
 @functools.lru_cache(maxsize=64)
-def local_model(prime: Poly, depth: int | None = None) -> LocalModel:
-    return LocalModel(prime, depth)
+def local_model(prime: Poly) -> LocalModel:
+    return LocalModel(prime)

@@ -249,7 +249,6 @@ def pic_eigenspace_length(
     n: int,
     k: int = 12,
     lift_offsets=None,
-    cap: int = MAX_PRECISION,
 ) -> int:
     """p-adic valuation of L_n, the length of the corresponding
     eigenspace of the p-part of the class module."""
@@ -260,4 +259,4 @@ def pic_eigenspace_length(
             raise FieldError(f"index {n} is not an in-scope character power")
         return ctx.valuation(n)
 
-    return saturating_valuation(valuation_at, k, cap)
+    return saturating_valuation(valuation_at, k)

@@ -198,7 +198,7 @@ def monic_irreducibles(field, d: int) -> list[Poly]:
 def residue_field(prime: Poly) -> ResidueField:
     if not prime.is_monic:
         raise FieldError("prime must be monic")
-    return residue_field_raw(prime.field, prime.coeffs, check=True)
+    return residue_field_raw(prime.field, prime.coeffs)
 
 
 def lift_to_poly(R: ResidueField, v: int) -> Poly:

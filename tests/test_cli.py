@@ -10,6 +10,7 @@ import pytest
 import bcscan
 from bcscan import cli
 from bcscan.fields import ConsistencyError
+from bcscan.localfield import MAX_LOCAL_SIZE
 
 
 def run(args, capsys):
@@ -150,6 +151,26 @@ def test_bad_thread_environment_refused_before_any_prime(value, capsys, monkeypa
     assert code == 1
     assert out == ""
     assert err.startswith("bcscan: BCSCAN_THREADS must be at least 1")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["scan", "--q", "2", "--max-degree", "12", "--check-local"],
+        ["scan", "--q", "3", "--max-degree", "7", "--check-local"],
+        ["classify", "--q", "2", "--prime", "t^16 + t^5 + t^3 + t^2 + 1", "--check-local"],
+    ],
+)
+def test_check_local_above_its_bound_refused_before_any_work(args, capsys, monkeypatch):
+    def never(*_):
+        raise AssertionError("a prime was enumerated or classified")
+
+    for name in ("monic_irreducibles", "residue_field", "bc_numbers", "classify_index"):
+        monkeypatch.setattr(bcscan.herbrand, name, never)
+    code, out, err = run(args, capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("bcscan: ") and f"up to q^d = {MAX_LOCAL_SIZE}," in err
 
 
 def test_degree_one_prime_at_the_precision_cap(capsys):

@@ -3,11 +3,14 @@
 import numpy as np
 import pytest
 
+from bcscan import localfield
 from bcscan.carlitz import additive_apply, bc_numbers, carlitz_action, exp_coeffs
 from bcscan.fields import ConsistencyError, FieldError, fq_make
 from bcscan.localfield import (
+    MAX_LOCAL_SIZE,
     LocalModel,
     bc_local_sweep,
+    check_local_size,
     dlog,
     local_model,
 )
@@ -22,6 +25,21 @@ F5 = fq_make(5, 1)
 
 def model(s, F):
     return local_model(parse_poly(s, F))
+
+
+def unit_ratio(m, j):
+    """(gamma^j . lambda) / lambda, a 1-unit times chi(gamma^j)."""
+    return m.galois_rows()[j].shift_down(1)
+
+
+def torsion_residual(m, T):
+    """phi(f)(lambda) / lambda = sum(c_i(T) lambda^(q^i - 1)) for
+    phi(f) = sum(c_i F^i), each c_i evaluated at T by Horner: the
+    route the model's recursion phi(t) = T + F replaces."""
+    out = TruncSeries.zero(m.rf, m.n_work)
+    for i, c in enumerate(m.torsion.coeffs):
+        out = out + T.eval_poly_coeffs(c.coeffs).shift_up(m.q**i - 1)
+    return out
 
 
 class TestQuadraticOverF2:
@@ -46,8 +64,8 @@ class TestQuadraticOverF2:
 
     def test_dlog_values(self):
         tb, tb2 = 2, 3
-        assert list(dlog(self.m.unit_ratio(1)).c) == [tb2, tb, tb, tb2]
-        assert list(dlog(self.m.unit_ratio(2)).c) == [tb, tb2, tb2, tb]
+        assert list(dlog(unit_ratio(self.m, 1)).c) == [tb2, tb, tb, tb2]
+        assert list(dlog(unit_ratio(self.m, 2)).c) == [tb, tb2, tb2, tb]
 
     def test_component_two_is_pi(self):
         # pi = l + l^2 + l^4 and pi' = 1, so the n=2 component must be
@@ -103,7 +121,59 @@ def test_t_series_depth_and_residual(s, F):
     m = model(s, F)
     eps = m.t_series - TruncSeries.const(m.rf, m.n_work, m.rf.t_res)
     assert eps.valuation() >= m.N - 1
-    assert m._torsion_residual(m.t_series).is_zero
+    assert torsion_residual(m, m.t_series).is_zero
+
+
+def _whole_range_primes():
+    for F in (F2, F3, F4, F5):
+        d = 1
+        while F.size**d <= 256:
+            yield from monic_irreducibles(F, d)
+            d += 1
+
+
+def test_recursion_matches_horner_routes_over_the_whole_range():
+    """At every prime with q^d <= 256, q <= 5: the Horner residual of the
+    torsion equation vanishes at t(lambda), and the first and last Galois
+    rows equal phi of the lift applied coefficient by coefficient."""
+    count = 0
+    for f in _whole_range_primes():
+        m = LocalModel(f)
+        R = m.rf
+        assert torsion_residual(m, m.t_series).is_zero, f
+        rows = m.galois_rows()
+        if R.size > 2:
+            assert rows[1] == m.galois_image(R.generator), f
+            assert rows[-1] == m.galois_image(R.exp_of(R.size - 2)), f
+        count += 1
+    assert count == 296
+
+
+def test_model_builds_without_horner(monkeypatch):
+    def never(*_):
+        raise AssertionError("eval_poly_coeffs called")
+
+    monkeypatch.setattr(TruncSeries, "eval_poly_coeffs", never)
+    for s, F in [("t^2 + t + 1", F2), ("t^3 - t + 1", F3), ("t^2 + t + a", F4)]:
+        m = LocalModel(parse_poly(s, F))
+        assert len(m.galois_rows()) == m.rf.size - 1
+        bc = bc_numbers(m.rf)
+        assert bc_local_sweep(m).values == {n: bc[n] for n in range(2, m.N - 1)}
+
+
+def test_local_size_bound():
+    check_local_size(MAX_LOCAL_SIZE)
+    with pytest.raises(FieldError, match=f"up to q\\^d = {MAX_LOCAL_SIZE},"):
+        check_local_size(MAX_LOCAL_SIZE + 1)
+
+
+def test_local_model_refuses_above_bound_before_building(monkeypatch):
+    def never(*_):
+        raise AssertionError("the model started building")
+
+    monkeypatch.setattr(localfield, "residue_field", never)
+    with pytest.raises(FieldError, match="not 4096$"):
+        local_model(parse_poly("t^12 + t^3 + 1", F2))
 
 
 @pytest.mark.parametrize("s,F", PRIMES)
@@ -152,7 +222,7 @@ def test_scalar_collapse(s, F):
 def test_unit_ratio_residues(s, F):
     m = model(s, F)
     for j in range(m.rf.size - 1):
-        assert m.unit_ratio(j)[0] == m.rf.exp_of(j)
+        assert unit_ratio(m, j)[0] == m.rf.exp_of(j)
 
 
 @pytest.mark.parametrize("s,F", PRIMES)
@@ -257,7 +327,7 @@ def test_batched_dlog_matches_scalar_dlog():
         M = m.dlog_matrix()
         assert not M.flags.writeable
         for j in range(m.rf.size - 1):
-            assert list(M[j]) == list(dlog(m.unit_ratio(j)).c)
+            assert list(M[j]) == list(dlog(unit_ratio(m, j)).c)
 
 
 def test_all_cubic_primes_over_f2_agree_with_bc():
