@@ -15,7 +15,7 @@ import argparse
 import sys
 
 from .carlitz import bc_numbers
-from .fields import BaseField, ConsistencyError, FieldError, fq_make
+from .fields import MAX_FIELD_SIZE, BaseField, ConsistencyError, FieldError, fq_make
 from .emit import emit
 from .herbrand import ScanOptions, ScanResult, classify_prime, fq_modulus_str, scan, validate_report
 from .poly import PolyParseError, parse_poly, residue_field, residue_to_str
@@ -36,6 +36,8 @@ class _Parser(argparse.ArgumentParser):
 def _q_to_base(q: int, fq_modulus: str | None) -> BaseField:
     if q < 2:
         raise FieldError("q must be a prime power >= 2")
+    if q > MAX_FIELD_SIZE:  # before trial division, which takes sqrt(q) steps
+        raise FieldError(f"q = {q} exceeds the supported field size {MAX_FIELD_SIZE}")
     p = 2
     while p * p <= q and q % p != 0:
         p += 1

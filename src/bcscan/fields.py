@@ -14,8 +14,11 @@ sum(c_i * p**i).  Two constructions share this core:
 Multiplication, inversion and q-power Frobenius run through discrete-log
 tables of size p^m; addition is coordinatewise mod p.  The exp table is
 filled by doubling (``power_rows``), since multiplication by the
-generator is an F_p-linear map on coordinate vectors.  Everything is
-exact integer arithmetic.  numpy mirrors of the tables drive the
+generator is an F_p-linear map on coordinate vectors; ``power_rows``
+takes the product as an argument and also fills the Teichmuller table
+and the local powers of pi.  ``char_sums`` is the one character-sum
+gather, for the L-value sums and the local dlog components.  Everything
+is exact integer arithmetic.  numpy mirrors of the tables drive the
 vectorized helpers (``vadd``, ``vmul``, ``vscale``, ``vsum``, ``vfrobq``)
 that the truncated-series layer is built on.
 
@@ -195,24 +198,42 @@ def _pl_is_irreducible(F, f) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def power_rows(first, M: np.ndarray, count: int, modulus: int) -> np.ndarray:
-    """Rows first @ M^j mod modulus for 0 <= j < count, one per row.
+def power_rows(first, x, count: int, mul) -> np.ndarray:
+    """Rows first * x^j for 0 <= j < count under the product mul: a matrix
+    x with ``a @ b % modulus`` (an object x computes in Python integers),
+    or a one-row series x with ``series.mul_rows``.
 
     Filled by doubling: with rows 0..N-1 known, rows N..2N-1 are those
-    rows times M^N, and M^N squares to M^(2N); log2(count) matrix
-    products in all.  Entries stay exact when M's dtype holds
-    m * (modulus - 1)^2 for the m x m matrix M; an object M computes in
-    Python integers."""
-    rows = np.empty((count, M.shape[0]), dtype=M.dtype)
+    rows times x^N, and x^N squares to x^(2N); log2(count) products."""
+    rows = np.empty((count, len(first)), dtype=x.dtype)
     rows[0] = first
     n = 1
     while n < count:
         take = min(n, count - n)
-        rows[n : n + take] = rows[:take] @ M % modulus
+        rows[n : n + take] = mul(rows[:take], x)
         n += take
         if n < count:
-            M = M @ M % modulus
+            x = mul(x, x)
     return rows
+
+
+# cells one gather of the character-sum primitive may produce: 32K int64
+# cells are 256 KB, so the temporaries of a chunk stay well under 1 MB
+CHUNK_CELLS = 1 << 15
+
+
+def char_sums(order: int, table, logs: np.ndarray, reduce, ns, width: int = 1) -> np.ndarray:
+    """reduce(table[-n * logs mod order]) for each n in ns, stacked.
+
+    Row i of ``table`` is a function of gamma^i, gamma of order ``order``:
+    gamma^i, its F_p-coordinates or omega(gamma^i) in W_k.  ``reduce``
+    folds axis 1 of a (rows, len(logs), ...) gather into ``width`` cells
+    per gathered one; ns is taken a bounded chunk of rows at a time, so
+    no chunk exceeds CHUNK_CELLS cells unless a single row does."""
+    ns = np.asarray(ns, dtype=np.int64)
+    step = max(1, CHUNK_CELLS // max(1, logs.size * table[0].size * width))
+    starts = range(0, ns.size, step) or [0]  # an empty ns gives an empty stack
+    return np.concatenate([reduce(table[(-ns[s : s + step, None] * logs) % order]) for s in starts])
 
 
 class PackedField:
@@ -273,7 +294,8 @@ class PackedField:
         # coordinates of p^i * gen, so the coordinates of gen^j are row 0
         # of M^j and power_rows fills all of them in log2(order) steps
         M = unpack[[mul0(p**i, gen) for i in range(m)]].astype(np.int64)
-        exp = (power_rows(unpack[1], M, order, p) @ self._packw).astype(np.int32)
+        exp = power_rows(unpack[1], M, order, lambda a, b: a @ b % p)
+        exp = (exp @ self._packw).astype(np.int32)
         seen = np.zeros(size, dtype=bool)
         seen[exp] = True
         if seen[0] or not seen[1:].all():

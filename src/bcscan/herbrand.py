@@ -221,22 +221,24 @@ def scan(base: BaseField, max_degree: int, options: ScanOptions | None = None) -
     options = options or ScanOptions()
     if max_degree < 1:
         raise FieldError("max_degree must be at least 1")
-    if base.size**max_degree > 1 << 16:
+    # q >= 2, so a degree above 16 is over the cap before q^max_degree is formed
+    if max_degree > 16 or base.size**max_degree > 1 << 16:
         raise FieldError("residue fields beyond 2^16 elements are not supported")
     if options.check_local:
         check_local_size(base.size**max_degree)
     _requested_threads(options)  # refuse a bad environment value before enumerating
     primes = [f for d in range(1, max_degree + 1) for f in monic_irreducibles(base, d)]
     threads = _resolve_threads(options, len(primes))
+    # each regular report is dropped as it arrives, not held to the end
+    irregular = lambda report: report.irregular_indices
     if threads > 1:
         payloads = [
             (base.p, base.r, base.modulus, f.coeffs, options) for f in primes
         ]
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            all_reports = list(pool.map(_classify_worker, payloads, chunksize=8))
+            reports = tuple(filter(irregular, pool.map(_classify_worker, payloads, chunksize=8)))
     else:
-        all_reports = [classify_prime(f, options) for f in primes]
-    reports = tuple(r for r in all_reports if r.irregular_indices)
+        reports = tuple(filter(irregular, (classify_prime(f, options) for f in primes)))
     return ScanResult(
         q=base.size,
         fq_modulus=fq_modulus_str(base),

@@ -13,8 +13,11 @@ completed picture is the power-series model R[[lambda]]:
   derivatives of the cyclotomic unit ratios g.lambda / lambda into
   Bernoulli-Carlitz residues, one character component at a time.
 
-Both actions apply phi(t) = t + F with t acting as multiplication by T;
-T itself is Newton's root of phi(f)(lambda) / lambda as a function of T.
+T is Newton's root of phi(f)(lambda) / lambda under phi(t) = T + F.
+The sweep is three whole tables: the Galois rows, read off the exp
+table as phi(a)(lambda) is F_q-linear in a; the dlog components, one
+``fields.char_sums`` transform of the rows' dlogs; and pi^(n-1) pi' for
+every n by ``fields.power_rows``, each component checked against it.
 
 Internal truncation is q^d + 2: a logarithmic derivative costs one
 index to the division by lambda and one to d/dlambda, so reported
@@ -29,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .carlitz import TorsionPoly, additive_apply, carlitz_action, cyclotomic_poly, exp_coeffs
-from .fields import ConsistencyError, FieldError
+from .fields import ConsistencyError, FieldError, char_sums, power_rows
 from .poly import Poly, lift_to_poly, residue_field
 from .series import TruncSeries, derivative_rows, inverse_rows, mul_rows
 
@@ -52,21 +55,19 @@ def dlog(u: TruncSeries) -> TruncSeries:
     return u.derivative() * u.inverse()
 
 
-def _apply_phi(T: TruncSeries, coeffs, x: TruncSeries, twist: int = 0, slope: bool = False):
-    """phi(a)(x) with t acting as T, for a = sum(a_k t^k) over F_q:
-    sum(a_k x_k), x_0 = x, x_(k+1) = T x_k + z^twist x_k^q.  twist = q - 1
-    applies phi(a) to z x and divides by z.  With slope, also the derivative
-    in T for x free of T: x'_(k+1) = x_k + T x'_k, as (x_k^q)' = q (...) = 0."""
-    acc = dacc = dx = TruncSeries.zero(x.field, x.n)
+def _apply_phi(T: TruncSeries, coeffs) -> tuple[TruncSeries, TruncSeries]:
+    """phi(a)(z) / z and its T-derivative, t acting as T, a = sum(a_k t^k)
+    over F_q: sum(a_k y_k), y_0 = 1, y_(k+1) = T y_k + z^(q-1) y_k^q, and
+    y'_(k+1) = y_k + T y'_k, as (y_k^q)' = q (...) = 0."""
+    y, q = TruncSeries.one(T.field, T.n), T.field.q
+    acc = dacc = dy = TruncSeries.zero(T.field, T.n)
     for k, a in enumerate(coeffs):
-        acc = acc + x.scale(int(a))
-        if slope:
-            dacc = dacc + dx.scale(int(a))
+        acc = acc + y.scale(int(a))
+        dacc = dacc + dy.scale(int(a))
         if k + 1 < len(coeffs):
-            if slope:
-                dx = x + T * dx
-            x = T * x + x.frobenius_q().shift_up(twist)
-    return (acc, dacc) if slope else acc
+            dy = y + T * dy
+            y = T * y + y.frobenius_q().shift_up(q - 1)
+    return acc, dacc
 
 
 @dataclass(frozen=True)
@@ -83,8 +84,7 @@ class LocalModel:
         check_local_size(prime.field.size ** prime.degree)
         self.prime = prime
         self.rf = residue_field(prime)
-        self.q = self.rf.q
-        self.d = self.rf.d
+        self.q, self.d = self.rf.q, self.rf.d
         self.N = self.q**self.d
         self.n_work = self.N + 2
         self.torsion: TorsionPoly = cyclotomic_poly(prime)
@@ -99,10 +99,8 @@ class LocalModel:
 
     def _solve_t_series(self) -> TruncSeries:
         """Newton's method in T on phi(f)(lambda) / lambda = 0."""
-        R = self.rf
-        one = TruncSeries.one(R, self.n_work)
-        T = TruncSeries.const(R, self.n_work, R.t_res)
-        r, dG = _apply_phi(T, self.prime.coeffs, one, self.q - 1, slope=True)
+        T = TruncSeries.const(self.rf, self.n_work, self.rf.t_res)
+        r, dG = _apply_phi(T, self.prime.coeffs)
         v = r.valuation()
         # Eisenstein middle coefficients all vanish at t-bar, so only the
         # monic top term survives: the first residual sits at q^d - 1
@@ -111,7 +109,7 @@ class LocalModel:
         steps = 0
         while not r.is_zero:
             T = T - r * dG.inverse()
-            r, dG = _apply_phi(T, self.prime.coeffs, one, self.q - 1, slope=True)
+            r, dG = _apply_phi(T, self.prime.coeffs)
             if not r.is_zero and r.valuation() <= v:
                 raise ConsistencyError("Newton iteration for t(lambda) stalled")
             v = r.valuation()
@@ -134,42 +132,43 @@ class LocalModel:
         return out
 
     def galois_rows(self) -> list[TruncSeries]:
-        """row[j] = gamma^j . lambda, built by iterating phi of the
-        generator's lift; valid because lambda is annihilated by phi(f) to
-        full working precision, so the action only sees lifts mod f."""
+        """row[j] = gamma^j . lambda = phi(a)(lambda), a = exp[j] as a polynomial
+        of degree < d: sum(a_k x_k), x_k = phi(t)^k(lambda).  Valid because
+        phi(f) kills lambda to working precision, so only a mod f matters."""
         if self._rows is None:
-            R = self.rf
-            gamma = lift_to_poly(R, R.generator).coeffs
-            rows = [TruncSeries.monomial(R, self.n_work, 1)]
-            for _ in range(R.size - 2):
-                rows.append(_apply_phi(self.t_series, gamma, rows[-1]))
-            self._rows = rows
+            R, x = self.rf, TruncSeries.monomial(self.rf, self.n_work, 1)
+            rows = np.zeros((R.order, self.n_work), dtype=np.int32)
+            for k in range(self.d):
+                if k:
+                    x = self.t_series * x + x.frobenius_q()
+                rows = R.vadd(rows, R.vmul(R._npexp[:, None] // self.q**k % self.q, x.c))
+            self._rows = [TruncSeries(R, self.n_work, row) for row in rows]
         return self._rows
 
     # -- dlog components -------------------------------------------------------
 
     def dlog_matrix(self) -> np.ndarray:
         if self._dlog_matrix is None:
-            R = self.rf
-            rows = self.galois_rows()
-            if any(int(r.c[0]) != 0 or int(r.c[1]) == 0 for r in rows):
+            R, U = self.rf, np.stack([r.c for r in self.galois_rows()])
+            if U[:, 0].any() or not U[:, 1].all():
                 raise ConsistencyError("a Galois image of lambda lost valuation 1")
-            U = np.stack([r.c[1:] for r in rows])
-            mat = mul_rows(R, derivative_rows(R, U), inverse_rows(R, U[:, : self.N]))
-            mat.setflags(write=False)
-            self._dlog_matrix = mat
+            U = U[:, 1:]  # (g . lambda) / lambda
+            self._dlog_matrix = mul_rows(R, derivative_rows(R, U), inverse_rows(R, U[:, : self.N]))
+            self._dlog_matrix.setflags(write=False)
         return self._dlog_matrix
 
-    def dlog_lambda_component(self, n: int) -> TruncSeries:
-        """-sum over units g of chi(g)^(-n) dlog(g.lambda / lambda),
-        exact mod lambda^(q^d)."""
-        R = self.rf
-        order = R.size - 1
-        M = self.dlog_matrix()
-        j = np.arange(order, dtype=np.int64)
-        w = R._npexp[(-n * j) % order]
-        comp = R.vsum(R.vmul(w[:, None], M), axis=0)
-        return TruncSeries(R, self.N, R.vneg(comp))
+    def dlog_components(self) -> np.ndarray:
+        """Row n - 1: -sum over units g of chi(g)^(-n) dlog(g.lambda / lambda)
+        for 1 <= n <= q^d - 2, exact mod lambda^(q^d).  chi(gamma^j)^(-n)
+        is exp[-n j], so this is one character sum over the dlog rows.
+        Not kept on the model: the sweep reads it once, and the model cache
+        would hold one table per prime."""
+        R, M, js = self.rf, self.dlog_matrix(), np.arange(self.rf.order)
+        reduce = lambda w: R.vneg(R.vsum(R.vmul(w[..., None], M), axis=1))
+        # N m cells per gathered one: vsum unpacks each product to m digits
+        comps = char_sums(R.order, R._npexp, js, reduce, js[1:], self.N * R.m)
+        comps.setflags(write=False)
+        return comps
 
     # -- eigen-uniformizer ------------------------------------------------------
 
@@ -216,25 +215,20 @@ def bc_local_sweep(model: LocalModel) -> LocalSweep:
     dlog component must be a scalar times pi^(n-1) pi', and that scalar
     is the residue.  At n = 1 the error term of the underlying congruence
     is not below lambda^(q^d) yet, so only vanishing is recorded there."""
-    R = model.rf
-    vanished: dict[int, bool] = {}
-    values: dict[int, int] = {}
-    if model.N >= 3:
-        eig = model.eigen_uniformizer()
-        piN = eig.series.truncate(model.N)
-        dN = eig.derivative.truncate(model.N)
-        pw = TruncSeries.one(R, model.N)  # pi^(n-1), starting at n = 1
-        for n in range(1, model.N - 1):
-            comp = model.dlog_lambda_component(n).truncate(model.N)
-            vanished[n] = comp.is_zero
-            if n >= 2:
-                c = comp[n - 1]
-                if not (comp - (pw * dN).scale(c)).is_zero:
-                    raise ConsistencyError(
-                        f"dlog component at n={n} is not proportional to pi^(n-1) pi'"
-                    )
-                values[n] = c
-            pw = pw * piN
+    R, N = model.rf, model.N
+    if N < 3:
+        return LocalSweep(model.prime, {}, {})
+    comps, eig = model.dlog_components(), model.eigen_uniformizer()
+    mul = lambda a, b: mul_rows(R, a, b)
+    # row n - 1 of basis is pi^(n-1) pi', whose coefficient n - 1 is 1
+    powers = power_rows(TruncSeries.one(R, N).c, eig.series.c[None, :N], N - 2, mul)
+    basis = mul(powers, eig.derivative.c[None, :N])
+    c = np.diagonal(comps)
+    bad = np.flatnonzero((comps != R.vmul(c[:, None], basis)).any(axis=1)[1:])
+    if bad.size:
+        raise ConsistencyError(f"dlog component at n={bad[0] + 2} is not proportional to pi^(n-1) pi'")
+    vanished = {n: not comps[n - 1].any() for n in range(1, N - 1)}
+    values = {n: int(c[n - 1]) for n in range(2, N - 1)}
     return LocalSweep(model.prime, vanished, values)
 
 

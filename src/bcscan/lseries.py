@@ -24,7 +24,8 @@ omega(x)^p, so both sums at n and at pn mod (Q-1) have the same
 valuation and the table computes each p-orbit once, at its least
 member.  Since omega(g) reduces to g mod p,
 a sum over F_Q first settles every member of valuation 0; only the
-rest take the exact Witt sum.  The polynomial route stays available as
+rest take the exact Witt sum.  Both are gathers of ``fields.char_sums``,
+shared with the local model.  The polynomial route stays available as
 an independent cross-check.
 """
 
@@ -35,13 +36,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import ConsistencyError, FieldError, ResidueField, power_rows
+from .fields import ConsistencyError, FieldError, ResidueField, char_sums, power_rows
 from .witt import MAX_PRECISION, PrecisionError, WittElem, WittRing, witt_ring
 
 INT64_SAFE_BOUND = 1 << 62
-# cells one gather of the character-sum primitive may produce: 32K int64
-# cells are 256 KB, so the temporaries of a chunk stay well under 1 MB
-CHUNK_CELLS = 1 << 15
 
 
 class CharacterContext:
@@ -81,7 +79,7 @@ class CharacterContext:
             [(W.from_coords(int(i == j) for j in range(W.m)) * wg).coords for i in range(W.m)],
             dtype=np.int64 if exact64 else object,
         )
-        teich = power_rows(W.one().coords, M, self.order, W.pk)
+        teich = power_rows(W.one().coords, M, self.order, lambda a, b: a @ b % W.pk)
         if W.from_coords(teich[-1]) * wg != W.one():
             raise ConsistencyError("Teichmuller table does not close: omega(gamma)^(Q-1) != 1")
         total_weight = max(int(w.sum()) for _, w in (self._deg_weights, self._unit_weights))
@@ -91,28 +89,11 @@ class CharacterContext:
     def in_scope(self, n: int) -> bool:
         return 0 < n < self.order and n % (self.rf.q - 1) == 0
 
-    def _char_sums(self, table: np.ndarray, logs: np.ndarray, reduce, ns) -> np.ndarray:
-        """reduce(table[-n * logs mod (Q-1)]) for each n in ns, stacked.
-
-        Row i of ``table`` is a function of gamma^i: omega(gamma^i) in
-        W_k, or gamma^i itself in F_Q.  ``reduce`` folds axis 1 of a
-        (rows, len(logs), ...) gather; ns is taken a bounded chunk of
-        rows at a time, so no gather exceeds CHUNK_CELLS cells unless a
-        single row does."""
-        ns = np.asarray(ns, dtype=np.int64)
-        step = max(1, CHUNK_CELLS // max(1, logs.size * table[0].size))
-        starts = range(0, ns.size, step) or [0]  # an empty ns gives an empty stack
-        return np.concatenate([
-            reduce(table[(-ns[s : s + step, None] * logs) % self.order]) for s in starts
-        ])
-
     def _witt_sum(self, weights, n: int) -> WittElem:
         """sum of w(g) omega(g)^(-n) over the (logs, weights) pairs."""
         logs, w = weights
-        pk = self.W.pk
-        (total,) = self._char_sums(
-            self.teich, logs, lambda g: (g * w[:, None]).sum(axis=1) % pk, [n]
-        )
+        reduce = lambda g: (g * w[:, None]).sum(axis=1) % self.W.pk
+        (total,) = char_sums(self.order, self.teich, logs, reduce, [n])
         return self.W.from_coords(int(v) for v in total)
 
     def _unit_mod_p(self, weights, ns) -> np.ndarray:
@@ -124,12 +105,12 @@ class CharacterContext:
         keep = w % p != 0
         logs, w = logs[keep], w[keep] % p
         if p == 2:  # every kept weight is 1 and F_Q addition is XOR
-            return self._char_sums(
-                rf._npexp, logs, lambda g: np.bitwise_xor.reduce(g, axis=1) != 0, ns
+            return char_sums(
+                self.order, rf._npexp, logs, lambda g: np.bitwise_xor.reduce(g, axis=1) != 0, ns
             )
         digits = rf._unpack[rf._npexp]  # F_p-coordinates of gamma^i
-        return self._char_sums(
-            digits, logs, lambda g: (np.einsum("rjc,j->rc", g, w) % p).any(axis=1), ns
+        return char_sums(
+            self.order, digits, logs, lambda g: (np.einsum("rjc,j->rc", g, w) % p).any(axis=1), ns
         )
 
     @functools.cached_property

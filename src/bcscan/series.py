@@ -10,9 +10,9 @@ Coefficients live in a numpy int32 array (packed field elements).
 Product, inverse and derivative have one implementation each, the row
 kernel below: ``mul_rows``, ``inverse_rows`` and ``derivative_rows`` act
 on (rows, n) coefficient matrices, one series per row.  ``TruncSeries``
-calls them on a one-row view, and the local model's dlog table calls
-them on all of its rows at once, so numpy overhead is paid per column
-rather than per element.
+calls them on a one-row view, and the local model's dlog table and its
+powers of the uniformizer call them on all of their rows at once, so
+numpy overhead is paid per column rather than per element.
 """
 
 from __future__ import annotations
@@ -26,12 +26,14 @@ from .fields import FieldError
 
 
 def mul_rows(F, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Row-wise product mod z^n of two (rows, n) coefficient matrices.
+    """Row-wise product mod z^n of two (rows, n) coefficient matrices; a
+    one-row operand is broadcast against the other.
 
     Schoolbook: one shifted, scaled copy of the other operand per nonzero
     column of whichever operand has fewer of them, so a sparse operand
     costs one pass per nonzero term.  Both discrete logs are looked up
     once per product."""
+    A, B = np.broadcast_arrays(A, B)
     n = A.shape[1]
     if np.count_nonzero(A.any(axis=0)) > np.count_nonzero(B.any(axis=0)):
         A, B = B, A

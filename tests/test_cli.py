@@ -2,6 +2,7 @@
 
 import json
 import os
+import resource
 import subprocess
 import sys
 
@@ -239,6 +240,40 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "t^4 + t + 1" in proc.stdout
+
+
+def _run_cli_child(args, **kwargs):
+    return subprocess.run(
+        [sys.executable, "-m", "bcscan.cli", *args],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+        **kwargs,
+    )
+
+
+def test_a_huge_prime_q_is_refused_before_factoring():
+    # 2^61 - 1 is prime: trial division to its square root would take
+    # about 1.5e9 steps; the timeout fails the test instead of hanging
+    proc = _run_cli_child(["scan", "--q", str(2**61 - 1), "--max-degree", "1"], timeout=30)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("bcscan: q = 2305843009213693951 exceeds"), proc.stderr
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_a_huge_max_degree_is_refused_before_allocating():
+    # 4^(10^11) has 2 * 10^11 bits; the child runs under a 1 GB address
+    # space limit and a timeout, so forming it fails the test, not the host
+    proc = _run_cli_child(
+        ["scan", "--q", "4", "--max-degree", "100000000000"],
+        timeout=30,
+        preexec_fn=_limit_address_space,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("bcscan: residue fields beyond 2^16"), proc.stderr
 
 
 def test_classifying_imports_no_extra_numpy_submodule():

@@ -1,7 +1,9 @@
 """Classification and scan behavior."""
 
 import dataclasses
+import gc
 import re
+import weakref
 
 import pytest
 
@@ -206,11 +208,32 @@ def test_thread_count_is_clamped(monkeypatch):
     assert _resolve_threads(ScanOptions(threads=8), 100) == 1
 
 
+def test_scan_frees_each_regular_report_before_the_next_prime(monkeypatch):
+    real = herbrand.classify_prime
+    last_regular, freed = [], []
+
+    def tracked(prime, options=None):
+        if last_regular:
+            gc.collect()
+            freed.append(last_regular.pop()() is None)
+        report = real(prime, options)
+        if not report.irregular_indices:
+            last_regular.append(weakref.ref(report))
+        return report
+
+    monkeypatch.setattr(herbrand, "classify_prime", tracked)
+    r = scan(F2, 5, ScanOptions(threads=1))
+    assert [rep.prime for rep in r.reports] == ["t^4 + t + 1"]
+    assert len(freed) >= 12 and all(freed)
+
+
 def test_scan_rejects_bad_degree_and_size():
     with pytest.raises(FieldError):
         scan(F2, 0)
     with pytest.raises(FieldError):
         scan(fq_make(5, 1), 8)  # 5^8 > 2^16
+    with pytest.raises(FieldError, match="beyond 2\\^16"):
+        scan(F2, 17)  # refused before 2^17 is formed
 
 
 def test_scan_fq_modulus_recorded():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from bcscan import localfield
+from bcscan import fields, localfield
 from bcscan.carlitz import additive_apply, bc_numbers, carlitz_action, exp_coeffs
 from bcscan.fields import ConsistencyError, FieldError, fq_make
 from bcscan.localfield import (
@@ -25,6 +25,15 @@ F5 = fq_make(5, 1)
 
 def model(s, F):
     return local_model(parse_poly(s, F))
+
+
+def component_by_n(m, n):
+    """-sum over j of gamma^(-n j) dlog(gamma^j . lambda / lambda), one n
+    at a time: the per-index route the whole-table transform replaces."""
+    R = m.rf
+    j = np.arange(R.order, dtype=np.int64)
+    w = R._npexp[(-n * j) % R.order]
+    return R.vneg(R.vsum(R.vmul(w[:, None], m.dlog_matrix()), axis=0))
 
 
 def unit_ratio(m, j):
@@ -70,7 +79,7 @@ class TestQuadraticOverF2:
     def test_component_two_is_pi(self):
         # pi = l + l^2 + l^4 and pi' = 1, so the n=2 component must be
         # pi^1 pi' mod l^4
-        assert list(self.m.dlog_lambda_component(2).c) == [0, 1, 1, 0]
+        assert list(self.m.dlog_components()[1]) == [0, 1, 1, 0]
         eig = self.m.eigen_uniformizer()
         assert list(eig.series.c) == [0, 1, 1, 0, 1, 0]
         assert list(eig.derivative.c) == [1, 0, 0, 0, 0]
@@ -78,7 +87,7 @@ class TestQuadraticOverF2:
     def test_component_one_polluted(self):
         # 1 + l^3, not a multiple of pi^0 pi' = 1: the n=1 congruence
         # genuinely fails at this depth, which is why extraction bans n=1
-        assert list(self.m.dlog_lambda_component(1).c) == [1, 0, 0, 1]
+        assert list(self.m.dlog_components()[0]) == [1, 0, 0, 1]
 
     def test_bc_extraction(self):
         assert bc_local_sweep(self.m).values[2] == 1 == bc_numbers(self.m.rf).values[2]
@@ -287,8 +296,44 @@ def test_components_of_non_character_indices_vanish():
     # q=3: only even n carry a character power of the norm line; odd
     # components must die entirely mod lambda^(q^d)
     m = model("t^2 + 1", F3)
+    comps = m.dlog_components()
     for n in range(3, m.N - 1, 2):
-        assert m.dlog_lambda_component(n).is_zero
+        assert not comps[n - 1].any()
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_components_match_the_per_index_sums(q):
+    """The whole-table transform against the per-n sum at every prime
+    with q^d <= 64 (the per-n route over the whole q^d <= 256 range
+    takes about 40 s)."""
+    F = fq_make(*{2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1)}[q])
+    d = 1
+    while q**d <= 64:
+        for f in monic_irreducibles(F, d):
+            m = LocalModel(f)
+            comps = m.dlog_components()
+            assert comps.shape == (m.N - 2, m.N) and not comps.flags.writeable
+            for n in range(1, m.N - 1):
+                assert list(comps[n - 1]) == list(component_by_n(m, n)), (f, n)
+        d += 1
+
+
+@pytest.mark.parametrize("s,F", [("t^5 + t^2 + 1", F2), ("t^3 - t + 1", F3), ("t^2 + t + a", F4)])
+def test_components_do_not_depend_on_the_chunk_size(s, F, monkeypatch):
+    tables = []
+    for cells in (1, fields.CHUNK_CELLS, 1 << 30):
+        monkeypatch.setattr(fields, "CHUNK_CELLS", cells)
+        tables.append(LocalModel(parse_poly(s, F)).dlog_components())
+    assert all(np.array_equal(t, tables[0]) for t in tables[1:])
+
+
+def test_sweep_names_the_first_non_proportional_component(monkeypatch):
+    m = LocalModel(parse_poly("t^3 + t + 1", F2))
+    comps = m.dlog_components().copy()
+    comps[2, 5] ^= 1  # n = 3, off the diagonal that carries the residue
+    monkeypatch.setattr(m, "dlog_components", lambda: comps)
+    with pytest.raises(ConsistencyError, match=r"at n=3 is not proportional"):
+        bc_local_sweep(m)
 
 
 def test_galois_image_rejects_non_units():

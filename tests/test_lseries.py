@@ -205,18 +205,18 @@ def test_valuation_table_gathers_once_per_frobenius_orbit(monkeypatch):
     reps = {min(n * 2**i % 4095 for i in range(12)) for n in range(1, 4095)}
     assert 340 <= len(reps) <= 360
     calls = {"closed_weighted_sum": 0, "rows": 0}
-    closed, char_sums = CharacterContext.closed_weighted_sum, CharacterContext._char_sums
+    closed, char_sums = CharacterContext.closed_weighted_sum, lseries.char_sums
 
     def counted_closed(self, n):
         calls["closed_weighted_sum"] += 1
         return closed(self, n)
 
-    def counted_rows(self, table, logs, reduce, ns):
+    def counted_rows(order, table, logs, reduce, ns, width=1):
         calls["rows"] += len(ns)
-        return char_sums(self, table, logs, reduce, ns)
+        return char_sums(order, table, logs, reduce, ns, width)
 
     monkeypatch.setattr(CharacterContext, "closed_weighted_sum", counted_closed)
-    monkeypatch.setattr(CharacterContext, "_char_sums", counted_rows)
+    monkeypatch.setattr(lseries, "char_sums", counted_rows)
     lseries._context_cached.cache_clear()
     vals = [pic_eigenspace_length(rf, n) for n in range(1, 4095)]
     assert 1 <= calls["closed_weighted_sum"] <= len(reps)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bcscan.fields import FieldError, fq_make, residue_field_raw
+from bcscan.fields import FieldError, fq_make, power_rows, residue_field_raw
 from bcscan.series import TruncSeries, derivative_rows, inverse_rows, mul_rows
 
 FIELDS = [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2)]
@@ -253,6 +253,33 @@ def test_mul_rows_matches_schoolbook_row_by_row(p, r):
         assert got.shape == A.shape and got.dtype == np.int32
         for a, b, c in zip(as_series(F, A), as_series(F, B), as_series(F, got)):
             assert c == ref_mul(a, b)
+
+
+@pytest.mark.parametrize("p,r", FIELDS)
+def test_mul_rows_broadcasts_a_one_row_operand(p, r):
+    F = fq_make(p, r)
+    rng = random.Random(59 * p + r)
+    A, x = rand_rows(F, 5, 13, rng), rand_rows(F, 1, 13, rng, density=0.4)
+    (xs,) = as_series(F, x)
+    for got in (mul_rows(F, A, x), mul_rows(F, x, A)):
+        assert got.shape == A.shape
+        for a, c in zip(as_series(F, A), as_series(F, got)):
+            assert c == ref_mul(a, xs)
+
+
+@pytest.mark.parametrize("p,r", FIELDS)
+@pytest.mark.parametrize("count", [1, 2, 5, 8, 13])
+def test_power_rows_with_mul_rows_equals_successive_products(p, r, count):
+    # the local sweep fills pi^0 .. pi^(N-3) this way
+    F = fq_make(p, r)
+    rng = random.Random(61 * p + 7 * r + count)
+    first, x = rand_rows(F, 1, 12, rng)[0], rand_rows(F, 1, 12, rng, density=0.5)
+    rows = power_rows(first, x, count, lambda a, b: mul_rows(F, a, b))
+    assert rows.shape == (count, 12) and rows.dtype == np.int32
+    cur, (xs,) = TruncSeries(F, 12, first), as_series(F, x)
+    for row in rows:
+        assert TruncSeries(F, 12, row) == cur
+        cur = cur * xs
 
 
 @pytest.mark.parametrize("p,r", FIELDS)
