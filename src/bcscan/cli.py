@@ -19,7 +19,7 @@ from .fields import MAX_FIELD_SIZE, BaseField, ConsistencyError, FieldError, fq_
 from .emit import emit
 from .herbrand import ScanOptions, ScanResult, classify_prime, fq_modulus_str, scan, validate_report
 from .poly import PolyParseError, parse_poly, residue_field, residue_to_str
-from .witt import MAX_PRECISION
+from .witt import MAX_PRECISION, PrecisionError
 
 
 class _UsageError(Exception):
@@ -160,7 +160,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"bcscan: {exc}", file=sys.stderr)
         return 1
-    except (FieldError, PolyParseError, OSError) as exc:
+    except (FieldError, PolyParseError, PrecisionError, OSError) as exc:
         print(f"bcscan: {exc}", file=sys.stderr)
         return 1
     except ConsistencyError as exc:

@@ -20,7 +20,9 @@ and the local powers of pi.  ``char_sums`` is the one character-sum
 gather, for the L-value sums and the local dlog components.  Everything
 is exact integer arithmetic.  numpy mirrors of the tables drive the
 vectorized helpers (``vadd``, ``vmul``, ``vscale``, ``vsum``, ``vfrobq``)
-that the truncated-series layer is built on.
+that the truncated-series layer is built on, and ``vmatmul``, a matrix
+product over the field done as float BLAS products of F_p digits whose
+sums are small enough to stay exact.
 
 Field objects are immutable after construction and safe to share across
 threads; the factory functions memoize so equal parameters give the
@@ -222,18 +224,39 @@ def power_rows(first, x, count: int, mul) -> np.ndarray:
 CHUNK_CELLS = 1 << 15
 
 
-def char_sums(order: int, table, logs: np.ndarray, reduce, ns, width: int = 1) -> np.ndarray:
+def char_sums(order: int, table, logs: np.ndarray, reduce, ns) -> np.ndarray:
     """reduce(table[-n * logs mod order]) for each n in ns, stacked.
 
     Row i of ``table`` is a function of gamma^i, gamma of order ``order``:
     gamma^i, its F_p-coordinates or omega(gamma^i) in W_k.  ``reduce``
-    folds axis 1 of a (rows, len(logs), ...) gather into ``width`` cells
-    per gathered one; ns is taken a bounded chunk of rows at a time, so
-    no chunk exceeds CHUNK_CELLS cells unless a single row does."""
+    folds axis 1 of a (rows, len(logs), ...) gather; ns is taken a bounded
+    chunk of rows at a time, so no chunk exceeds CHUNK_CELLS cells unless
+    a single row does."""
     ns = np.asarray(ns, dtype=np.int64)
-    step = max(1, CHUNK_CELLS // max(1, logs.size * table[0].size * width))
+    step = max(1, CHUNK_CELLS // max(1, logs.size * table[0].size))
     starts = range(0, ns.size, step) or [0]  # an empty ns gives an empty stack
     return np.concatenate([reduce(table[(-ns[s : s + step, None] * logs) % order]) for s in starts])
+
+
+# float cells one operand or sum block of ``PackedField.vmatmul`` may
+# hold: 1M float32 cells are 4 MB
+MATMUL_CELLS = 1 << 20
+
+
+def _first_rows_of_powers(M: np.ndarray, exps, p: int) -> list[np.ndarray]:
+    """Row 0 of M^e mod p for each e in exps: the squarings of M are
+    shared, and each power is taken as a row vector times them."""
+    squares = [M]
+    for _ in range(max(exps).bit_length() - 1):
+        squares.append(squares[-1] @ squares[-1] % p)
+    rows = []
+    for e in exps:
+        v = np.eye(len(M), dtype=np.int64)[0]
+        for b, S in enumerate(squares):
+            if e >> b & 1:
+                v = v @ S % p
+        rows.append(v)
+    return rows
 
 
 class PackedField:
@@ -252,31 +275,8 @@ class PackedField:
 
     # -- construction -------------------------------------------------
 
-    def _pow0(self, mul0, a: int, e: int) -> int:
-        r = 1
-        while e:
-            if e & 1:
-                r = mul0(r, a)
-            a = mul0(a, a)
-            e >>= 1
-        return r
-
     def _build_tables(self, mul0, gen_candidates) -> None:
-        order = self.order
-        factors = _prime_factors(order) if order > 1 else ()
-        gen = 1
-        if order > 1:
-            for cand in gen_candidates:
-                if cand in (0, 1):
-                    continue
-                if all(self._pow0(mul0, cand, order // ell) != 1 for ell in factors):
-                    gen = cand
-                    break
-            else:  # pragma: no cover - a generator always exists
-                raise FieldError("no multiplicative generator found")
-        self.generator = gen
-
-        p, m, size = self.p, self.m, self.size
+        p, m, size, order = self.p, self.m, self.size, self.order
         unpack = np.zeros((size, m), dtype=np.int16)
         vals = np.arange(size)
         for i in range(m):
@@ -290,10 +290,30 @@ class PackedField:
         else:
             self._neg_t = None
 
-        # multiplication by gen is F_p-linear; row i of M holds the
-        # coordinates of p^i * gen, so the coordinates of gen^j are row 0
-        # of M^j and power_rows fills all of them in log2(order) steps
-        M = unpack[[mul0(p**i, gen) for i in range(m)]].astype(np.int64)
+        # multiplication by c is F_p-linear: row i of its matrix holds the
+        # coordinates of p^i * c, so row 0 of the matrix's e-th power holds
+        # those of c^e, and c generates iff no c^(order / l) is 1
+        def mul_matrix(c: int) -> np.ndarray:
+            return unpack[[mul0(p**i, c) for i in range(m)]].astype(np.int64)
+
+        gen = 1
+        if order > 1:
+            exps = [order // ell for ell in _prime_factors(order)]
+            for cand in gen_candidates:
+                if cand in (0, 1):
+                    continue
+                M = mul_matrix(cand)
+                if not any(np.array_equal(v, unpack[1]) for v in _first_rows_of_powers(M, exps, p)):
+                    gen = cand
+                    break
+            else:  # pragma: no cover - a generator always exists
+                raise FieldError("no multiplicative generator found")
+        else:
+            M = mul_matrix(1)
+        self.generator = gen
+
+        # the coordinates of gen^j are row 0 of M^j, and power_rows fills
+        # all of them in log2(order) steps
         exp = power_rows(unpack[1], M, order, lambda a, b: a @ b % p)
         exp = (exp @ self._packw).astype(np.int32)
         seen = np.zeros(size, dtype=bool)
@@ -429,6 +449,42 @@ class PackedField:
 
     def vfrobq(self, a: np.ndarray) -> np.ndarray:
         return self._npfrobq[a]
+
+    def vmatmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Exact product of a (r, k) and a (k, n) packed matrix.
+
+        With beta_i = p^i packed and a_i the F_p-digit planes of a,
+        a @ b = sum_i a_i (beta_i b), and addition is digitwise mod p: so
+        the digits of a @ b are sum_i a_i @ digits(beta_i b) mod p, m float
+        BLAS products (r, k) @ (k, n m) whose sums stay below k m (p-1)^2,
+        exact in float32 below 2^24 and in float64 beyond.  b is taken by
+        column blocks and a by row blocks, so no operand or sum block
+        holds more than MATMUL_CELLS cells unless one row or column does.
+        One digit plane of a and one expanded block of b are held at a
+        time: b is expanded once per row block of a (r k / MATMUL_CELLS
+        of them) and a's planes gathered once per column block of b
+        (n k m / MATMUL_CELLS).  Holding all m expanded blocks of b in
+        the same budget would gather a's planes m times as often."""
+        p, m = self.p, self.m
+        (r, k), n = a.shape, b.shape[1]
+        dtype = np.float32 if k * m * (p - 1) ** 2 < 1 << 24 else np.float64
+        digits = self._unpack.astype(dtype)
+        planes = digits.T.copy()  # planes[i][v] is digit i of v
+        beta_logs = self._nplog[self._packw]
+        cstep = max(1, MATMUL_CELLS // max(1, k * m))
+        out = np.empty((r, n), dtype=np.int32)
+        for c in range(0, n, cstep):
+            logb = self._zlog[b[:, c : c + cstep]]
+            width = logb.shape[1] * m
+            rstep = max(1, MATMUL_CELLS // max(1, k, width))
+            for s in range(0, r, rstep):
+                A = a[s : s + rstep]
+                acc = np.zeros((len(A), width), dtype)
+                for i in range(m):
+                    acc += planes[i][A] @ digits[self._zexp[logb + beta_logs[i]]].reshape(k, width)
+                acc = np.remainder(acc.reshape(len(A), -1, m), p) @ self._packw.astype(dtype)
+                out[s : s + rstep, c : c + cstep] = acc
+        return out
 
 
 def _weight_ordered(p: int, r: int):

@@ -14,10 +14,15 @@ completed picture is the power-series model R[[lambda]]:
   Bernoulli-Carlitz residues, one character component at a time.
 
 T is Newton's root of phi(f)(lambda) / lambda under phi(t) = T + F.
-The sweep is three whole tables: the Galois rows, read off the exp
-table as phi(a)(lambda) is F_q-linear in a; the dlog components, one
-``fields.char_sums`` transform of the rows' dlogs; and pi^(n-1) pi' for
-every n by ``fields.power_rows``, each component checked against it.
+The sweep is whole tables: the Galois rows, read off the exp table as
+phi(a)(lambda) is F_q-linear in a; their dlogs, each ratio
+g.lambda / lambda divided into its derivative by ``series.divide_rows``
+along the ratio's few nonzero coefficients; the dlog components, the
+``fields.char_sums`` weights times that dlog matrix in one F_Q matrix
+product (``vmatmul``, float BLAS products of F_p digits); and
+pi^(n-1) pi' for every n by ``fields.power_rows``, each component
+checked against it.  The model keeps none of these tables: the sweep
+reads each once, and ``local_model`` caches models.
 
 Internal truncation is q^d + 2: a logarithmic derivative costs one
 index to the division by lambda and one to d/dlambda, so reported
@@ -34,11 +39,13 @@ import numpy as np
 from .carlitz import TorsionPoly, additive_apply, carlitz_action, cyclotomic_poly, exp_coeffs
 from .fields import ConsistencyError, FieldError, char_sums, power_rows
 from .poly import Poly, lift_to_poly, residue_field
-from .series import TruncSeries, derivative_rows, inverse_rows, mul_rows
+from .series import TruncSeries, derivative_rows, divide_rows, mul_rows
 
-# The dlog table is (Q-1) x Q and its build O(Q^3): on a 2-core host,
-# classify --check-local at t^11 + t^2 + 1 over F_2 (Q = 2^11) took 97 s
-# with a 209 MB resident peak, at Q = 2^10 12 s and 76 MB.
+# The dlog table is (Q-1) x Q and the components' matrix product takes
+# about Q^3 m^2 float multiply-adds, Q = p^m: on a 2-core host with one
+# BLAS thread, classify --check-local at t^11 + t^2 + 1 over F_2
+# (Q = 2^11) took 17 s with a 147 MB resident peak, at t^10 + t^3 + 1
+# (Q = 2^10) 1.8 s and 67 MB.
 MAX_LOCAL_SIZE = 1 << 11
 
 
@@ -91,8 +98,6 @@ class LocalModel:
         if not self.torsion.eisenstein_ok():
             raise ConsistencyError("torsion polynomial is not Eisenstein at its prime")
         self.t_series = self._solve_t_series()
-        self._rows: list[TruncSeries] | None = None
-        self._dlog_matrix: np.ndarray | None = None
         self._eig: EigenUniformizer | None = None
 
     # -- the t-expansion ----------------------------------------------------
@@ -134,39 +139,43 @@ class LocalModel:
     def galois_rows(self) -> list[TruncSeries]:
         """row[j] = gamma^j . lambda = phi(a)(lambda), a = exp[j] as a polynomial
         of degree < d: sum(a_k x_k), x_k = phi(t)^k(lambda).  Valid because
-        phi(f) kills lambda to working precision, so only a mod f matters."""
-        if self._rows is None:
-            R, x = self.rf, TruncSeries.monomial(self.rf, self.n_work, 1)
-            rows = np.zeros((R.order, self.n_work), dtype=np.int32)
-            for k in range(self.d):
-                if k:
-                    x = self.t_series * x + x.frobenius_q()
-                rows = R.vadd(rows, R.vmul(R._npexp[:, None] // self.q**k % self.q, x.c))
-            self._rows = [TruncSeries(R, self.n_work, row) for row in rows]
-        return self._rows
+        phi(f) kills lambda to working precision, so only a mod f matters.
+        Built on each call, in d - 1 series products."""
+        R, x = self.rf, TruncSeries.monomial(self.rf, self.n_work, 1)
+        rows = np.zeros((R.order, self.n_work), dtype=np.int32)
+        for k in range(self.d):
+            if k:
+                x = self.t_series * x + x.frobenius_q()
+            rows = R.vadd(rows, R.vmul(R._npexp[:, None] // self.q**k % self.q, x.c))
+        return [TruncSeries(R, self.n_work, row) for row in rows]
 
     # -- dlog components -------------------------------------------------------
 
     def dlog_matrix(self) -> np.ndarray:
-        if self._dlog_matrix is None:
-            R, U = self.rf, np.stack([r.c for r in self.galois_rows()])
-            if U[:, 0].any() or not U[:, 1].all():
-                raise ConsistencyError("a Galois image of lambda lost valuation 1")
-            U = U[:, 1:]  # (g . lambda) / lambda
-            self._dlog_matrix = mul_rows(R, derivative_rows(R, U), inverse_rows(R, U[:, : self.N]))
-            self._dlog_matrix.setflags(write=False)
-        return self._dlog_matrix
+        """Row j: dlog(gamma^j . lambda / lambda) mod lambda^(q^d), read-only
+        and built on each call.  Each ratio is nonzero only at lambda^0 and
+        the lambda^(q^i - 1), i <= d, so the division follows their sparse
+        recurrence, q - 1 coefficients of every row per step."""
+        R, U = self.rf, np.stack([r.c for r in self.galois_rows()])
+        if U[:, 0].any() or not U[:, 1].all():
+            raise ConsistencyError("a Galois image of lambda lost valuation 1")
+        U = U[:, 1:]  # (g . lambda) / lambda
+        M = divide_rows(R, derivative_rows(R, U), U[:, : self.N])
+        M.setflags(write=False)
+        return M
 
     def dlog_components(self) -> np.ndarray:
         """Row n - 1: -sum over units g of chi(g)^(-n) dlog(g.lambda / lambda)
         for 1 <= n <= q^d - 2, exact mod lambda^(q^d).  chi(gamma^j)^(-n)
-        is exp[-n j], so this is one character sum over the dlog rows.
-        Not kept on the model: the sweep reads it once, and the model cache
-        would hold one table per prime."""
-        R, M, js = self.rf, self.dlog_matrix(), np.arange(self.rf.order)
-        reduce = lambda w: R.vneg(R.vsum(R.vmul(w[..., None], M), axis=1))
-        # N m cells per gathered one: vsum unpacks each product to m digits
-        comps = char_sums(R.order, R._npexp, js, reduce, js[1:], self.N * R.m)
+        is exp[-n j], so this is one character sum over the dlog rows: the
+        gathered weights W[n - 1, j] = exp[-n j] times the dlog matrix, one
+        F_Q matrix product.  W is gathered whole, not reduced chunk by
+        chunk, as each product expands the dlog matrix to F_p digits
+        once per row block of its left operand (once at Q = 2^10, four
+        times at Q = 2^11), and a chunk of W is a few rows."""
+        R, js = self.rf, np.arange(self.rf.order)
+        W = char_sums(R.order, R._npexp, js, lambda w: w, js[1:])
+        comps = R.vneg(R.vmatmul(W, self.dlog_matrix()))
         comps.setflags(write=False)
         return comps
 

@@ -7,12 +7,13 @@ series, and binary operations between different truncation orders work
 at the shorter one.  No coefficient in a result is ever a guess.
 
 Coefficients live in a numpy int32 array (packed field elements).
-Product, inverse and derivative have one implementation each, the row
-kernel below: ``mul_rows``, ``inverse_rows`` and ``derivative_rows`` act
-on (rows, n) coefficient matrices, one series per row.  ``TruncSeries``
-calls them on a one-row view, and the local model's dlog table and its
-powers of the uniformizer call them on all of their rows at once, so
-numpy overhead is paid per column rather than per element.
+Product, inverse, quotient and derivative have one implementation each,
+the row kernel below: ``mul_rows``, ``inverse_rows``, ``divide_rows``
+and ``derivative_rows`` act on (rows, n) coefficient matrices, one
+series per row.  ``TruncSeries`` calls them on a one-row view, and the
+local model's dlog table and its powers of the uniformizer call them on
+all of their rows at once, so numpy overhead is paid per column rather
+than per element.
 """
 
 from __future__ import annotations
@@ -62,6 +63,37 @@ def inverse_rows(F, A: np.ndarray) -> np.ndarray:
         y = np.pad(y, ((0, 0), (0, prec - y.shape[1])))
         ay2 = mul_rows(F, A[:, :prec], mul_rows(F, y, y))
         y = F.vsub(F.vadd(y, y), ay2)
+    return y
+
+
+def divide_rows(F, num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """Row-wise num / den mod z^n, den with unit constant terms, by the
+    recurrence y_k = den_0^-1 (num_k - sum over s in S of den_s y_(k-s)),
+    S the nonzero columns s >= 1 of den.  Columns k..k+min(S)-1 read only
+    y below k, so each step fills min(S) columns of every row in one
+    gather over the s in S that reach them: a den nonzero at a few
+    columns costs a few cells per coefficient, not a dense inverse."""
+    num, den = np.broadcast_arrays(num, den)
+    if not den[:, 0].all():
+        raise ZeroDivisionError("series has no inverse: zero constant term")
+    rows, n = den.shape
+    inv0 = F._zexp[F.order - F._zlog[den[:, :1]]]
+    cols = np.flatnonzero(den[:, 1:].any(axis=0)) + 1
+    step = int(cols[0]) if cols.size else n
+    # y_k = num_k / den_0 + sum(-den_s / den_0 * y_(k-s)); the logs of y
+    # are kept beside it, with a last column holding the log of 0 for
+    # the y_(k-s) at k < s
+    logc = F._zlog[F.vneg(F.vmul(inv0, den[:, cols]))][:, :, None]
+    y = F.vmul(inv0, num)
+    logy = np.full((rows, n + 1), 2 * F.order, dtype=np.int32)
+    for k in range(0, n, step):
+        hi = min(k + step, n)
+        a = np.searchsorted(cols, hi)  # the s < hi, which reach column hi - 1
+        if a:
+            back = np.arange(k, hi) - cols[:a, None]
+            terms = F._zexp[logc[:, :a] + logy[:, np.where(back < 0, n, back)]]
+            y[:, k:hi] = F.vadd(y[:, k:hi], F.vsum(terms, axis=1))
+        logy[:, k:hi] = F._zlog[y[:, k:hi]]
     return y
 
 

@@ -9,9 +9,10 @@ import sys
 import pytest
 
 import bcscan
-from bcscan import cli
+from bcscan import cli, herbrand
 from bcscan.fields import ConsistencyError
 from bcscan.localfield import MAX_LOCAL_SIZE
+from bcscan.witt import PrecisionError
 
 
 def run(args, capsys):
@@ -205,6 +206,16 @@ def test_consistency_failure_exits_2(capsys, monkeypatch):
     code, _, err = run(["scan", "--q", "2", "--max-degree", "2"], capsys)
     assert code == 2
     assert "consistency" in err
+
+
+def test_precision_cap_exits_1(capsys, monkeypatch):
+    def saturated(*a, **k):
+        raise PrecisionError("valuation still saturated at the precision cap 96")
+
+    monkeypatch.setattr(herbrand, "pic_eigenspace_length", saturated)
+    code, out, err = run(["classify", "--q", "2", "--prime", "t^3 + t + 1"], capsys)
+    assert code == 1 and out == ""
+    assert err == "bcscan: valuation still saturated at the precision cap 96\n"
 
 
 def test_thread_flag_deterministic(capsys):

@@ -196,6 +196,42 @@ def test_vsum_axis_on_matrix():
     assert list(F.vsum(m, axis=1)) == [0, 2]
 
 
+def schoolbook_matmul(F, A, B):
+    return F.vsum(F.vmul(A[:, :, None], B[None]), axis=1)
+
+
+@pytest.mark.parametrize("p,r", SMALL_FIELDS + [(251, 1)])
+@pytest.mark.parametrize("cells", [1, fields.MATMUL_CELLS, 1 << 30])
+def test_vmatmul_matches_the_schoolbook(p, r, cells, monkeypatch):
+    monkeypatch.setattr(fields, "MATMUL_CELLS", cells)
+    F = fq_make(p, r)
+    rng = np.random.default_rng(17 * p + r)
+    rand = lambda *shape: rng.integers(0, F.size, shape).astype(np.int32)
+    zero = lambda *shape: np.zeros(shape, dtype=np.int32)
+    cases = [(rand(1, 9), rand(9, 6)), (rand(7, 5), rand(5, 1)), (rand(6, 11), rand(11, 13)),
+             (rand(1, 1), rand(1, 1)), (zero(4, 6), rand(6, 3)), (rand(4, 6), zero(6, 3))]
+    for A, B in cases:
+        got = F.vmatmul(A, B)
+        assert got.dtype == np.int32 and got.shape == (len(A), B.shape[1])
+        assert np.array_equal(got, schoolbook_matmul(F, A, B))
+
+
+def test_vmatmul_is_exact_where_float32_is_not():
+    # k m (p-1)^2 = 999 * 250^2 is above 2^24, and the sum 999 * 249^2
+    # is an odd integer above 2^25, which float32 cannot hold
+    F = fq_make(251, 1)
+    A, B = np.full((2, 999), 249, dtype=np.int32), np.full((999, 3), 249, dtype=np.int32)
+    assert np.array_equal(F.vmatmul(A, B), schoolbook_matmul(F, A, B))
+    assert F.vmatmul(A, B)[0, 0] == 4 * 999 % 251
+
+
+def test_vmatmul_over_a_residue_field():
+    R = residue_field(parse_poly("t^3 + 2*t + 1", fq_make(3, 1)))
+    rng = np.random.default_rng(5)
+    A, B = rng.integers(0, R.size, (8, 26)).astype(np.int32), rng.integers(0, R.size, (26, 9)).astype(np.int32)
+    assert np.array_equal(R.vmatmul(A, B), schoolbook_matmul(R, A, B))
+
+
 def test_residue_frobenius_fixes_base_scalars():
     # ^q fixes F_q embedded as degree-0 representatives
     F4 = fq_make(2, 2)
@@ -268,6 +304,32 @@ def assert_tables_match_sequential_build(F):
         assert t.dtype == np.int32
 
 
+def reference_generator(F):
+    """The first candidate, in the order each construction tries them, none
+    of whose powers c^(order / l) is 1, by square-and-multiply through
+    reference_mul0."""
+    mul0, order = reference_mul0(F), F.order
+    if isinstance(F, ResidueField):
+        candidates = range(2, F.size)
+    elif F.r == 1:
+        candidates = range(2, F.p)
+    else:
+        candidates = [F.p] + list(range(2, F.size))
+
+    def power(a, e):
+        out = 1
+        while e:
+            if e & 1:
+                out = mul0(out, a)
+            a, e = mul0(a, a), e >> 1
+        return out
+
+    if order == 1:
+        return 1
+    ells = fields._prime_factors(order)
+    return next(c for c in candidates if c > 1 and all(power(c, order // ell) != 1 for ell in ells))
+
+
 BASE_FIELDS = [(p, r) for p in range(2, 257) if fields._is_prime(p) for r in range(1, 9) if p**r <= 256]
 
 
@@ -277,15 +339,33 @@ def test_doubled_base_field_tables_equal_the_sequential_build():
         assert_tables_match_sequential_build(fq_make(p, r))
 
 
-# every residue field with q^d <= 256 over the base fields up to q = 16
-@pytest.mark.parametrize("p,r", [(p, r) for p, r in BASE_FIELDS if p**r <= 16])
-def test_doubled_residue_tables_equal_the_sequential_build(p, r):
+def test_base_field_generator_is_the_first_passing_candidate():
+    for p, r in BASE_FIELDS:
+        F = fq_make(p, r)
+        assert F.generator == reference_generator(F), F
+
+
+def _residue_fields(p, r):
+    """Every residue field with q^d <= 256 over F_q, q = p^r."""
     F = fq_make(p, r)
     d = 1
     while F.size**d <= 256:
         for f in monic_irreducibles(F, d):
-            assert_tables_match_sequential_build(residue_field(f))
+            yield residue_field(f)
         d += 1
+
+
+# every residue field with q^d <= 256 over the base fields up to q = 16
+@pytest.mark.parametrize("p,r", [(p, r) for p, r in BASE_FIELDS if p**r <= 16])
+def test_doubled_residue_tables_equal_the_sequential_build(p, r):
+    for R in _residue_fields(p, r):
+        assert_tables_match_sequential_build(R)
+
+
+@pytest.mark.parametrize("p,r", [(p, r) for p, r in BASE_FIELDS if p**r <= 16])
+def test_residue_field_generator_is_the_first_passing_candidate(p, r):
+    for R in _residue_fields(p, r):
+        assert R.generator == reference_generator(R), R
 
 
 @pytest.mark.parametrize("shift", [1, -1])

@@ -15,7 +15,7 @@ from bcscan.localfield import (
     local_model,
 )
 from bcscan.poly import lift_to_poly, monic_irreducibles, parse_poly
-from bcscan.series import TruncSeries
+from bcscan.series import TruncSeries, derivative_rows, inverse_rows, mul_rows
 
 F2 = fq_make(2, 1)
 F3 = fq_make(3, 1)
@@ -36,9 +36,9 @@ def component_by_n(m, n):
     return R.vneg(R.vsum(R.vmul(w[:, None], m.dlog_matrix()), axis=0))
 
 
-def unit_ratio(m, j):
-    """(gamma^j . lambda) / lambda, a 1-unit times chi(gamma^j)."""
-    return m.galois_rows()[j].shift_down(1)
+def unit_ratios(m):
+    """(gamma^j . lambda) / lambda, a 1-unit times chi(gamma^j), for every j."""
+    return [row.shift_down(1) for row in m.galois_rows()]
 
 
 def torsion_residual(m, T):
@@ -73,8 +73,9 @@ class TestQuadraticOverF2:
 
     def test_dlog_values(self):
         tb, tb2 = 2, 3
-        assert list(dlog(unit_ratio(self.m, 1)).c) == [tb2, tb, tb, tb2]
-        assert list(dlog(unit_ratio(self.m, 2)).c) == [tb, tb2, tb2, tb]
+        ratios = unit_ratios(self.m)
+        assert list(dlog(ratios[1]).c) == [tb2, tb, tb, tb2]
+        assert list(dlog(ratios[2]).c) == [tb, tb2, tb2, tb]
 
     def test_component_two_is_pi(self):
         # pi = l + l^2 + l^4 and pi' = 1, so the n=2 component must be
@@ -133,8 +134,8 @@ def test_t_series_depth_and_residual(s, F):
     assert torsion_residual(m, m.t_series).is_zero
 
 
-def _whole_range_primes():
-    for F in (F2, F3, F4, F5):
+def _whole_range_primes(bases=(F2, F3, F4, F5)):
+    for F in bases:
         d = 1
         while F.size**d <= 256:
             yield from monic_irreducibles(F, d)
@@ -156,6 +157,33 @@ def test_recursion_matches_horner_routes_over_the_whole_range():
             assert rows[-1] == m.galois_image(R.exp_of(R.size - 2)), f
         count += 1
     assert count == 296
+
+
+def dense_dlog_matrix(m):
+    """Each ratio's derivative times its Newton inverse: the dense route
+    the sparse division replaces."""
+    R = m.rf
+    U = np.stack([row.c for row in m.galois_rows()])[:, 1:]
+    return mul_rows(R, derivative_rows(R, U), inverse_rows(R, U[:, : m.N]))
+
+
+@pytest.mark.parametrize("F,count", [(F2, 71), (F3, 80), (F4, 90), (F5, 55)], ids=["q2", "q3", "q4", "q5"])
+def test_dlog_matrix_equals_the_dense_route_over_the_whole_range(F, count):
+    seen = 0
+    for f in _whole_range_primes([F]):
+        m = LocalModel(f)
+        M = m.dlog_matrix()
+        assert M.shape == (m.N - 1, m.N) and not M.flags.writeable
+        assert np.array_equal(M, dense_dlog_matrix(m)), f
+        seen += 1
+    assert seen == count
+
+
+def test_the_cached_model_keeps_no_whole_table():
+    m = model("t^5 + t^2 + 1", F2)
+    bc_local_sweep(m)
+    for name, value in vars(m).items():
+        assert not (isinstance(value, (list, np.ndarray)) and len(value) >= m.N - 1), name
 
 
 def test_model_builds_without_horner(monkeypatch):
@@ -200,8 +228,9 @@ def test_torsion_annihilates_every_row(s, F):
     that makes the one-generator iteration legitimate."""
     m = model(s, F)
     coeff_series = [m.t_series.eval_poly_coeffs(c.coeffs) for c in m.torsion.coeffs]
+    rows = m.galois_rows()
     for j in range(min(m.rf.size - 1, 6)):
-        x = m.galois_rows()[j]
+        x = rows[j]
         acc = TruncSeries.zero(m.rf, m.n_work)
         fx = x
         for i, cs in enumerate(coeff_series):
@@ -230,8 +259,8 @@ def test_scalar_collapse(s, F):
 @pytest.mark.parametrize("s,F", PRIMES)
 def test_unit_ratio_residues(s, F):
     m = model(s, F)
-    for j in range(m.rf.size - 1):
-        assert unit_ratio(m, j)[0] == m.rf.exp_of(j)
+    for j, ratio in enumerate(unit_ratios(m)):
+        assert ratio[0] == m.rf.exp_of(j)
 
 
 @pytest.mark.parametrize("s,F", PRIMES)
@@ -251,9 +280,10 @@ def test_uniformizer_eigenproperty(s, F):
     R = m.rf
     e = exp_coeffs(R)
     pi = m.eigen_uniformizer().series
+    rows = m.galois_rows()
     for j in range(R.size - 1):
         lhs = additive_apply(e, pi.scale(R.exp_of(j)))
-        assert lhs.truncate(m.N) == m.galois_rows()[j].truncate(m.N)
+        assert lhs.truncate(m.N) == rows[j].truncate(m.N)
 
 
 @pytest.mark.parametrize("s,F", PRIMES)
@@ -321,8 +351,9 @@ def test_components_match_the_per_index_sums(q):
 @pytest.mark.parametrize("s,F", [("t^5 + t^2 + 1", F2), ("t^3 - t + 1", F3), ("t^2 + t + a", F4)])
 def test_components_do_not_depend_on_the_chunk_size(s, F, monkeypatch):
     tables = []
-    for cells in (1, fields.CHUNK_CELLS, 1 << 30):
+    for cells, block in ((1, 1), (fields.CHUNK_CELLS, fields.MATMUL_CELLS), (1 << 30, 1 << 30)):
         monkeypatch.setattr(fields, "CHUNK_CELLS", cells)
+        monkeypatch.setattr(fields, "MATMUL_CELLS", block)
         tables.append(LocalModel(parse_poly(s, F)).dlog_components())
     assert all(np.array_equal(t, tables[0]) for t in tables[1:])
 
@@ -371,8 +402,8 @@ def test_batched_dlog_matches_scalar_dlog():
         m = model(s, F)
         M = m.dlog_matrix()
         assert not M.flags.writeable
-        for j in range(m.rf.size - 1):
-            assert list(M[j]) == list(dlog(unit_ratio(m, j)).c)
+        for j, ratio in enumerate(unit_ratios(m)):
+            assert list(M[j]) == list(dlog(ratio).c)
 
 
 def test_all_cubic_primes_over_f2_agree_with_bc():

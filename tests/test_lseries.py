@@ -211,9 +211,9 @@ def test_valuation_table_gathers_once_per_frobenius_orbit(monkeypatch):
         calls["closed_weighted_sum"] += 1
         return closed(self, n)
 
-    def counted_rows(order, table, logs, reduce, ns, width=1):
+    def counted_rows(order, table, logs, reduce, ns):
         calls["rows"] += len(ns)
-        return char_sums(order, table, logs, reduce, ns, width)
+        return char_sums(order, table, logs, reduce, ns)
 
     monkeypatch.setattr(CharacterContext, "closed_weighted_sum", counted_closed)
     monkeypatch.setattr(lseries, "char_sums", counted_rows)

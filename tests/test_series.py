@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bcscan.fields import FieldError, fq_make, power_rows, residue_field_raw
-from bcscan.series import TruncSeries, derivative_rows, inverse_rows, mul_rows
+from bcscan.series import TruncSeries, derivative_rows, divide_rows, inverse_rows, mul_rows
 
 FIELDS = [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2)]
 
@@ -294,6 +294,39 @@ def test_inverse_rows_is_checked_by_schoolbook(p, r, n):
     assert Y.shape == A.shape
     for a, y in zip(as_series(F, A), as_series(F, Y)):
         assert ref_mul(a, y) == TruncSeries.one(F, n)
+
+
+@pytest.mark.parametrize("p,r", FIELDS)
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 16, 21])
+def test_divide_rows_equals_the_product_with_the_inverse(p, r, n):
+    F = fq_make(p, r)
+    rng = random.Random(53 * p + 3 * r + n)
+
+    def on_columns(cols):  # rows share the columns, as the Galois rows do
+        out = np.zeros((5, n), dtype=np.int32)
+        cols = [c for c in cols if c < n]
+        out[:, cols] = rand_rows(F, 5, len(cols), rng, unit=True)
+        return out
+
+    dense = rand_rows(F, 5, n, rng, unit=True)
+    sparse = on_columns([0, 1, 3, 7, 15])
+    gapped = on_columns([0, 3, 4, 11])  # filled three columns per step
+    mixed = rand_rows(F, 5, n, rng, density=0.3, unit=True)  # supports differ by row
+    constant = rand_rows(F, 5, n, rng, unit=True) * (np.arange(n) == 0)
+    num = rand_rows(F, 5, n, rng)
+    for den in (dense, sparse, gapped, mixed, constant):
+        got = divide_rows(F, num, den)
+        assert got.shape == (5, n) and got.dtype == np.int32
+        assert np.array_equal(got, mul_rows(F, num, inverse_rows(F, den)))
+    # a one-row numerator is broadcast against the denominators
+    assert np.array_equal(divide_rows(F, num[:1], mixed), mul_rows(F, num[:1], inverse_rows(F, mixed)))
+
+
+def test_divide_rows_rejects_a_nonunit_denominator():
+    F = fq_make(3, 1)
+    num = np.ones((2, 3), dtype=np.int32)
+    with pytest.raises(ZeroDivisionError):
+        divide_rows(F, num, np.array([[1, 2, 0], [0, 1, 1]], dtype=np.int32))
 
 
 def test_inverse_rows_rejects_a_nonunit_row():
