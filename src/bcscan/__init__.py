@@ -7,7 +7,7 @@ at each prime.  The herbrand module ties these into the per-prime
 eigenspace classification; emit and cli are the output surface.
 """
 
-from .carlitz import bc_numbers, carlitz_action, exp_coeffs, irregular_indices
+from .carlitz import bc_numbers, exp_coeffs, irregular_indices
 from .emit import emit, parse_scan_json, render_csv, render_json, render_table
 from .fields import BaseField, ConsistencyError, FieldError, ResidueField, fq_make
 from .herbrand import (
@@ -24,7 +24,7 @@ from .herbrand import (
     scan,
     validate_report,
 )
-from .localfield import LocalModel, bc_local_sweep, dlog, local_model
+from .localfield import LocalModel, bc_local_sweep, local_model
 from .lseries import (
     CharacterContext,
     LReport,
@@ -60,11 +60,9 @@ __all__ = [
     "WittRing",
     "bc_local_sweep",
     "bc_numbers",
-    "carlitz_action",
     "character_context",
     "classify_index",
     "classify_prime",
-    "dlog",
     "emit",
     "exp_coeffs",
     "fq_make",

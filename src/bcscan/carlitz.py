@@ -1,94 +1,24 @@
-"""The Carlitz module over A = F_q[t]: twisted operators, exponential
-coefficients, Bernoulli-Carlitz residues, torsion polynomials.
+"""The Carlitz module mod a prime: its exponential and the
+Bernoulli-Carlitz residues.
 
-A twisted polynomial sum(a_i F^i) is an additive operator on any
-F_q[t]-algebra, F acting as the q-power map.  Multiplication obeys
-F c = c^q F.  The Carlitz module is the ring map phi from A into twisted
-polynomials determined by phi(t) = t + F; applying phi(a) to things is
-what everything downstream is built on.
+The Carlitz module is the ring map phi from A = F_q[t] into additive
+operators determined by phi(t) = t + F, F the q-power map.  Mod a prime
+f of degree d the Carlitz exponential e(z) = sum(e_i z^(q^i)) has d
+integral coefficients (``exp_coeffs``); ``additive_apply`` applies such
+an additive polynomial to a series, and ``bc_numbers`` inverts e(z)/z to
+read off the Bernoulli-Carlitz residue at every index.  phi itself acts
+in one place, the local model, through the recursion
+x_(k+1) = T x_k + x_k^q of ``localfield``.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .fields import FieldError, ResidueField
-from .poly import Poly
 from .series import TruncSeries
-
-
-@dataclass(frozen=True)
-class TwistedPoly:
-    """sum(coeffs[i] * F^i) with polynomial coefficients, F c = c^q F."""
-
-    field: object
-    coeffs: tuple[Poly, ...]
-
-    @staticmethod
-    def make(field, coeffs) -> "TwistedPoly":
-        cs = list(coeffs)
-        while cs and cs[-1].is_zero:
-            cs.pop()
-        return TwistedPoly(field, tuple(cs))
-
-    @staticmethod
-    def zero(field) -> "TwistedPoly":
-        return TwistedPoly(field, ())
-
-    @staticmethod
-    def const(field, c: Poly) -> "TwistedPoly":
-        return TwistedPoly.make(field, (c,))
-
-    @property
-    def order(self):
-        """Frobenius degree (index of the top nonzero coefficient)."""
-        return len(self.coeffs) - 1
-
-    def __add__(self, other: "TwistedPoly") -> "TwistedPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, v in enumerate(b):
-            out[i] = out[i] + v
-        return TwistedPoly.make(self.field, out)
-
-    def __sub__(self, other: "TwistedPoly") -> "TwistedPoly":
-        return self + TwistedPoly.make(other.field, [-c for c in other.coeffs])
-
-    def __mul__(self, other: "TwistedPoly") -> "TwistedPoly":
-        # (a_i F^i)(b_j F^j) = a_i b_j^(q^i) F^(i+j)
-        if not self.coeffs or not other.coeffs:
-            return TwistedPoly.zero(self.field)
-        out = [Poly.zero(self.field)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for j, b in enumerate(other.coeffs):
-            twisted = b
-            for i, a in enumerate(self.coeffs):
-                if not (a.is_zero or twisted.is_zero):
-                    out[i + j] = out[i + j] + a * twisted
-                if i + 1 < len(self.coeffs):
-                    twisted = twisted.frobenius()
-        return TwistedPoly.make(self.field, out)
-
-    def scalar_coeffs(self, R: ResidueField) -> tuple[int, ...]:
-        """Coefficients evaluated at the residue class of t."""
-        return tuple(c.eval_at(R.t_res, R) for c in self.coeffs)
-
-
-@functools.lru_cache(maxsize=4096)
-def carlitz_action(a: Poly) -> TwistedPoly:
-    """phi(a) for the Carlitz module phi(t) = t + F."""
-    F = a.field
-    phit = TwistedPoly(F, (Poly.gen(F), Poly.one(F)))
-    acc = TwistedPoly.zero(F)
-    for c in reversed(a.coeffs):
-        acc = phit * acc
-        if c:
-            acc = acc + TwistedPoly.const(F, Poly.const(F, c))
-    return acc
 
 
 def additive_apply(scalars, x: TruncSeries) -> TruncSeries:
@@ -101,39 +31,6 @@ def additive_apply(scalars, x: TruncSeries) -> TruncSeries:
         if i + 1 < len(scalars):
             fx = fx.frobenius_q()
     return acc
-
-
-def twisted_apply(op: TwistedPoly, x, field: ResidueField | None = None):
-    """Apply the additive operator op.
-
-    Accepts a Poly over op's coefficient field (Frobenius = ^q on
-    polynomials), a TruncSeries over a residue field of it, or a packed
-    residue element together with its ResidueField.
-    """
-    if isinstance(x, TruncSeries):
-        return additive_apply(op.scalar_coeffs(x.field), x)
-    if isinstance(x, Poly):
-        acc = Poly.zero(x.field)
-        fx = x
-        for i, c in enumerate(op.coeffs):
-            if not c.is_zero:
-                acc = acc + c * fx
-            if i + 1 < len(op.coeffs):
-                fx = fx.frobenius()
-        return acc
-    if isinstance(x, int):
-        if field is None:
-            raise FieldError("packed-element apply needs the residue field")
-        acc, fx = 0, x
-        q = field.q
-        for i, c in enumerate(op.coeffs):
-            s = c.eval_at(field.t_res, field)
-            if s:
-                acc = field.add(acc, field.mul(s, fx))
-            if i + 1 < len(op.coeffs):
-                fx = field.pow(fx, q)
-        return acc
-    raise TypeError(f"cannot apply twisted operator to {type(x).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -229,37 +126,3 @@ def irregular_indices(bc: BCVector) -> frozenset[int]:
         if bc.values[n] == 0
     )
 
-
-# ---------------------------------------------------------------------------
-# Torsion polynomial of a prime.
-
-@dataclass(frozen=True)
-class TorsionPoly:
-    """phi(f) = sum(coeffs[i] F^i) for a monic prime f of degree d.
-
-    Applied to X and divided by X this is the cyclotomic polynomial
-    sum(coeffs[i] X^(q^i - 1)) whose roots are the primitive f-torsion
-    points of the Carlitz module.
-    """
-
-    prime: Poly
-    coeffs: tuple[Poly, ...]
-
-    @property
-    def d(self) -> int:
-        return len(self.coeffs) - 1
-
-    def eisenstein_ok(self) -> bool:
-        """Middle coefficients divisible by f, constant f itself, monic."""
-        if self.coeffs[0] != self.prime or not self.coeffs[-1] == Poly.one(self.prime.field):
-            return False
-        return all((c % self.prime).is_zero for c in self.coeffs[1:-1])
-
-
-def cyclotomic_poly(prime: Poly) -> TorsionPoly:
-    if not (prime.is_monic and prime.degree >= 1):
-        raise FieldError("prime must be monic of degree >= 1")
-    op = carlitz_action(prime)
-    if op.coeffs[0] != prime or op.coeffs[-1] != Poly.one(prime.field):
-        raise FieldError("torsion operator lost its expected ends")
-    return TorsionPoly(prime, op.coeffs)

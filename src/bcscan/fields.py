@@ -674,7 +674,12 @@ def fq_make(p: int, r: int = 1, modulus=None) -> BaseField:
 
 @functools.lru_cache(maxsize=None)
 def _residue_cached(p, r, modulus, prime_coeffs) -> ResidueField:
-    return ResidueField(_fq_cached(p, r, modulus), prime_coeffs)
+    # the irreducibility test runs once per field built; lru_cache keeps
+    # no exception, so a reducible prime is refused on every call
+    base = _fq_cached(p, r, modulus)
+    if not _pl_is_irreducible(base, list(prime_coeffs)):
+        raise FieldError("polynomial is not irreducible")
+    return ResidueField(base, prime_coeffs)
 
 
 def residue_field_raw(base: BaseField, prime_coeffs) -> ResidueField:
@@ -689,6 +694,4 @@ def residue_field_raw(base: BaseField, prime_coeffs) -> ResidueField:
             f"residue field size q^d = {base.size ** (len(coeffs) - 1)} exceeds "
             f"supported limit {MAX_FIELD_SIZE}"
         )
-    if not _pl_is_irreducible(base, list(coeffs)):
-        raise FieldError("polynomial is not irreducible")
     return _residue_cached(base.p, base.r, base.modulus, coeffs)

@@ -50,7 +50,6 @@ class ScanOptions:
     cross_check: bool = False
     threads: int | None = None
     include_timings: bool = False
-    witt_lift_offsets: tuple[int, ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -122,7 +121,7 @@ def classify_index(
     if not 0 < n < order:
         raise FieldError(f"character power must satisfy 0 < n < {order}")
     if n % (rf.q - 1) != 0:
-        chars = character_context(rf, options.precision, options.witt_lift_offsets)
+        chars = character_context(rf, options.precision)
         s1_valuation = chars.valuation(n)
         if options.cross_check and chars.W.valuation(l_report(chars, n).s_at_one) != s1_valuation:
             raise ConsistencyError(f"graded S_{n}(1) and the valuation table disagree")
@@ -136,13 +135,11 @@ def classify_index(
             raise ConsistencyError(
                 f"local extraction and power-series route disagree at n={n}"
             )
-    pic = pic_eigenspace_length(
-        rf, n, k=options.precision, lift_offsets=options.witt_lift_offsets
-    )
+    pic = pic_eigenspace_length(rf, n, k=options.precision)
     if options.cross_check:
         # polynomial route recomputes S_n, checks its exact vanishing at
         # T=1 and the prefix-sum L against the closed form internally
-        chars = character_context(rf, options.precision, options.witt_lift_offsets)
+        chars = character_context(rf, options.precision)
         rep = l_report(chars, n)
         diag["l_valuation_graded"] = chars.W.valuation(rep.l_value)
         if diag["l_valuation_graded"] != min(pic, options.precision):

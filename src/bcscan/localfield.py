@@ -13,7 +13,16 @@ completed picture is the power-series model R[[lambda]]:
   derivatives of the cyclotomic unit ratios g.lambda / lambda into
   Bernoulli-Carlitz residues, one character component at a time.
 
-T is Newton's root of phi(f)(lambda) / lambda under phi(t) = T + F.
+phi acts by one rule only, phi(t) = T + F applied as the recursion
+x_(k+1) = T x_k + x_k^q, phi(a)(x) = sum(a_k x_k): ``_apply_phi`` for
+the torsion equation and ``galois_rows`` for the Galois action.  T is
+Newton's root of phi(f)(lambda) / lambda.  Its first residual must sit
+at depth >= q^d - 1, as every middle coefficient of phi(f) is divisible
+by f (phi(f) is Eisenstein at f); the Newton solve checks that depth.
+The twisted-polynomial ring, Horner evaluation at a series and the
+one-unit Galois image are independent references kept in the tests
+(``tests/carlitz_oracle.py``).
+
 The sweep is whole tables: the Galois rows, read off the exp table as
 phi(a)(lambda) is F_q-linear in a; their dlogs, each ratio
 g.lambda / lambda divided into its derivative by ``series.divide_rows``
@@ -36,9 +45,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .carlitz import TorsionPoly, additive_apply, carlitz_action, cyclotomic_poly, exp_coeffs
+from .carlitz import additive_apply, exp_coeffs
 from .fields import ConsistencyError, FieldError, char_sums, power_rows
-from .poly import Poly, lift_to_poly, residue_field
+from .poly import Poly, residue_field
 from .series import TruncSeries, derivative_rows, divide_rows, mul_rows
 
 # The dlog table is (Q-1) x Q and the components' matrix product takes
@@ -53,13 +62,6 @@ def check_local_size(size: int) -> None:
     """Refuse a local model over more than MAX_LOCAL_SIZE elements."""
     if size > MAX_LOCAL_SIZE:
         raise FieldError(f"the local model is supported up to q^d = {MAX_LOCAL_SIZE}, not {size}")
-
-
-def dlog(u: TruncSeries) -> TruncSeries:
-    """u'/u, known one index less precisely than u."""
-    if u.valuation() != 0:
-        raise FieldError("logarithmic derivative needs a unit series")
-    return u.derivative() * u.inverse()
 
 
 def _apply_phi(T: TruncSeries, coeffs) -> tuple[TruncSeries, TruncSeries]:
@@ -94,9 +96,6 @@ class LocalModel:
         self.q, self.d = self.rf.q, self.rf.d
         self.N = self.q**self.d
         self.n_work = self.N + 2
-        self.torsion: TorsionPoly = cyclotomic_poly(prime)
-        if not self.torsion.eisenstein_ok():
-            raise ConsistencyError("torsion polynomial is not Eisenstein at its prime")
         self.t_series = self._solve_t_series()
         self._eig: EigenUniformizer | None = None
 
@@ -124,17 +123,6 @@ class LocalModel:
         return T
 
     # -- Galois action on lambda ----------------------------------------------
-
-    def galois_image(self, g: int) -> TruncSeries:
-        """g . lambda = sum(c_i(t(lambda)) lambda^(q^i)) for phi of the
-        canonical lift of g; exact at working precision."""
-        if not 0 < g < self.rf.size:
-            raise FieldError("Galois action is by residue units")
-        op = carlitz_action(lift_to_poly(self.rf, g))
-        out = TruncSeries.zero(self.rf, self.n_work)
-        for i, c in enumerate(op.coeffs):
-            out = out + self.t_series.eval_poly_coeffs(c.coeffs).shift_up(self.q**i)
-        return out
 
     def galois_rows(self) -> list[TruncSeries]:
         """row[j] = gamma^j . lambda = phi(a)(lambda), a = exp[j] as a polynomial

@@ -63,14 +63,8 @@ class CharacterContext:
         self._deg_weights = (logs[degs > 0], degs[degs > 0])
         self._unit_weights = (logs, np.ones_like(degs))
 
-        gamma = rf.generator
-        if lift_offsets:
-            # cycle the seed to the ring dimension so one option value
-            # serves primes of every degree in a scan
-            m = self.W.m
-            lift_offsets = tuple(lift_offsets[i % len(lift_offsets)] for i in range(m))
         W = self.W
-        wg = W.teichmuller(gamma, lift_offsets)
+        wg = W.teichmuller(rf.generator, lift_offsets)
         # multiplication by omega(gamma) is Z/p^k-linear; row i of M holds
         # the coordinates of x^i * omega(gamma), so omega(gamma^j) is row 0
         # of M^j.  int64 products are exact while m (p^k - 1)^2 < 2^63.
@@ -225,17 +219,12 @@ def saturating_valuation(valuation_at, k: int, cap: int = MAX_PRECISION) -> int:
         k = min(2 * k, cap)
 
 
-def pic_eigenspace_length(
-    rf: ResidueField,
-    n: int,
-    k: int = 12,
-    lift_offsets=None,
-) -> int:
+def pic_eigenspace_length(rf: ResidueField, n: int, k: int = 12) -> int:
     """p-adic valuation of L_n, the length of the corresponding
     eigenspace of the p-part of the class module."""
 
     def valuation_at(kk: int) -> int:
-        ctx = character_context(rf, kk, lift_offsets)
+        ctx = character_context(rf, kk)
         if not ctx.in_scope(n):
             raise FieldError(f"index {n} is not an in-scope character power")
         return ctx.valuation(n)

@@ -79,15 +79,6 @@ class Poly:
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
-    @property
-    def lead(self) -> int:
-        if not self.coeffs:
-            raise FieldError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    def coeff(self, i: int) -> int:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
-
     def canonical_key(self):
         return (self.degree, tuple(reversed(self.coeffs)))
 
@@ -108,12 +99,6 @@ class Poly:
 
     def __mul__(self, other: "Poly") -> "Poly":
         return self._wrap(_pl_mul(self.field, list(self.coeffs), list(other.coeffs)))
-
-    def scale(self, c: int) -> "Poly":
-        F = self.field
-        if c == 0:
-            return Poly.zero(F)
-        return self._wrap(_pl_trim([F.mul(c, v) for v in self.coeffs]))
 
     def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
         q, r = _pl_divmod(self.field, list(self.coeffs), list(other.coeffs))
@@ -137,11 +122,6 @@ class Poly:
             e >>= 1
         return result
 
-    def monic(self) -> "Poly":
-        if self.is_zero:
-            return self
-        return self.scale(self.field.inv(self.lead))
-
     def derivative(self) -> "Poly":
         return self._wrap(_pl_deriv(self.field, list(self.coeffs)))
 
@@ -157,17 +137,6 @@ class Poly:
         for c in reversed(self.coeffs):
             acc = F.add(F.mul(acc, x), c)
         return acc
-
-    def frobenius(self) -> "Poly":
-        """f(t)^q, computed as coefficients^q against exponents*q."""
-        F = self.field
-        q = F.frob_exponent
-        if self.is_zero:
-            return self
-        out = [0] * (q * (len(self.coeffs) - 1) + 1)
-        for i, c in enumerate(self.coeffs):
-            out[q * i] = F.pow(c, q)
-        return self._wrap(out)
 
     def is_irreducible(self) -> bool:
         return _pl_is_irreducible(self.field, list(self.coeffs))

@@ -13,7 +13,9 @@ and ``derivative_rows`` act on (rows, n) coefficient matrices, one
 series per row.  ``TruncSeries`` calls them on a one-row view, and the
 local model's dlog table and its powers of the uniformizer call them on
 all of their rows at once, so numpy overhead is paid per column rather
-than per element.
+than per element.  Composition and Horner evaluation at a series are
+not here: nothing in the package runs them, and the tests keep them as
+references in ``tests/carlitz_oracle.py``.
 """
 
 from __future__ import annotations
@@ -275,26 +277,3 @@ class TruncSeries:
         idx = np.arange(top + 1)
         out[idx * q] = F.vfrobq(self.c[idx])
         return TruncSeries(F, n, out)
-
-    def compose(self, inner: "TruncSeries") -> "TruncSeries":
-        """self(inner); inner must have zero constant term."""
-        n, _, _ = self._align(inner)
-        if inner.c[0] != 0:
-            raise FieldError("composition needs inner valuation >= 1")
-        g = inner.truncate(n)
-        acc = TruncSeries.zero(self.field, n)
-        for i in range(n - 1, -1, -1):
-            acc = acc * g
-            ci = int(self.c[i])
-            if ci:
-                acc = acc + TruncSeries.const(self.field, n, ci)
-        return acc
-
-    def eval_poly_coeffs(self, coeffs) -> "TruncSeries":
-        """Horner evaluation of a packed-coefficient polynomial at this series."""
-        acc = TruncSeries.zero(self.field, self.n)
-        for c in reversed(list(coeffs)):
-            acc = acc * self
-            if c:
-                acc = acc + TruncSeries.const(self.field, self.n, int(c))
-        return acc

@@ -31,9 +31,9 @@ from bcscan import (
     DIM_ZERO,
     ScanOptions,
     TruncSeries,
+    WittRing,
     bc_local_sweep,
     bc_numbers,
-    carlitz_action,
     character_context,
     classify_index,
     classify_prime,
@@ -52,8 +52,17 @@ from bcscan import (
     validate_report,
     witt_ring,
 )
-from bcscan.carlitz import additive_apply, twisted_apply
+from bcscan import lseries
+from bcscan.carlitz import additive_apply
 from bcscan.poly import Poly
+from carlitz_oracle import (
+    carlitz_action,
+    compose,
+    cyclotomic_poly,
+    eval_poly_coeffs,
+    galois_image,
+    twisted_apply,
+)
 from l_valuation_oracle import l_valuations
 
 SINGLE = ScanOptions(threads=1)
@@ -463,9 +472,9 @@ def test_criterion_7_randomized_algebraic_laws():
         model = local_model(f)
         if f not in torsion_coeffs:
             ts = model.t_series
-            torsion_coeffs[f] = [ts.eval_poly_coeffs(c.coeffs) for c in model.torsion.coeffs]
+            torsion_coeffs[f] = [eval_poly_coeffs(ts, c.coeffs) for c in cyclotomic_poly(f).coeffs]
         cs = torsion_coeffs[f]
-        x = model.galois_image(g)
+        x = galois_image(model, g)
         acc = TruncSeries.zero(model.rf, x.n)
         for i, cseries in enumerate(cs):
             acc = acc + cseries * x
@@ -475,7 +484,7 @@ def test_criterion_7_randomized_algebraic_laws():
     for f, g in sched[CASES:]:
         model = local_model(f)
         pi = model.eigen_uniformizer().series
-        lhs = pi.compose(model.galois_image(g))
+        lhs = compose(pi, galois_image(model, g))
         check("uniformizer eigenproperty", lhs == pi.scale(g), (poly_to_str(f), g))
 
     assert not failures, f"{len(failures)} law violations; first three: {failures[:3]}"
@@ -514,11 +523,26 @@ def _iso_key(base, max_degree):
     return Counter(rows)
 
 
-def test_criterion_8_determinism_and_representation_independence():
+def test_criterion_8_determinism_and_representation_independence(monkeypatch):
     F3 = fq_make(3)
     j1 = render_json(scan(F3, 3, SINGLE))
     assert render_json(scan(F3, 3, ScanOptions(threads=2))) == j1
-    assert render_json(scan(F3, 3, ScanOptions(threads=1, witt_lift_offsets=(7, 3)))) == j1
+
+    # every Teichmuller lift starts from a steered lift, offsets (7, 3)
+    # cycled to the ring dimension; the context cache is cleared first,
+    # or it would serve tables built without the steer
+    teichmuller, steered = WittRing.teichmuller, []
+
+    def steer(self, v, offsets=None):
+        steered.append(v)
+        return teichmuller(self, v, tuple((7, 3)[i % 2] for i in range(self.m)))
+
+    monkeypatch.setattr(WittRing, "teichmuller", steer)
+    lseries._context_cached.cache_clear()
+    assert render_json(scan(F3, 3, SINGLE)) == j1
+    assert steered, "the steered Teichmuller lift never ran"
+    monkeypatch.undo()
+    lseries._context_cached.cache_clear()
     assert render_json(scan(F3, 3, SINGLE)) == j1
 
     # F_4 admits exactly one quadratic modulus, so modulus independence is

@@ -126,6 +126,30 @@ def test_residue_field_size_cap_precedes_irreducibility_test():
         residue_field(parse_poly("t^200 + t + 1", fq_make(2, 1)))
 
 
+def test_a_built_residue_field_is_not_tested_again(monkeypatch):
+    calls = []
+    irreducible = fields._pl_is_irreducible
+
+    def counted(F, coeffs):
+        calls.append(tuple(coeffs))
+        return irreducible(F, coeffs)
+
+    monkeypatch.setattr(fields, "_pl_is_irreducible", counted)
+    f = parse_poly("t^2 + 2", fq_make(13, 1))
+    first = residue_field(f)
+    tested = len(calls)
+    assert tested <= 1
+    assert residue_field(f) is first
+    assert len(calls) == tested
+
+
+def test_a_reducible_prime_is_refused_on_every_call():
+    f = parse_poly("t^2 + 1", fq_make(2, 1))  # (t + 1)^2
+    for _ in range(2):
+        with pytest.raises(FieldError, match="not irreducible"):
+            residue_field(f)
+
+
 def test_residue_field_q2_quadratic():
     F = fq_make(2, 1)
     R = residue_field_raw(F, (1, 1, 1))  # t^2 + t + 1

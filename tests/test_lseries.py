@@ -246,6 +246,8 @@ TEICH_PRIMES = [((2, 1), "t^5 + t^2 + 1"), ((3, 1), "t^3 - t + 1"), ((2, 2), "t^
 @pytest.mark.parametrize("offsets", [None, (1, 0, 2)])
 def test_teich_table_equals_successive_witt_products(pr, prime, k, offsets):
     rf = residue_field(parse_poly(prime, fq_make(*pr)))
+    if offsets:  # cycled to the ring dimension, one offset per coordinate
+        offsets = tuple(offsets[i % len(offsets)] for i in range(witt_ring(rf, k).m))
     ctx = CharacterContext(rf, k, offsets)
     W = ctx.W
     assert (W.m * (W.pk - 1) ** 2 < 1 << 63) == (k == 12)
