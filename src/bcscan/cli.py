@@ -7,17 +7,25 @@
 Exit codes: 0 clean, 1 usage or input error, 2 internal consistency
 failure (a dual-route check or validator tripped; the output cannot be
 trusted and the bug is in this package, not in the input).
+
+A scan writes each irregular prime's report as soon as it is
+classified, so on exit 1 or 2 standard output may already hold part of
+the output.  ``--out FILE`` is written through a temporary file beside
+it and appears only when the run succeeds.  A reader that closes
+standard output early ends the run at once, with exit 0.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+from dataclasses import replace
 
 from .carlitz import bc_numbers
 from .fields import MAX_FIELD_SIZE, BaseField, ConsistencyError, FieldError, fq_make
 from .emit import emit
-from .herbrand import ScanOptions, ScanResult, classify_prime, fq_modulus_str, scan, validate_report
+from .herbrand import ScanOptions, ScanResult, classify_prime, fq_modulus_str, scan, validated
 from .poly import PolyParseError, parse_poly, residue_field, residue_to_str
 from .witt import MAX_PRECISION, PrecisionError
 
@@ -69,7 +77,10 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
                     help="recompute L-values along the graded route as well")
     sp.add_argument("--threads", type=int,
                     help="worker processes (default 1 or BCSCAN_THREADS), at most the cpu count")
-    sp.add_argument("--timings", action="store_true", help="print per-prime timings to stderr")
+    sp.add_argument("--timings", action="store_true",
+                    help="print per-prime timings to stderr, for each prime classified: by"
+                         " default only irregular primes get L-values, while --check-local"
+                         " and --cross-check classify and check every prime")
     sp.add_argument("--format", choices=["table", "json", "csv"], default="table")
     sp.add_argument("--out", help="write output to a file instead of stdout")
 
@@ -88,11 +99,19 @@ def _options(args) -> ScanOptions:
     )
 
 
-def _print_timings(result: ScanResult) -> None:
-    for rep in result.reports:
+def _checked(result: ScanResult, timings: bool) -> ScanResult:
+    """The result, each report validated, and its timings printed, as
+    it is drawn."""
+    result = validated(result)
+    return replace(result, reports=_print_timings(result.reports)) if timings else result
+
+
+def _print_timings(reports):
+    for rep in reports:
         if rep.timings:
             parts = " ".join(f"{k}={v:.3f}s" for k, v in rep.timings.items())
             print(f"timing {rep.prime}: {parts}", file=sys.stderr)
+        yield rep
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -122,10 +141,7 @@ def main(argv=None) -> int:
         base = _q_to_base(args.q, args.fq_modulus)
         if args.command == "scan":
             result = scan(base, args.max_degree, _options(args))
-            validate_report(result)
-            if args.timings:
-                _print_timings(result)
-            text = emit(result, args.format, args.out)
+            emit(_checked(result, args.timings), args.format, args.out or sys.stdout)
         elif args.command == "classify":
             options = _options(args)
             prime = parse_poly(args.prime, base)
@@ -138,10 +154,7 @@ def main(argv=None) -> int:
                 primes_scanned=1,
                 reports=(report,),
             )
-            validate_report(result)
-            if args.timings:
-                _print_timings(result)
-            text = emit(result, args.format, args.out, detail=True)
+            emit(_checked(result, args.timings), args.format, args.out or sys.stdout, detail=True)
         else:
             prime = parse_poly(args.prime, base)
             rf = residue_field(prime)
@@ -154,8 +167,13 @@ def main(argv=None) -> int:
             if args.out:
                 with open(args.out, "w", encoding="utf-8") as fh:
                     fh.write(text)
-        if not getattr(args, "out", None):
-            sys.stdout.write(text)
+            else:
+                sys.stdout.write(text)
+        return 0
+    except BrokenPipeError:
+        # the reader closed early and has all it asked for; point stdout
+        # at devnull so the flush at exit does not fail once more
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
     except _UsageError as exc:
         print(f"bcscan: {exc}", file=sys.stderr)

@@ -1,5 +1,9 @@
 """Rendering of scan results: aligned text table, JSON, CSV.
 
+Each format is written report by report, as a scan yields them, from
+the report's columns: a run holds one prime's report at a time.  The
+table aligns its columns, so it keeps its rows (three short strings
+per irregular prime) and writes them once the last is known.
 JSON carries a schema_version field and is the only format meant to be
 read back; parse_scan_json inverts render_json exactly.  Timings never
 reach any rendered format, so equal scans emit byte-identical output
@@ -8,18 +12,16 @@ regardless of thread count or clock.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
+import os
+
+import numpy as np
 
 from .fields import FieldError
-from .herbrand import (
-    DIM_AT_LEAST_ONE,
-    IndexClassification,
-    PrimeReport,
-    ScanResult,
-    strip_timings,
-)
+from .herbrand import DIM_AT_LEAST_ONE, IndexClassification, PrimeReport, ScanResult, classify_index
 
 SCHEMA_VERSION = "1"
 
@@ -39,40 +41,40 @@ def _fmt_indices(ns) -> str:
 
 
 def _dim_column(report: PrimeReport) -> str:
-    dims = [c.h1_dim for c in report.classifications if c.bc_divisible]
-    return ", ".join(dims)
+    return ", ".join(classify_index(report, n).h1_dim for n in report.irregular_indices)
 
 
-def render_table(result: ScanResult, detail: bool = False) -> str:
-    """Three-column overview; with detail=True, per-index listings too."""
-    out = io.StringIO()
+def _write_table(result: ScanResult, fh, detail: bool) -> None:
+    """Three-column overview; with detail, per-index listings too."""
     rows = [("prime", "indices", "dim")]
+    details = []
     for rep in result.reports:
         rows.append((rep.prime, _fmt_indices(rep.irregular_indices), _dim_column(rep)))
+        if detail:
+            details.append(_render_detail(rep))
     widths = [max(len(r[i]) for r in rows) for i in range(3)]
     for r in rows:
-        out.write("  ".join(col.ljust(w) for col, w in zip(r, widths)).rstrip() + "\n")
+        fh.write("  ".join(col.ljust(w) for col, w in zip(r, widths)).rstrip() + "\n")
     field = f"F_{result.q}"
     if result.fq_modulus:
         field += f" = F_p[x]/({result.fq_modulus})"
-    irregular = sum(1 for rep in result.reports if rep.irregular_indices)
-    out.write(
+    irregular = sum(1 for r in rows[1:] if r[1] != "{}")
+    fh.write(
         f"\nscanned {result.primes_scanned} primes of degree <= {result.max_degree}"
         f" over {field}; {irregular} irregular\n"
     )
     if any(DIM_AT_LEAST_ONE in r[2] for r in rows[1:]):
-        out.write(LOWER_BOUND_NOTE + "\n")
-    if detail:
-        for rep in result.reports:
-            out.write("\n" + _render_detail(rep))
-    return out.getvalue()
+        fh.write(LOWER_BOUND_NOTE + "\n")
+    for text in details:
+        fh.write("\n" + text)
 
 
 def _render_detail(report: PrimeReport) -> str:
     out = io.StringIO()
     out.write(f"{report.prime}  (degree {report.degree}, q={report.q})\n")
-    in_scope = [c for c in report.classifications if c.q_minus_1_divides]
-    off = [c for c in report.classifications if not c.q_minus_1_divides]
+    classifications = [classify_index(report, n) for n in range(1, len(report.valuations) + 1)]
+    in_scope = [c for c in classifications if c.q_minus_1_divides]
+    off = [c for c in classifications if not c.q_minus_1_divides]
     for c in in_scope:
         pic = "-" if c.pic_length is None else str(c.pic_length)
         flag = "BC_n = 0" if c.bc_divisible else "BC_n unit"
@@ -95,75 +97,93 @@ def _classification_obj(c: IndexClassification) -> dict:
     }
 
 
-def render_json(result: ScanResult) -> str:
-    result = strip_timings(result)
-    obj = {
-        "schema_version": SCHEMA_VERSION,
-        "q": result.q,
-        "fq_modulus": result.fq_modulus,
-        "max_degree": result.max_degree,
-        "precision": result.precision,
-        "primes_scanned": result.primes_scanned,
-        "reports": [
-            {
-                "prime": rep.prime,
-                "degree": rep.degree,
-                "irregular_indices": list(rep.irregular_indices),
-                "witt_precision": rep.witt_precision,
-                "classifications": [
-                    _classification_obj(c) for c in rep.classifications
-                ],
-            }
-            for rep in result.reports
+def _report_obj(rep: PrimeReport) -> dict:
+    # each index through the public single-index view of the columns
+    return {
+        "prime": rep.prime,
+        "degree": rep.degree,
+        "irregular_indices": list(rep.irregular_indices),
+        "witt_precision": rep.witt_precision,
+        "classifications": [
+            _classification_obj(classify_index(rep, n)) for n in range(1, len(rep.valuations) + 1)
         ],
     }
-    return json.dumps(obj, indent=2) + "\n"
+
+
+def _write_json(result: ScanResult, fh, detail: bool = False) -> None:
+    """The bytes of json.dumps(document, indent=2) + newline, one report
+    at a time."""
+    head = json.dumps(
+        {
+            "schema_version": SCHEMA_VERSION,
+            "q": result.q,
+            "fq_modulus": result.fq_modulus,
+            "max_degree": result.max_degree,
+            "precision": result.precision,
+            "primes_scanned": result.primes_scanned,
+        },
+        indent=2,
+    )
+    fh.write(head[:-2] + ',\n  "reports": [')
+    sep = "\n"
+    for rep in result.reports:
+        # a report sits two levels deep in the document
+        fh.write(sep + "    " + json.dumps(_report_obj(rep), indent=2).replace("\n", "\n    "))
+        sep = ",\n"
+    fh.write("]\n}\n" if sep == "\n" else "\n  ]\n}\n")
+
+
+def _parse_report(q: int, obj: dict) -> PrimeReport:
+    """A report's columns from its JSON; every classification in the
+    document must be the view its columns give."""
+    cls = obj["classifications"]
+    diags = [c["diagnostics"] for c in cls]
+    local = None
+    if any("local_component_vanished" in d for d in diags):
+        local = np.array([d.get("local_component_vanished", False) for d in diags], dtype=bool)
+    report = PrimeReport(
+        q=q,
+        prime=obj["prime"],
+        degree=obj["degree"],
+        irregular_indices=tuple(obj["irregular_indices"]),
+        witt_precision=obj["witt_precision"],
+        bc_residues=np.array([d.get("bc_residue", 0) for d in diags], dtype=np.int64),
+        valuations=np.array(
+            [c["pic_length"] if c["q_minus_1_divides"] else c["diagnostics"]["s1_valuation"]
+             for c in cls],
+            dtype=np.int64,
+        ),
+        local_vanished=local,
+        cross_checked=any("l_valuation_graded" in d for d in diags),
+    )
+    if [_classification_obj(c) for c in report.classifications] != cls:
+        raise FieldError(f"the report of {report.prime} does not follow from its columns")
+    return report
 
 
 def parse_scan_json(text: str) -> ScanResult:
     obj = json.loads(text)
     if obj.get("schema_version") != SCHEMA_VERSION:
         raise FieldError(f"unsupported schema version {obj.get('schema_version')!r}")
-    reports = tuple(
-        PrimeReport(
-            q=obj["q"],
-            prime=rep["prime"],
-            degree=rep["degree"],
-            irregular_indices=tuple(rep["irregular_indices"]),
-            witt_precision=rep["witt_precision"],
-            classifications=tuple(
-                IndexClassification(
-                    n=c["n"],
-                    q_minus_1_divides=c["q_minus_1_divides"],
-                    bc_divisible=c["bc_divisible"],
-                    pic_length=c["pic_length"],
-                    h1_dim=c["h1_dim"],
-                    diagnostics=c["diagnostics"],
-                )
-                for c in rep["classifications"]
-            ),
-        )
-        for rep in obj["reports"]
-    )
     return ScanResult(
         q=obj["q"],
         fq_modulus=obj["fq_modulus"],
         max_degree=obj["max_degree"],
         precision=obj["precision"],
         primes_scanned=obj["primes_scanned"],
-        reports=reports,
+        reports=tuple(_parse_report(obj["q"], rep) for rep in obj["reports"]),
     )
 
 
-def render_csv(result: ScanResult) -> str:
+def _write_csv(result: ScanResult, fh, detail: bool = False) -> None:
     """One row per (prime, n), fixed columns, RFC-style quoting."""
-    out = io.StringIO()
-    w = csv.writer(out, lineterminator="\n")
+    w = csv.writer(fh, lineterminator="\n")
     w.writerow(
         ["q", "prime", "degree", "n", "in_scope", "bc_divisible", "pic_length", "h1_dim"]
     )
     for rep in result.reports:
-        for c in rep.classifications:
+        for n in range(1, len(rep.valuations) + 1):
+            c = classify_index(rep, n)
             w.writerow(
                 [
                     result.q,
@@ -176,20 +196,50 @@ def render_csv(result: ScanResult) -> str:
                     c.h1_dim,
                 ]
             )
-    return out.getvalue()
 
 
-def emit(result: ScanResult, format: str = "table", out=None, detail: bool = False) -> str:
-    """Render and optionally write; returns the rendered text either way."""
-    if format == "table":
-        text = render_table(result, detail=detail)
-    elif format == "json":
-        text = render_json(result)
-    elif format == "csv":
-        text = render_csv(result)
-    else:
+_WRITERS = {"table": _write_table, "json": _write_json, "csv": _write_csv}
+
+
+def render_table(result: ScanResult, detail: bool = False) -> str:
+    return emit(result, "table", detail=detail)
+
+
+def render_json(result: ScanResult) -> str:
+    return emit(result, "json")
+
+
+def render_csv(result: ScanResult) -> str:
+    return emit(result, "csv")
+
+
+def emit(result: ScanResult, format: str = "table", out=None, detail: bool = False) -> str | None:
+    """Write ``result`` in ``format`` as its reports arrive.
+
+    ``out`` is None (the text is returned), a text stream, or a path.  A
+    path is written through a temporary file beside it, moved into its
+    place only once the whole output is written, so a run that fails
+    part way leaves no partial file; the output already written to a
+    stream stays there."""
+    write = _WRITERS.get(format)
+    if write is None:
         raise FieldError(f"unknown output format {format!r}")
-    if out is not None:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    return text
+    if out is None:
+        buf = io.StringIO()
+        write(result, buf, detail)
+        return buf.getvalue()
+    if not isinstance(out, (str, os.PathLike)):
+        write(result, out, detail)
+        return None
+    head, name = os.path.split(os.path.abspath(out))
+    tmp = os.path.join(head, f".{name}.{os.getpid()}-{os.urandom(4).hex()}.part")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "w", encoding="utf-8") as fh:
+            write(result, fh, detail)
+        os.replace(tmp, out)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
+    return None

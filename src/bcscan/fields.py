@@ -165,13 +165,6 @@ def _pl_powmod(F, a, e: int, mod) -> list[int]:
     return result
 
 
-def _pl_deriv(F, a) -> list[int]:
-    out = []
-    for i in range(1, len(a)):
-        out.append(F.mul(a[i], i % F.p))
-    return _pl_trim(out)
-
-
 def _pl_is_irreducible(F, f) -> bool:
     # Distinct-degree criterion: f of degree n is irreducible over F_q
     # iff x^(q^n) = x mod f and gcd(x^(q^(n/l)) - x, f) = 1 for every
@@ -672,10 +665,12 @@ def fq_make(p: int, r: int = 1, modulus=None) -> BaseField:
     return _fq_cached(p, r, mod)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=16)
 def _residue_cached(p, r, modulus, prime_coeffs) -> ResidueField:
     # the irreducibility test runs once per field built; lru_cache keeps
-    # no exception, so a reducible prime is refused on every call
+    # no exception, so a reducible prime is refused on every call.  The
+    # bound keeps a scan, which visits each prime once, from holding
+    # every field it built (0.7 MB each at Q = 4096)
     base = _fq_cached(p, r, modulus)
     if not _pl_is_irreducible(base, list(prime_coeffs)):
         raise FieldError("polynomial is not irreducible")

@@ -19,15 +19,26 @@ range stops at multiples of q-1.  Reports still carry raw data for
 them (the valuation of the unnormalized character sum S_n(1)) so the
 off-scope landscape can be inspected without any interpretation being
 attached.
+
+A report holds its prime's classification as columns over n, filled in
+whole-array steps; an ``IndexClassification`` is a view of one index.
+The BC vector alone shows a prime regular, so a scan builds the
+character tables and classifies only at irregular primes, unless a
+check flag asks for every prime to be checked.
 """
 
 from __future__ import annotations
 
 import functools
 import os
+import threading
 import time
+from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from multiprocessing.context import SpawnContext, SpawnProcess
+
+import numpy as np
 
 from .carlitz import bc_numbers, irregular_indices
 from .fields import BaseField, ConsistencyError, FieldError, fq_make
@@ -41,6 +52,10 @@ DIM_AT_LEAST_ONE = ">=1"
 OUT_OF_SCOPE = "out-of-scope"
 
 THREADS_ENV = "BCSCAN_THREADS"
+
+# BLAS reads its thread count once, when numpy loads it; a worker starts
+# with these set, so N workers do not each run a pool as wide as the host
+WORKER_BLAS_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
 
 @dataclass(frozen=True)
@@ -62,118 +77,197 @@ class IndexClassification:
     diagnostics: dict = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PrimeReport:
+    """One prime's classification as columns over n = 1 .. Q-2, entry
+    i holding n = i + 1:
+
+    - ``bc_residues``: BC_n as a packed residue, 0 off scope;
+    - ``valuations``: v(L_n) in scope, escalated past witt_precision
+      where the table saturates; v(S_n(1)) off scope, capped at it;
+    - ``local_vanished``: under check_local, whether the n-th dlog
+      component vanished, at in-scope 2 <= n <= Q-2 (False elsewhere);
+      None when not asked for or when no index has it;
+    - ``cross_checked``: the graded route re-derived each valuation.
+
+    Every field of an IndexClassification follows from these.
+    """
+
     q: int
     prime: str
     degree: int
     irregular_indices: tuple[int, ...]
     witt_precision: int
-    classifications: tuple[IndexClassification, ...]
+    bc_residues: np.ndarray
+    valuations: np.ndarray
+    local_vanished: np.ndarray | None = None
+    cross_checked: bool = False
     timings: dict | None = None
+
+    def __eq__(self, other):
+        if not isinstance(other, PrimeReport):
+            return NotImplemented
+        scalars = lambda r: (r.q, r.prime, r.degree, r.irregular_indices, r.witt_precision,
+                             r.cross_checked, r.timings, r.local_vanished is None)
+        return (
+            scalars(self) == scalars(other)
+            and np.array_equal(self.bc_residues, other.bc_residues)
+            and np.array_equal(self.valuations, other.valuations)
+            and (self.local_vanished is None
+                 or np.array_equal(self.local_vanished, other.local_vanished))
+        )
+
+    @property
+    def in_scope(self) -> np.ndarray:
+        return np.arange(1, len(self.valuations) + 1) % (self.q - 1) == 0
+
+    def classification(self, n: int) -> IndexClassification:
+        """The view of one index, 0 < n < Q-1."""
+        if not 0 < n <= len(self.valuations):
+            raise FieldError(f"character power must satisfy 0 < n < {len(self.valuations) + 1}")
+        v = int(self.valuations[n - 1])
+        if n % (self.q - 1):
+            return IndexClassification(n, False, False, None, OUT_OF_SCOPE, {"s1_valuation": v})
+        residue = int(self.bc_residues[n - 1])
+        diag = {"bc_residue": residue}
+        if self.local_vanished is not None and n >= 2:
+            diag["local_component_vanished"] = bool(self.local_vanished[n - 1])
+        if self.cross_checked:
+            diag["l_valuation_graded"] = min(v, self.witt_precision)
+        if residue != 0:
+            return IndexClassification(n, True, False, v, DIM_ZERO, diag)
+        return IndexClassification(n, True, True, v, DIM_ONE if v == 0 else DIM_AT_LEAST_ONE, diag)
+
+    @property
+    def classifications(self) -> tuple[IndexClassification, ...]:
+        """Every index as a view, built on each access."""
+        return tuple(self.classification(n) for n in range(1, len(self.valuations) + 1))
 
 
 @dataclass(frozen=True)
 class ScanResult:
+    """A scan's header and its reports, one per irregular prime in
+    canonical order.  From ``scan`` the reports are a one-pass iterator
+    that classifies each prime as it is drawn."""
+
     q: int
     fq_modulus: str | None
     max_degree: int
     precision: int
     primes_scanned: int
-    reports: tuple[PrimeReport, ...]
+    reports: Iterable[PrimeReport]
 
 
 class PrimeContext:
     """What classification needs at one prime, built once: the residue
-    field, the Bernoulli-Carlitz vector and the options.  The local
-    sweep is built on first use, which only check_local asks for; its
-    size bound is checked first."""
+    field, the Bernoulli-Carlitz vector with its irregular indices, and
+    the options.  The local sweep is built on first use, which only
+    check_local asks for; its size bound is checked first."""
 
     def __init__(self, prime: Poly, options: ScanOptions):
         if options.check_local:
             check_local_size(prime.field.size**prime.degree)
+        t0 = time.perf_counter()
         self.prime = prime
         self.options = options
         self.rf = residue_field(prime)
         self.bc = bc_numbers(self.rf)
+        self.irregular = tuple(sorted(irregular_indices(self.bc)))
+        self.build_s = time.perf_counter() - t0
 
     @functools.cached_property
     def sweep(self) -> LocalSweep:
         return bc_local_sweep(local_model(self.prime))
 
 
+def _context(at: Poly | PrimeContext, options: ScanOptions | None) -> PrimeContext:
+    return at if isinstance(at, PrimeContext) else PrimeContext(at, options or ScanOptions())
+
+
+def _report(ctx: PrimeContext, checked) -> PrimeReport:
+    """The prime's columns, in whole-array steps; saturated valuations
+    are escalated, and the local and graded checks run, at the indices
+    in ``checked`` only."""
+    options, rf = ctx.options, ctx.rf
+    q, Q, k = rf.q, rf.size, options.precision
+    scope = np.arange(1, Q - 1) % (q - 1) == 0
+    bc = np.array(ctx.bc.values[1 : Q - 1], dtype=np.int64)
+    chars = character_context(rf, k)
+    valuations = chars._valuations[1:].copy()
+    idx = np.asarray(checked, dtype=np.int64) - 1
+    for i in idx[scope[idx] & (valuations[idx] == k)]:  # k means "zero as far as W_k sees"
+        valuations[i] = pic_eigenspace_length(rf, int(i) + 1, k=k)
+    # a column or flag is kept only where some index shows it, so the
+    # JSON, which shows it per index, reads back to the same report
+    local = None
+    local_ns = range(max(2, q - 1), Q - 1, q - 1)
+    if options.check_local and local_ns:
+        sweep = ctx.sweep
+        local = np.zeros(Q - 2, dtype=bool)
+        local[np.array(local_ns) - 1] = [sweep.vanished[n] for n in local_ns]
+        for n in checked:
+            if n in local_ns and sweep.values[n] != bc[n - 1]:
+                raise ConsistencyError(
+                    f"local extraction and power-series route disagree at n={n}"
+                )
+    if options.cross_check:
+        # the polynomial route recomputes S_n, checks its exact vanishing
+        # at T=1 and the prefix-sum L against the closed form internally
+        for n in checked:
+            rep = l_report(chars, n)
+            if rep.in_scope:
+                graded, what = chars.W.valuation(rep.l_value), f"L_{n}"
+            else:
+                graded, what = chars.W.valuation(rep.s_at_one), f"S_{n}(1)"
+            if graded != chars.valuation(n):
+                raise ConsistencyError(f"graded {what} and the valuation table disagree")
+    return PrimeReport(
+        q=q,
+        prime=poly_to_str(ctx.prime),
+        degree=ctx.prime.degree,
+        irregular_indices=ctx.irregular,
+        witt_precision=k,
+        bc_residues=bc,
+        valuations=valuations,
+        local_vanished=local,
+        cross_checked=options.cross_check and Q - 2 >= q - 1,
+    )
+
+
 def classify_index(
-    at: Poly | PrimeContext, n: int, options: ScanOptions | None = None
+    at: Poly | PrimeContext | PrimeReport, n: int, options: ScanOptions | None = None
 ) -> IndexClassification:
     """Classify a single character power at a prime; any 0 < n < Q-1.
 
-    ``at`` is a prime, classified under ``options``, or the context of
-    one, which carries its own options.  In-scope n (multiples of q-1)
-    always get a pic_length, whether or not BC_n vanishes; the
-    L-valuation at a regular index carries no dimension information but
-    is honest data.  bc_divisible means an in-scope divisibility event:
-    for (q-1) not dividing n the residue is zero for support reasons and
-    the flag stays False.
+    ``at`` is a prime, classified under ``options``; the context of
+    one, which carries its own options; or a report, read as it stands.
+    The result is a view of the prime's columns; the check flags check
+    index n only.  In-scope n (multiples of q-1) always get a
+    pic_length, whether or not BC_n vanishes; the L-valuation at a
+    regular index carries no dimension information but is honest data.
+    bc_divisible means an in-scope divisibility event: for (q-1) not
+    dividing n the residue is zero for support reasons and the flag
+    stays False.
     """
-    ctx = at if isinstance(at, PrimeContext) else PrimeContext(at, options or ScanOptions())
-    options, rf = ctx.options, ctx.rf
-    order = rf.size - 1
+    if isinstance(at, PrimeReport):
+        return at.classification(n)
+    ctx = _context(at, options)
+    order = ctx.rf.size - 1
     if not 0 < n < order:
         raise FieldError(f"character power must satisfy 0 < n < {order}")
-    if n % (rf.q - 1) != 0:
-        chars = character_context(rf, options.precision)
-        s1_valuation = chars.valuation(n)
-        if options.cross_check and chars.W.valuation(l_report(chars, n).s_at_one) != s1_valuation:
-            raise ConsistencyError(f"graded S_{n}(1) and the valuation table disagree")
-        diag = {"s1_valuation": s1_valuation}
-        return IndexClassification(n, False, False, None, OUT_OF_SCOPE, diag)
-    residue = int(ctx.bc.values[n])
-    diag = {"bc_residue": residue}
-    if options.check_local and 2 <= n <= rf.size - 2:
-        diag["local_component_vanished"] = ctx.sweep.vanished[n]
-        if ctx.sweep.values[n] != residue:
-            raise ConsistencyError(
-                f"local extraction and power-series route disagree at n={n}"
-            )
-    pic = pic_eigenspace_length(rf, n, k=options.precision)
-    if options.cross_check:
-        # polynomial route recomputes S_n, checks its exact vanishing at
-        # T=1 and the prefix-sum L against the closed form internally
-        chars = character_context(rf, options.precision)
-        rep = l_report(chars, n)
-        diag["l_valuation_graded"] = chars.W.valuation(rep.l_value)
-        if diag["l_valuation_graded"] != min(pic, options.precision):
-            raise ConsistencyError(f"graded L_{n} and the valuation table disagree")
-    if residue != 0:
-        return IndexClassification(n, True, False, pic, DIM_ZERO, diag)
-    return IndexClassification(
-        n, True, True, pic, DIM_ONE if pic == 0 else DIM_AT_LEAST_ONE, diag
-    )
+    return _report(ctx, (n,)).classification(n)
 
 
-def classify_prime(prime: Poly, options: ScanOptions | None = None) -> PrimeReport:
-    """Full per-index report for one prime: every 1 <= n <= q^d - 2."""
-    options = options or ScanOptions()
-    timings: dict[str, float] = {}
+def classify_prime(at: Poly | PrimeContext, options: ScanOptions | None = None) -> PrimeReport:
+    """Full per-index report for one prime, every 1 <= n <= q^d - 2;
+    ``at`` is a prime or its context, as for classify_index."""
+    ctx = _context(at, options)
     t0 = time.perf_counter()
-    ctx = PrimeContext(prime, options)
-    rf = ctx.rf
-    irr = sorted(irregular_indices(ctx.bc))
-    timings["bc"] = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    # a module-level call, so a wrapper patched onto
-    # herbrand.classify_index sees every index
-    classifications = tuple(classify_index(ctx, n) for n in range(1, rf.size - 1))
-    timings["classify"] = time.perf_counter() - t0
-    return PrimeReport(
-        q=rf.q,
-        prime=poly_to_str(prime),
-        degree=prime.degree,
-        irregular_indices=tuple(irr),
-        witt_precision=options.precision,
-        classifications=classifications,
-        timings=timings if options.include_timings else None,
-    )
+    report = _report(ctx, range(1, ctx.rf.size - 1))
+    if ctx.options.include_timings:
+        timings = {"bc": ctx.build_s, "classify": time.perf_counter() - t0}
+        report = replace(report, timings=timings)
+    return report
 
 
 def _requested_threads(options: ScanOptions) -> int:
@@ -206,15 +300,78 @@ def fq_modulus_str(base: BaseField) -> str | None:
     return poly_to_str(Poly.make(fq_make(base.p, 1), base.modulus), var="x")
 
 
-def _classify_worker(payload):
+class _WorkerProcess(SpawnProcess):
+    """A spawned worker whose environment holds WORKER_BLAS_ENV from its
+    first instruction.  A spawned child inherits the parent's
+    environment, so os.environ holds those values while the child
+    starts and is restored after: another thread of the parent that
+    reads the environment meanwhile sees them.  Being spawned, a worker
+    imports the parent's main module, so a script that scans with more
+    than one thread needs an ``if __name__ == "__main__":`` guard."""
+
+    _env_lock = threading.Lock()
+
+    def start(self):
+        with self._env_lock:
+            saved = {key: os.environ.get(key) for key in WORKER_BLAS_ENV}
+            os.environ.update(WORKER_BLAS_ENV)
+            try:
+                super().start()
+            finally:
+                for key, value in saved.items():
+                    if value is None:
+                        os.environ.pop(key, None)
+                    else:
+                        os.environ[key] = value
+
+
+class _WorkerContext(SpawnContext):
+    Process = _WorkerProcess
+
+
+def _worker_pool(threads: int) -> ProcessPoolExecutor:
+    """The process pool a scan runs its primes on."""
+    return ProcessPoolExecutor(max_workers=threads, mp_context=_WorkerContext())
+
+
+def _scan_prime(prime: Poly, options: ScanOptions) -> PrimeReport | None:
+    """The report at an irregular prime, None at a regular one.  The BC
+    vector alone shows a prime regular; only a check flag goes on to
+    classify it, for the checks."""
+    ctx = PrimeContext(prime, options)
+    if not (ctx.irregular or options.check_local or options.cross_check):
+        return None
+    report = classify_prime(ctx)
+    return report if report.irregular_indices else None
+
+
+def _scan_worker(payload):
     p, r, modulus, coeffs, options = payload
-    F = fq_make(p, r, modulus)
-    return classify_prime(Poly.make(F, coeffs), options)
+    return _scan_prime(Poly.make(fq_make(p, r, modulus), coeffs), options)
+
+
+def _irregular_reports(base: BaseField, primes: list, options: ScanOptions, threads: int):
+    """Each irregular prime's report in order; each regular prime's
+    tables are dropped before the next prime."""
+    if threads == 1:
+        for f in primes:
+            report = _scan_prime(f, options)
+            if report is not None:
+                yield report
+        return
+    payloads = [(base.p, base.r, base.modulus, f.coeffs, options) for f in primes]
+    with _worker_pool(threads) as pool:
+        for report in pool.map(_scan_worker, payloads, chunksize=8):
+            if report is not None:
+                yield report
 
 
 def scan(base: BaseField, max_degree: int, options: ScanOptions | None = None) -> ScanResult:
     """Classify every monic irreducible of degree <= max_degree; the
-    result keeps a report per irregular prime, in canonical order."""
+    result yields a report per irregular prime, in canonical order.  The
+    arguments are checked and the primes enumerated at once; the
+    reports are a one-pass iterator, each prime classified as it is
+    drawn."""
     options = options or ScanOptions()
     if max_degree < 1:
         raise FieldError("max_degree must be at least 1")
@@ -226,66 +383,67 @@ def scan(base: BaseField, max_degree: int, options: ScanOptions | None = None) -
     _requested_threads(options)  # refuse a bad environment value before enumerating
     primes = [f for d in range(1, max_degree + 1) for f in monic_irreducibles(base, d)]
     threads = _resolve_threads(options, len(primes))
-    # each regular report is dropped as it arrives, not held to the end
-    irregular = lambda report: report.irregular_indices
-    if threads > 1:
-        payloads = [
-            (base.p, base.r, base.modulus, f.coeffs, options) for f in primes
-        ]
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            reports = tuple(filter(irregular, pool.map(_classify_worker, payloads, chunksize=8)))
-    else:
-        reports = tuple(filter(irregular, (classify_prime(f, options) for f in primes)))
     return ScanResult(
         q=base.size,
         fq_modulus=fq_modulus_str(base),
         max_degree=max_degree,
         precision=options.precision,
         primes_scanned=len(primes),
-        reports=reports,
+        reports=_irregular_reports(base, primes, options, threads),
     )
 
 
 def strip_timings(result: ScanResult) -> ScanResult:
-    if all(r.timings is None for r in result.reports):
-        return result
-    return replace(
-        result, reports=tuple(replace(r, timings=None) for r in result.reports)
-    )
+    """The result with its reports drawn into a tuple, timings removed."""
+    return replace(result, reports=tuple(replace(r, timings=None) for r in result.reports))
+
+
+def validated(result: ScanResult) -> ScanResult:
+    """The same result, each report checked as it is drawn, as
+    validate_report checks it."""
+    return replace(result, reports=_checked_reports(result))
 
 
 def validate_report(result: ScanResult) -> None:
-    """Internal coherence of a scan result; raises ConsistencyError."""
-    if result.primes_scanned < len(result.reports):
-        raise ConsistencyError("more irregular reports than primes scanned")
-    q = result.q
-    seen = set()
+    """Internal coherence of a scan result; raises ConsistencyError.
+    A one-pass result is drawn to its end."""
+    for _ in _checked_reports(result):
+        pass
+
+
+def _checked_reports(result: ScanResult):
+    seen: set[str] = set()
     for rep in result.reports:
-        if rep.q != q:
-            raise ConsistencyError("mixed base fields in one scan result")
-        if not 1 <= rep.degree <= result.max_degree:
-            raise ConsistencyError(f"prime degree {rep.degree} outside the scan range")
-        if rep.prime in seen:
-            raise ConsistencyError(f"duplicate prime {rep.prime}")
-        seen.add(rep.prime)
-        order = q**rep.degree - 1
-        if tuple(c.n for c in rep.classifications) != tuple(range(1, order)):
-            raise ConsistencyError("classification list does not cover 1..q^d-2 in order")
-        derived = tuple(c.n for c in rep.classifications if c.bc_divisible)
-        if derived != rep.irregular_indices:
-            raise ConsistencyError("irregular index set does not match its classifications")
-        for c in rep.classifications:
-            if c.q_minus_1_divides != (c.n % (q - 1) == 0):
-                raise ConsistencyError(f"divisibility flag wrong at n={c.n}")
-            if not c.q_minus_1_divides:
-                if c.h1_dim != OUT_OF_SCOPE or c.bc_divisible or c.pic_length is not None:
-                    raise ConsistencyError(f"off-scope index n={c.n} carries claims")
-                continue
-            if not isinstance(c.pic_length, int) or c.pic_length < 0:
-                raise ConsistencyError(f"in-scope index n={c.n} lacks a pic length")
-            if not c.bc_divisible:
-                expected = DIM_ZERO
-            else:
-                expected = DIM_ONE if c.pic_length == 0 else DIM_AT_LEAST_ONE
-            if c.h1_dim != expected:
-                raise ConsistencyError(f"dimension label at n={c.n} is inconsistent")
+        _check_report(result, rep, seen)
+        if len(seen) > result.primes_scanned:
+            raise ConsistencyError("more irregular reports than primes scanned")
+        yield rep
+
+
+def _check_report(result: ScanResult, rep: PrimeReport, seen: set[str]) -> None:
+    q = result.q
+    if rep.q != q:
+        raise ConsistencyError("mixed base fields in one scan result")
+    if not 1 <= rep.degree <= result.max_degree:
+        raise ConsistencyError(f"prime degree {rep.degree} outside the scan range")
+    if rep.prime in seen:
+        raise ConsistencyError(f"duplicate prime {rep.prime}")
+    seen.add(rep.prime)
+    columns = [rep.bc_residues, rep.valuations]
+    if rep.local_vanished is not None:
+        columns.append(rep.local_vanished)
+    if any(np.shape(c) != (q**rep.degree - 2,) for c in columns):
+        raise ConsistencyError("report columns do not cover 1..q^d-2")
+    scope = rep.in_scope
+    derived = tuple((np.flatnonzero(scope & (rep.bc_residues == 0)) + 1).tolist())
+    if derived != rep.irregular_indices:
+        raise ConsistencyError("irregular index set does not match its BC residues")
+    claims = rep.bc_residues != 0
+    if rep.local_vanished is not None:
+        claims = claims | rep.local_vanished
+    bad = np.flatnonzero(~scope & claims)
+    if bad.size:
+        raise ConsistencyError(f"off-scope index n={bad[0] + 1} carries claims")
+    bad = np.flatnonzero((rep.valuations < 0) | (~scope & (rep.valuations > rep.witt_precision)))
+    if bad.size:
+        raise ConsistencyError(f"valuation at n={bad[0] + 1} is out of range")

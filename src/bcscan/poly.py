@@ -19,7 +19,6 @@ from .fields import (
     MAX_FIELD_SIZE,
     ResidueField,
     _pl_add,
-    _pl_deriv,
     _pl_divmod,
     _pl_gcd,
     _pl_is_irreducible,
@@ -56,15 +55,6 @@ class Poly:
     def one(field) -> "Poly":
         return Poly(field, (1,))
 
-    @staticmethod
-    def const(field, c: int) -> "Poly":
-        return Poly.make(field, [c])
-
-    @staticmethod
-    def gen(field) -> "Poly":
-        """The variable itself (t for scan polynomials)."""
-        return Poly(field, (0, 1))
-
     # -- structure ------------------------------------------------------
 
     @property
@@ -78,9 +68,6 @@ class Poly:
     @property
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
-
-    def canonical_key(self):
-        return (self.degree, tuple(reversed(self.coeffs)))
 
     # -- ring operations --------------------------------------------------
 
@@ -121,22 +108,6 @@ class Poly:
             base = base * base
             e >>= 1
         return result
-
-    def derivative(self) -> "Poly":
-        return self._wrap(_pl_deriv(self.field, list(self.coeffs)))
-
-    def eval_at(self, x: int, F=None) -> int:
-        """Horner evaluation; F defaults to the coefficient field.
-
-        Packed base-field scalars embed into any residue field over the
-        same base as-is, so passing a ResidueField evaluates the natural
-        image of the polynomial at a residue element.
-        """
-        F = F or self.field
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = F.add(F.mul(acc, x), c)
-        return acc
 
     def is_irreducible(self) -> bool:
         return _pl_is_irreducible(self.field, list(self.coeffs))

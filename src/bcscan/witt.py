@@ -238,6 +238,6 @@ class WittElem:
         return f"WittElem{self.coords}"
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=32)  # a ring holds its residue field alive
 def witt_ring(rf: ResidueField, k: int) -> WittRing:
     return WittRing(rf, k)

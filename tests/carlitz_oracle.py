@@ -30,6 +30,33 @@ from bcscan.poly import Poly, lift_to_poly
 from bcscan.series import TruncSeries
 
 
+# -- polynomial operations the package itself does not use ----------------------
+
+
+def eval_at(f: Poly, x: int, F=None) -> int:
+    """Horner evaluation; F defaults to the coefficient field.
+
+    Packed base-field scalars embed into any residue field over the
+    same base as-is, so passing a ResidueField evaluates the natural
+    image of the polynomial at a residue element.
+    """
+    F = F or f.field
+    acc = 0
+    for c in reversed(f.coeffs):
+        acc = F.add(F.mul(acc, x), c)
+    return acc
+
+
+def poly_derivative(f: Poly) -> Poly:
+    F = f.field
+    return Poly.make(F, [F.mul(c, i % F.p) for i, c in enumerate(f.coeffs)][1:])
+
+
+def canonical_key(f: Poly):
+    """The scan order: degree, then coefficients from the leading one down."""
+    return (f.degree, tuple(reversed(f.coeffs)))
+
+
 def poly_frobenius(f: Poly) -> Poly:
     """f(t)^q, computed as coefficients^q against exponents*q."""
     F = f.field
@@ -92,19 +119,19 @@ class TwistedPoly:
 
     def scalar_coeffs(self, R: ResidueField) -> tuple[int, ...]:
         """Coefficients evaluated at the residue class of t."""
-        return tuple(c.eval_at(R.t_res, R) for c in self.coeffs)
+        return tuple(eval_at(c, R.t_res, R) for c in self.coeffs)
 
 
 @functools.lru_cache(maxsize=4096)
 def carlitz_action(a: Poly) -> TwistedPoly:
     """phi(a) for the Carlitz module phi(t) = t + F."""
     F = a.field
-    phit = TwistedPoly(F, (Poly.gen(F), Poly.one(F)))
+    phit = TwistedPoly(F, (Poly(F, (0, 1)), Poly.one(F)))
     acc = TwistedPoly.zero(F)
     for c in reversed(a.coeffs):
         acc = phit * acc
         if c:
-            acc = acc + TwistedPoly.const(F, Poly.const(F, c))
+            acc = acc + TwistedPoly.const(F, Poly.make(F, [c]))
     return acc
 
 
@@ -132,7 +159,7 @@ def twisted_apply(op: TwistedPoly, x, field: ResidueField | None = None):
         acc, fx = 0, x
         q = field.q
         for i, c in enumerate(op.coeffs):
-            s = c.eval_at(field.t_res, field)
+            s = eval_at(c, field.t_res, field)
             if s:
                 acc = field.add(acc, field.mul(s, fx))
             if i + 1 < len(op.coeffs):

@@ -64,6 +64,7 @@ from carlitz_oracle import (
     twisted_apply,
 )
 from l_valuation_oracle import l_valuations
+from scans import scanned
 
 SINGLE = ScanOptions(threads=1)
 
@@ -104,7 +105,7 @@ def _small_primes(max_size):
 
 def test_criterion_1_q2_catalogue_within_budget():
     t0 = time.perf_counter()
-    result = scan(fq_make(2), 5, SINGLE)
+    result = scanned(fq_make(2), 5, SINGLE)
     elapsed = time.perf_counter() - t0
     validate_report(result)
     assert result.primes_scanned == 14
@@ -159,7 +160,7 @@ Q3_CANONICAL_ORDER = (
 
 def test_criterion_2_q3_catalogue_with_exact_dimensions():
     t0 = time.perf_counter()
-    result = scan(fq_make(3), 4, SINGLE)
+    result = scanned(fq_make(3), 4, SINGLE)
     elapsed = time.perf_counter() - t0
     validate_report(result)
     assert result.primes_scanned == 32
@@ -206,7 +207,7 @@ Q4_CANONICAL_ORDER = (
 
 
 def test_criterion_3_q4_catalogue():
-    result = scan(fq_make(2, 2), 3, SINGLE)
+    result = scanned(fq_make(2, 2), 3, SINGLE)
     validate_report(result)
     assert result.primes_scanned == 30
     assert result.fq_modulus == "x^2 + x + 1"
@@ -221,7 +222,7 @@ def test_criterion_3_q4_catalogue():
 
 
 def test_criterion_4_q5_catalogue_empty():
-    result = scan(fq_make(5), 3, SINGLE)
+    result = scanned(fq_make(5), 3, SINGLE)
     validate_report(result)
     assert result.primes_scanned == 55
     assert result.reports == ()

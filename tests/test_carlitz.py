@@ -10,6 +10,7 @@ from bcscan.carlitz import additive_apply, bc_numbers, exp_coeffs, irregular_ind
 from bcscan.poly import Poly, monic_irreducibles, parse_poly, poly_to_str, residue_field
 from bcscan.series import TruncSeries
 from carlitz_oracle import (
+    eval_at,
     TwistedPoly,
     carlitz_action,
     cyclotomic_poly,
@@ -92,8 +93,8 @@ def test_twisted_apply_routes_agree():
         a = rand_poly(F3, rng, 3, monic=False)
         x = rand_poly(F3, rng, 1, monic=False)  # an A-representative
         op = carlitz_action(a)
-        poly_route = twisted_apply(op, x).eval_at(R.t_res, R)
-        packed_route = twisted_apply(op, x.eval_at(R.t_res, R), R)
+        poly_route = eval_at(twisted_apply(op, x), R.t_res, R)
+        packed_route = twisted_apply(op, eval_at(x, R.t_res, R), R)
         assert poly_route == packed_route
 
 

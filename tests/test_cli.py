@@ -1,5 +1,6 @@
 """CLI behavior: arguments, formats, exit codes."""
 
+import dataclasses
 import json
 import os
 import resource
@@ -12,6 +13,8 @@ import bcscan
 from bcscan import cli, herbrand
 from bcscan.fields import ConsistencyError
 from bcscan.localfield import MAX_LOCAL_SIZE
+from bcscan.lseries import CharacterContext
+from bcscan.poly import poly_to_str
 from bcscan.witt import PrecisionError
 
 
@@ -213,7 +216,10 @@ def test_precision_cap_exits_1(capsys, monkeypatch):
         raise PrecisionError("valuation still saturated at the precision cap 96")
 
     monkeypatch.setattr(herbrand, "pic_eigenspace_length", saturated)
-    code, out, err = run(["classify", "--q", "2", "--prime", "t^3 + t + 1"], capsys)
+    # v(L_5) = 1 at t^4 + t + 1, so at precision 1 the table saturates
+    # there and the valuation is escalated
+    args = ["classify", "--q", "2", "--prime", "t^4 + t + 1", "--precision", "1"]
+    code, out, err = run(args, capsys)
     assert code == 1 and out == ""
     assert err == "bcscan: valuation still saturated at the precision cap 96\n"
 
@@ -263,6 +269,47 @@ def _run_cli_child(args, **kwargs):
     )
 
 
+def test_a_reader_that_closes_early_ends_the_scan_quietly():
+    # 141 KB of CSV overfills the pipe, so the scan writes into a closed one
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "bcscan.cli", "scan", "--q", "2", "--max-degree", "8",
+         "--format", "csv", "--threads", "1"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=_child_env(),
+    )
+    assert proc.stdout.readline().startswith(b"q,prime,degree,n")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 0 and err == b""
+
+
+def test_a_guarded_script_scans_with_worker_processes(tmp_path):
+    # spawned workers import the script as their main module; the guard
+    # keeps them from scanning again
+    script = tmp_path / "guarded.py"
+    script.write_text(
+        "import sys\n"
+        "from bcscan import emit, fq_make, scan\n"
+        "if __name__ == '__main__':\n"
+        "    sys.stdout.write(emit(scan(fq_make(3), 3), 'json'))\n",
+        encoding="utf-8",
+    )
+    proc = subprocess.run(
+        [sys.executable, str(script)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**_child_env(), "BCSCAN_THREADS": "2"},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == _run_cli_child(
+        ["scan", "--q", "3", "--max-degree", "3", "--format", "json", "--threads", "1"],
+        timeout=120,
+    ).stdout
+
+
 def test_a_huge_prime_q_is_refused_before_factoring():
     # 2^61 - 1 is prime: trial division to its square root would take
     # about 1.5e9 steps; the timeout fails the test instead of hanging
@@ -304,3 +351,56 @@ def test_classifying_imports_no_extra_numpy_submodule():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("flag", ["--check-local", "--cross-check"])
+def test_a_fault_at_a_regular_prime_still_exits_2(flag, capsys, monkeypatch):
+    # no prime of degree <= 3 over F_2 is irregular, so every report is
+    # dropped; a check flag still checks each prime on the way
+    real_sweep, real_valuation = herbrand.bc_local_sweep, CharacterContext.valuation
+
+    def skewed_sweep(model):
+        sweep = real_sweep(model)
+        if model.rf.size != 8:
+            return sweep
+        values = dict(sweep.values)
+        values[3] = (values[3] + 1) % 8
+        return dataclasses.replace(sweep, values=values)
+
+    def skewed_valuation(self, n):
+        return real_valuation(self, n) + (self.rf.size == 8 and n == 3)
+
+    monkeypatch.setattr(herbrand, "bc_local_sweep", skewed_sweep)
+    monkeypatch.setattr(CharacterContext, "valuation", skewed_valuation)
+    args = ["scan", "--q", "2", "--max-degree", "3", "--threads", "1"]
+    code, out, _ = run(args, capsys)
+    assert code == 0 and "0 irregular" in out
+    code, _, err = run(args + [flag], capsys)
+    assert code == 2 and "consistency failure" in err
+    assert ("n=3" if flag == "--check-local" else "L_3") in err
+
+
+def test_a_failure_mid_scan_leaves_no_out_file(tmp_path, capsys, monkeypatch):
+    real, seen = herbrand.classify_prime, []
+
+    def second_fails(at, options=None):
+        seen.append(poly_to_str(at.prime))
+        if len(seen) == 2:
+            raise ConsistencyError("injected at the second irregular prime")
+        return real(at, options)
+
+    monkeypatch.setattr(herbrand, "classify_prime", second_fails)
+    args = ["scan", "--q", "3", "--max-degree", "3", "--format", "json", "--threads", "1"]
+    path = tmp_path / "scan.json"
+    code, out, err = run(args + ["--out", str(path)], capsys)
+    assert code == 2 and out == "" and "injected" in err
+    assert seen == ["t^3 - t + 1", "t^3 - t - 1"]  # a default scan classifies irregular primes only
+    assert os.listdir(tmp_path) == []
+    path.write_text("kept", encoding="utf-8")
+    seen.clear()
+    assert run(args + ["--out", str(path)], capsys)[0] == 2
+    assert os.listdir(tmp_path) == ["scan.json"] and path.read_text(encoding="utf-8") == "kept"
+    # on standard output the first report is already written
+    seen.clear()
+    code, out, _ = run(args, capsys)
+    assert code == 2 and '"prime": "t^3 - t + 1"' in out and "t^3 - t - 1" not in out

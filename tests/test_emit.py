@@ -1,8 +1,16 @@
 """Rendering: table, JSON round trip, CSV."""
 
 import dataclasses
+import io
+import os
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import emit_oracle
+from scans import scanned
 
 from bcscan.emit import (
     LOWER_BOUND_NOTE,
@@ -14,7 +22,8 @@ from bcscan.emit import (
     render_table,
 )
 from bcscan.fields import FieldError, fq_make
-from bcscan.herbrand import ScanOptions, scan, strip_timings
+from bcscan.herbrand import PrimeReport, ScanOptions, ScanResult, classify_prime, scan, strip_timings
+from bcscan.poly import parse_poly
 
 F2 = fq_make(2, 1)
 F3 = fq_make(3, 1)
@@ -22,12 +31,12 @@ F3 = fq_make(3, 1)
 
 @pytest.fixture(scope="module")
 def q2_result():
-    return scan(F2, 4)
+    return scanned(F2, 4)
 
 
 @pytest.fixture(scope="module")
 def q3_result():
-    return scan(F3, 4)
+    return scanned(F3, 4)
 
 
 def test_table_columns_and_footer(q2_result):
@@ -65,7 +74,7 @@ def test_json_round_trip(q3_result):
 
 
 def test_json_round_trip_with_timings():
-    r = scan(F2, 4, ScanOptions(include_timings=True))
+    r = scanned(F2, 4, ScanOptions(include_timings=True))
     assert parse_scan_json(render_json(r)) == strip_timings(r)
 
 
@@ -102,8 +111,9 @@ def test_csv_one_row_per_index(q3_result):
 
 def test_emit_writes_file(tmp_path, q2_result):
     path = tmp_path / "out.json"
-    text = emit(q2_result, "json", str(path))
-    assert path.read_text(encoding="utf-8") == text
+    assert emit(q2_result, "json", str(path)) is None
+    assert path.read_text(encoding="utf-8") == emit(q2_result, "json")
+    assert os.listdir(tmp_path) == ["out.json"]  # the temporary file was moved, not left
 
 
 def test_emit_rejects_unknown_format(q2_result):
@@ -112,8 +122,8 @@ def test_emit_rejects_unknown_format(q2_result):
 
 
 def test_rendering_ignores_timings():
-    quiet = scan(F2, 4)
-    timed = scan(F2, 4, ScanOptions(include_timings=True))
+    quiet = scanned(F2, 4)
+    timed = scanned(F2, 4, ScanOptions(include_timings=True))
     assert render_json(quiet) == render_json(timed)
     assert render_csv(quiet) == render_csv(timed)
     assert render_table(quiet) == render_table(timed)
@@ -124,3 +134,100 @@ def test_round_trip_preserves_diagnostics(q3_result):
     orig = {(r.prime, c.n): c.diagnostics for r in q3_result.reports for c in r.classifications}
     got = {(r.prime, c.n): c.diagnostics for r in back.reports for c in r.classifications}
     assert orig == got
+
+
+# -- the column writers against the whole-document oracle ---------------------
+
+CATALOGUES = ((2, 5), (3, 4), (4, 3), (5, 3))
+FIELDS = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1)}
+
+
+@pytest.fixture(scope="module")
+def catalogues():
+    return {(q, d): scanned(fq_make(*FIELDS[q]), d) for q, d in CATALOGUES}
+
+
+@pytest.mark.parametrize("q,d", CATALOGUES)
+@pytest.mark.parametrize("format", ["table", "json", "csv"])
+def test_streamed_writer_matches_the_oracle_on_the_catalogues(catalogues, q, d, format):
+    want = getattr(emit_oracle, f"render_{format}")(catalogues[q, d])
+    assert emit(catalogues[q, d], format) == want
+    buf = io.StringIO()
+    assert emit(scan(fq_make(*FIELDS[q]), d), format, buf) is None
+    assert buf.getvalue() == want
+
+
+@pytest.mark.parametrize("q,prime", [(3, "t^3 - t + 1"), (2, "t^4 + t + 1"), (3, "t + 1")])
+def test_checked_reports_match_the_oracle(q, prime):
+    # the local flags and the graded valuations reach the JSON per index
+    base = fq_make(*FIELDS[q])
+    report = classify_prime(parse_poly(prime, base), ScanOptions(check_local=True, cross_check=True))
+    result = ScanResult(q, None, report.degree, 12, 1, (report,))
+    assert render_json(result) == emit_oracle.render_json(result)
+    assert render_table(result, detail=True) == emit_oracle.render_table(result, detail=True)
+    assert render_csv(result) == emit_oracle.render_csv(result)
+    assert parse_scan_json(render_json(result)) == result
+
+
+@st.composite
+def column_reports(draw, q: int, prime: str) -> PrimeReport:
+    """A report as classify_prime lays one out: BC residues 0 off scope,
+    off-scope valuations capped at k, local flags only at in-scope
+    2 <= n <= Q-2, and the flags only where some index shows them."""
+    degree = draw(st.integers(1, {2: 4, 3: 3, 4: 2, 5: 2}[q]))
+    Q, k = q**degree, draw(st.integers(1, 20))
+    ns = range(1, Q - 1)
+    scope = [n % (q - 1) == 0 for n in ns]
+    residue = st.one_of(st.just(0), st.integers(1, Q - 1))
+    bc = [draw(residue) if s else 0 for s in scope]
+    valuations = [draw(st.integers(0, 3 * k if s else k)) for s in scope]
+    local_ns = range(max(2, q - 1), Q - 1, q - 1)
+    local = None
+    if local_ns and draw(st.booleans()):
+        local = np.array([n in local_ns and draw(st.booleans()) for n in ns], dtype=bool)
+    return PrimeReport(
+        q=q,
+        prime=prime,
+        degree=degree,
+        irregular_indices=tuple(n for n, s, b in zip(ns, scope, bc) if s and b == 0),
+        witt_precision=k,
+        bc_residues=np.array(bc, dtype=np.int64),
+        valuations=np.array(valuations, dtype=np.int64),
+        local_vanished=local,
+        cross_checked=Q - 2 >= q - 1 and draw(st.booleans()),
+    )
+
+
+@st.composite
+def column_results(draw) -> ScanResult:
+    q = draw(st.sampled_from([2, 3, 4, 5]))
+    primes = draw(st.lists(st.text(min_size=1, max_size=8), max_size=3, unique=True))
+    reports = tuple(draw(column_reports(q, prime)) for prime in primes)
+    return ScanResult(
+        q=q,
+        fq_modulus=draw(st.none() | st.text(max_size=8)),
+        max_degree=max([r.degree for r in reports], default=1),
+        precision=draw(st.integers(1, 96)),
+        primes_scanned=len(reports) + draw(st.integers(0, 50)),
+        reports=reports,
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(column_results())
+def test_json_round_trip_of_column_reports(result):
+    assert parse_scan_json(render_json(result)) == result
+
+
+@settings(max_examples=150, deadline=None)
+@given(column_results())
+def test_column_writers_match_the_oracle(result):
+    assert render_json(result) == emit_oracle.render_json(result)
+    assert render_csv(result) == emit_oracle.render_csv(result)
+    assert render_table(result, detail=True) == emit_oracle.render_table(result, detail=True)
+
+
+def test_json_whose_labels_contradict_its_columns_is_refused(q2_result):
+    text = render_json(q2_result).replace('"h1_dim": "1"', '"h1_dim": "0"')
+    with pytest.raises(FieldError, match="does not follow from its columns"):
+        parse_scan_json(text)

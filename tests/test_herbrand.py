@@ -2,12 +2,13 @@
 
 import dataclasses
 import gc
+import os
 import re
 import weakref
 
 import pytest
 
-from bcscan import herbrand
+from bcscan import herbrand, lseries
 from bcscan.carlitz import bc_numbers, irregular_indices
 from bcscan.fields import ConsistencyError, FieldError, fq_make
 from bcscan.herbrand import (
@@ -26,7 +27,8 @@ from bcscan.herbrand import (
     validate_report,
 )
 from bcscan.lseries import CharacterContext
-from bcscan.poly import parse_poly, residue_field
+from bcscan.poly import Poly, parse_poly, poly_to_str, residue_field
+from scans import scanned
 
 F2 = fq_make(2, 1)
 F3 = fq_make(3, 1)
@@ -161,7 +163,7 @@ def test_cross_check_compares_the_valuation_table(monkeypatch, n, label):
 
 
 def test_scan_q2_table():
-    r = scan(F2, 5)
+    r = scanned(F2, 5)
     validate_report(r)
     assert r.primes_scanned == 14
     assert [(rep.prime, rep.irregular_indices) for rep in r.reports] == [
@@ -170,7 +172,7 @@ def test_scan_q2_table():
 
 
 def test_scan_empty_q5():
-    r = scan(fq_make(5, 1), 2)
+    r = scanned(fq_make(5, 1), 2)
     validate_report(r)
     assert r.reports == ()
     assert r.primes_scanned == 15
@@ -184,7 +186,7 @@ def test_scan_thread_determinism():
 
 def test_scan_threads_env_override(monkeypatch):
     monkeypatch.setenv("BCSCAN_THREADS", "2")
-    r = scan(F2, 4)
+    r = scanned(F2, 4)
     validate_report(r)
     assert [rep.prime for rep in r.reports] == ["t^4 + t + 1"]
     monkeypatch.setenv("BCSCAN_THREADS", "zebra")
@@ -209,19 +211,20 @@ def test_thread_count_is_clamped(monkeypatch):
 
 
 def test_scan_frees_each_regular_report_before_the_next_prime(monkeypatch):
-    real = herbrand.classify_prime
+    # a regular prime gets no report: its context (the field and the BC
+    # vector) is all it holds, and that is freed before the next prime
     last_regular, freed = [], []
 
-    def tracked(prime, options=None):
-        if last_regular:
-            gc.collect()
-            freed.append(last_regular.pop()() is None)
-        report = real(prime, options)
-        if not report.irregular_indices:
-            last_regular.append(weakref.ref(report))
-        return report
+    class Tracked(herbrand.PrimeContext):
+        def __init__(self, prime, options):
+            if last_regular:
+                gc.collect()
+                freed.append(last_regular.pop()() is None)
+            super().__init__(prime, options)
+            if not self.irregular:
+                last_regular.append(weakref.ref(self))
 
-    monkeypatch.setattr(herbrand, "classify_prime", tracked)
+    monkeypatch.setattr(herbrand, "PrimeContext", Tracked)
     r = scan(F2, 5, ScanOptions(threads=1))
     assert [rep.prime for rep in r.reports] == ["t^4 + t + 1"]
     assert len(freed) >= 12 and all(freed)
@@ -249,34 +252,121 @@ def test_timings_gated_by_option():
     assert set(rep.timings) == {"bc", "classify"}
 
 
+def _forge(result, rep, **columns):
+    return dataclasses.replace(result, reports=(dataclasses.replace(rep, **columns),))
+
+
 def test_validator_rejects_tampering():
-    r = scan(F2, 4)
+    r = scanned(F2, 4)
     rep = r.reports[0]
-    bad = rep.classifications[8]
-    assert bad.n == 9
-    forged = dataclasses.replace(bad, h1_dim=DIM_AT_LEAST_ONE)
-    cls = rep.classifications[:8] + (forged,) + rep.classifications[9:]
-    forged_rep = dataclasses.replace(rep, classifications=cls)
-    forged_result = dataclasses.replace(r, reports=(forged_rep,))
-    with pytest.raises(ConsistencyError):
-        validate_report(forged_result)
+    assert rep.irregular_indices == (9,) and rep.classification(9).h1_dim == DIM_ONE
+    bc = rep.bc_residues.copy()
+    bc[8] = 1  # BC_9 a unit: n=9 would read dim 0 against the irregular set
+    with pytest.raises(ConsistencyError, match="irregular index set"):
+        validate_report(_forge(r, rep, bc_residues=bc))
+    valuations = rep.valuations.copy()
+    valuations[8] = -1
+    with pytest.raises(ConsistencyError, match="n=9"):
+        validate_report(_forge(r, rep, valuations=valuations))
 
 
 def test_validator_rejects_missing_indices():
-    r = scan(F2, 4)
+    r = scanned(F2, 4)
     rep = r.reports[0]
-    shrunk = dataclasses.replace(rep, classifications=rep.classifications[:5])
+    shrunk = _forge(r, rep, bc_residues=rep.bc_residues[:5], valuations=rep.valuations[:5])
     with pytest.raises(ConsistencyError):
-        validate_report(dataclasses.replace(r, reports=(shrunk,)))
+        validate_report(shrunk)
 
 
 def test_validator_rejects_offscope_claims():
-    r = scan(F3, 3)
+    r = scanned(F3, 3)
     rep = r.reports[0]
     idx = next(i for i, c in enumerate(rep.classifications) if not c.q_minus_1_divides)
-    forged = dataclasses.replace(rep.classifications[idx], h1_dim=DIM_ZERO)
-    cls = rep.classifications[:idx] + (forged,) + rep.classifications[idx + 1 :]
-    with pytest.raises(ConsistencyError):
-        validate_report(
-            dataclasses.replace(r, reports=(dataclasses.replace(rep, classifications=cls),))
-        )
+    bc = rep.bc_residues.copy()
+    bc[idx] = 1
+    with pytest.raises(ConsistencyError, match=f"n={idx + 1} carries claims"):
+        validate_report(_forge(r, rep, bc_residues=bc))
+    valuations = rep.valuations.copy()
+    valuations[idx] = rep.witt_precision + 1  # off scope the table is capped at k
+    with pytest.raises(ConsistencyError, match=f"n={idx + 1}"):
+        validate_report(_forge(r, rep, valuations=valuations))
+
+
+def _prime_of(rf):
+    return poly_to_str(Poly(rf.base, rf.prime_coeffs))
+
+
+def test_default_scan_builds_character_tables_only_at_irregular_primes(monkeypatch):
+    built = []
+    real_init = CharacterContext.__init__
+
+    def counted(self, rf, k, lift_offsets=None):
+        built.append((_prime_of(rf), k))
+        real_init(self, rf, k, lift_offsets)
+
+    monkeypatch.setattr(CharacterContext, "__init__", counted)
+    lseries._context_cached.cache_clear()  # cached tables would hide a build
+    try:
+        r = scanned(F3, 4, ScanOptions(threads=1))
+        assert sorted(built) == sorted((rep.prime, 12) for rep in r.reports)
+        assert len(built) == 8 and r.primes_scanned == 32
+        built.clear()
+        lseries._context_cached.cache_clear()
+        # a check flag classifies, and so checks, every prime
+        r = scanned(F3, 3, ScanOptions(threads=1, cross_check=True))
+        assert len({prime for prime, _ in built}) == r.primes_scanned == 14
+    finally:
+        lseries._context_cached.cache_clear()
+
+
+def test_classify_prime_reads_the_valuation_table_once(monkeypatch):
+    # whole-array steps: no per-index escalation call unless an entry
+    # saturates, and no per-index classification object
+    calls = []
+    real = herbrand.pic_eigenspace_length
+    monkeypatch.setattr(
+        herbrand, "pic_eigenspace_length", lambda rf, n, k: calls.append(n) or real(rf, n, k=k)
+    )
+    monkeypatch.setattr(herbrand, "classify_index", None)
+    f = parse_poly("t^4 + t + 1", F2)
+    assert classify_prime(f).classification(5).pic_length == 1
+    assert calls == []
+    rep = classify_prime(f, ScanOptions(precision=1))  # v(L_5) = v(L_10) = 1 saturate W_1
+    assert calls == [5, 10]
+    assert rep.classification(5).pic_length == 1 and rep.classification(5).diagnostics == {
+        "bc_residue": int(bc_numbers(residue_field(f)).values[5])
+    }
+
+
+def test_classify_index_escalates_its_own_index_only(monkeypatch):
+    calls = []
+    real = herbrand.pic_eigenspace_length
+    monkeypatch.setattr(
+        herbrand, "pic_eigenspace_length", lambda rf, n, k: calls.append(n) or real(rf, n, k=k)
+    )
+    f = parse_poly("t^4 + t + 1", F2)
+    low = ScanOptions(precision=1)  # v(L_5) = v(L_10) = 1 saturate W_1
+    assert classify_index(f, 10, low).pic_length == 1 and calls == [10]
+    calls.clear()
+    assert classify_index(f, 9, low).pic_length == 0 and calls == []
+
+
+def test_columns_and_views_agree():
+    f = parse_poly("t^3 - t + 1", F3)
+    options = ScanOptions(check_local=True, cross_check=True)
+    rep = classify_prime(f, options)
+    assert rep.classifications == tuple(classify_index(f, n, options) for n in range(1, 26))
+    assert rep.classifications == tuple(classify_index(rep, n) for n in range(1, 26))
+    for n in (0, 26):
+        with pytest.raises(FieldError):
+            classify_index(rep, n)
+
+
+def test_workers_run_one_blas_thread_and_the_parent_keeps_its_environment(monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "7")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    before = dict(os.environ)
+    with herbrand._worker_pool(2) as pool:
+        got = list(pool.map(os.getenv, list(herbrand.WORKER_BLAS_ENV)))
+    assert got == ["1"] * len(herbrand.WORKER_BLAS_ENV)
+    assert dict(os.environ) == before

@@ -16,6 +16,7 @@ from bcscan.localfield import (
 from bcscan.poly import lift_to_poly, monic_irreducibles, parse_poly
 from bcscan.series import TruncSeries, derivative_rows, inverse_rows, mul_rows
 from carlitz_oracle import (
+    eval_at,
     carlitz_action,
     cyclotomic_poly,
     dlog,
@@ -237,7 +238,7 @@ def test_scalar_collapse(s, F):
         op = carlitz_action(lift_to_poly(R, g))
         collapsed = TruncSeries.zero(R, m.n_work)
         for i, c in enumerate(op.coeffs):
-            scalar = c.eval_at(R.t_res, R)
+            scalar = eval_at(c, R.t_res, R)
             collapsed = collapsed + TruncSeries.monomial(R, m.n_work, R.q**i).scale(scalar)
         assert galois_image(m, g).truncate(m.N) == collapsed.truncate(m.N)
 
