@@ -457,10 +457,17 @@ class PackedField:
         time: b is expanded once per row block of a (r k / MATMUL_CELLS
         of them) and a's planes gathered once per column block of b
         (n k m / MATMUL_CELLS).  Holding all m expanded blocks of b in
-        the same budget would gather a's planes m times as often."""
+        the same budget would gather a's planes m times as often.
+
+        Some BLAS builds raise the invalid flag on such exact operands
+        without a wrong value (it was seen once, in a full test run), so
+        the flag is ignored inside the products and their values are
+        checked instead: every digit sum finite and in [0, k m (p-1)^2],
+        every packed entry finite and below p^m."""
         p, m = self.p, self.m
         (r, k), n = a.shape, b.shape[1]
-        dtype = np.float32 if k * m * (p - 1) ** 2 < 1 << 24 else np.float64
+        bound = k * m * (p - 1) ** 2
+        dtype = np.float32 if bound < 1 << 24 else np.float64
         digits = self._unpack.astype(dtype)
         planes = digits.T.copy()  # planes[i][v] is digit i of v
         beta_logs = self._nplog[self._packw]
@@ -473,11 +480,22 @@ class PackedField:
             for s in range(0, r, rstep):
                 A = a[s : s + rstep]
                 acc = np.zeros((len(A), width), dtype)
-                for i in range(m):
-                    acc += planes[i][A] @ digits[self._zexp[logb + beta_logs[i]]].reshape(k, width)
-                acc = np.remainder(acc.reshape(len(A), -1, m), p) @ self._packw.astype(dtype)
+                with np.errstate(invalid="ignore"):
+                    for i in range(m):
+                        beta_b = digits[self._zexp[logb + beta_logs[i]]].reshape(k, width)
+                        acc += planes[i][A] @ beta_b
+                _check_exact(acc, bound, "digit sum")
+                with np.errstate(invalid="ignore"):
+                    acc = np.remainder(acc.reshape(len(A), -1, m), p) @ self._packw.astype(dtype)
+                _check_exact(acc, self.order, "packed entry")
                 out[s : s + rstep, c : c + cstep] = acc
         return out
+
+
+def _check_exact(x: np.ndarray, bound: int, what: str) -> None:
+    """x, a float block of ``vmatmul``, holds finite values in [0, bound]."""
+    if not (np.isfinite(x).all() and (x >= 0).all() and (x <= bound).all()):
+        raise ConsistencyError(f"vmatmul: a {what} is not finite or not in [0, {bound}]")
 
 
 def _weight_ordered(p: int, r: int):
@@ -665,16 +683,32 @@ def fq_make(p: int, r: int = 1, modulus=None) -> BaseField:
     return _fq_cached(p, r, mod)
 
 
+class _Irreducible(tuple):
+    """Prime coefficients irreducible by construction, as the orbit
+    enumerator makes them: equal to the plain tuple and hashed alike, so
+    both reach the same cached field."""
+
+
 @functools.lru_cache(maxsize=16)
 def _residue_cached(p, r, modulus, prime_coeffs) -> ResidueField:
-    # the irreducibility test runs once per field built; lru_cache keeps
-    # no exception, so a reducible prime is refused on every call.  The
-    # bound keeps a scan, which visits each prime once, from holding
-    # every field it built (0.7 MB each at Q = 4096)
+    """Where a prime is tested for irreducibility before its field is
+    built, once per field: a field found in the cache is not tested
+    again, and an ``_Irreducible`` prime, which comes from the
+    enumerator, not at all.  lru_cache keeps no exception, so a
+    reducible prime is refused on every call, before any table is
+    built.  The bound keeps a scan, which visits each prime once, from
+    holding every field it built (0.7 MB each at Q = 4096)."""
     base = _fq_cached(p, r, modulus)
-    if not _pl_is_irreducible(base, list(prime_coeffs)):
+    known = isinstance(prime_coeffs, _Irreducible)
+    if not known and not _pl_is_irreducible(base, list(prime_coeffs)):
         raise FieldError("polynomial is not irreducible")
-    return ResidueField(base, prime_coeffs)
+    return ResidueField(base, tuple(prime_coeffs))
+
+
+def _enumerated_residue_field(base: BaseField, prime_coeffs) -> ResidueField:
+    """The residue field of a prime from ``poly.monic_irreducibles``,
+    irreducible by construction, so built without a test."""
+    return _residue_cached(base.p, base.r, base.modulus, _Irreducible(prime_coeffs))
 
 
 def residue_field_raw(base: BaseField, prime_coeffs) -> ResidueField:

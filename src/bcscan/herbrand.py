@@ -41,7 +41,14 @@ from multiprocessing.context import SpawnContext, SpawnProcess
 import numpy as np
 
 from .carlitz import bc_numbers, irregular_indices
-from .fields import BaseField, ConsistencyError, FieldError, fq_make
+from .fields import (
+    BaseField,
+    ConsistencyError,
+    FieldError,
+    _enumerated_residue_field,
+    _fq_cached,
+    fq_make,
+)
 from .lseries import character_context, l_report, pic_eigenspace_length
 from .localfield import LocalSweep, bc_local_sweep, check_local_size, local_model
 from .poly import Poly, monic_irreducibles, poly_to_str, residue_field
@@ -337,7 +344,9 @@ def _worker_pool(threads: int) -> ProcessPoolExecutor:
 def _scan_prime(prime: Poly, options: ScanOptions) -> PrimeReport | None:
     """The report at an irregular prime, None at a regular one.  The BC
     vector alone shows a prime regular; only a check flag goes on to
-    classify it, for the checks."""
+    classify it, for the checks.  The prime comes from the enumerator,
+    so its field is built untested, and the context finds it cached."""
+    _enumerated_residue_field(prime.field, prime.coeffs)
     ctx = PrimeContext(prime, options)
     if not (ctx.irregular or options.check_local or options.cross_check):
         return None
@@ -346,8 +355,10 @@ def _scan_prime(prime: Poly, options: ScanOptions) -> PrimeReport | None:
 
 
 def _scan_worker(payload):
+    # the modulus and the prime come from a scan's base field and
+    # enumerator, so neither is tested again here
     p, r, modulus, coeffs, options = payload
-    return _scan_prime(Poly.make(fq_make(p, r, modulus), coeffs), options)
+    return _scan_prime(Poly(_fq_cached(p, r, modulus), coeffs), options)
 
 
 def _irregular_reports(base: BaseField, primes: list, options: ScanOptions, threads: int):

@@ -5,6 +5,13 @@ field elements, trailing zeros trimmed.  The canonical ordering used for
 scan output sorts by degree, then lexicographically on the coefficient
 vector read from the leading term down, coefficients compared by packed
 value.  Text round trips are exact: ``parse_poly(poly_to_str(f)) == f``.
+
+The primes of F_q[t] are enumerated by Frobenius orbits, one field
+F_(q^d) per degree (``monic_irreducibles``), and are irreducible by
+construction.  A prime's irreducibility is tested in one place,
+``fields._residue_cached``, when its residue field is first built, and
+only for polynomials from outside the enumerator; the enumerator's own
+test runs only in its search for the first prime of each degree.
 """
 
 from __future__ import annotations
@@ -13,11 +20,15 @@ import itertools
 import re
 from dataclasses import dataclass
 
+import numpy as np
+
 from .fields import (
     BaseField,
+    ConsistencyError,
     FieldError,
     MAX_FIELD_SIZE,
     ResidueField,
+    _enumerated_residue_field,
     _pl_add,
     _pl_divmod,
     _pl_gcd,
@@ -25,6 +36,7 @@ from .fields import (
     _pl_mul,
     _pl_sub,
     _pl_trim,
+    _prime_factors,
     residue_field_raw,
 )
 
@@ -132,7 +144,52 @@ def monic_polys(field, d: int):
 
 
 def monic_irreducibles(field, d: int) -> list[Poly]:
-    return [f for f in monic_polys(field, d) if f.is_irreducible()]
+    """The monic irreducibles of degree d over field, in canonical order.
+
+    They are the minimal polynomials of the Frobenius orbits of length
+    exactly d in F_(q^d) (Lidl and Niederreiter, *Finite Fields*, Thm.
+    3.25).  One field serves the degree: R = F_q[t]/(f0), f0 the first
+    monic irreducible in canonical order, found by the distinct-degree
+    test; R is cached, so a scan that reaches f0 reuses it.  Each orbit
+    is kept at its least packed element a, its conjugates a^(q^i) are
+    gathers through R's Frobenius table, and prod (x - a^(q^i)) is
+    multiplied out across all orbits at once.  The F_q inside R are the
+    packed values below q, so every coefficient is checked to be one.
+    Degree 1 is t + c directly.  These primes are irreducible by
+    construction: a scan builds their fields without testing them.  A
+    degree with q^d above the residue-field cap is refused."""
+    q = field.size
+    if d < 1:
+        return []
+    if q**d > MAX_FIELD_SIZE:
+        raise FieldError(
+            f"residue field size q^d = {q**d} exceeds supported limit {MAX_FIELD_SIZE}"
+        )
+    if d == 1:
+        return [Poly(field, (c, 1)) for c in range(q)]
+    f0 = next(f for f in monic_polys(field, d) if f.is_irreducible())
+    R = _enumerated_residue_field(field, f0.coeffs)
+    conj = np.empty((R.size, d), dtype=np.int32)  # row a: a, a^q, .., a^(q^(d-1))
+    conj[:, 0] = np.arange(R.size)
+    for i in range(1, d):
+        conj[:, i] = R.vfrobq(conj[:, i - 1])
+    a = conj[:, 0]
+    keep = conj.min(axis=1) == a
+    for ell in _prime_factors(d):
+        keep &= conj[:, d // ell] != a  # the orbit is no shorter than d
+    roots = conj[keep]
+    # column j holds the coefficient of x^j of prod (x - root) over the
+    # roots taken so far; each root shifts it up and subtracts root * it
+    coeffs = np.zeros((len(roots), d + 1), dtype=np.int32)
+    coeffs[:, 0] = 1
+    for i in range(d):
+        shifted = np.zeros_like(coeffs)
+        shifted[:, 1:] = coeffs[:, :-1]
+        coeffs = R.vsub(shifted, R.vmul(roots[:, i : i + 1], coeffs))
+    if (coeffs >= q).any():
+        raise ConsistencyError(f"a minimal polynomial in F_{R.size} is not over F_{q}")
+    coeffs = coeffs[np.lexsort(coeffs[:, :d].T)]  # the x^(d-1) column is the primary key
+    return [Poly(field, tuple(row)) for row in coeffs.tolist()]
 
 
 def residue_field(prime: Poly) -> ResidueField:

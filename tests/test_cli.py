@@ -178,6 +178,13 @@ def test_check_local_above_its_bound_refused_before_any_work(args, capsys, monke
     assert err.startswith("bcscan: ") and f"up to q^d = {MAX_LOCAL_SIZE}," in err
 
 
+def test_a_reducible_prime_exits_1(capsys):
+    code, out, err = run(["classify", "--q", "2", "--prime", "t^4 + t^2 + 1"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("bcscan: ") and "not irreducible" in err
+
+
 def test_degree_one_prime_at_the_precision_cap(capsys):
     # 3^96 overflows int64: the Teichmuller table must fall back to
     # Python integers even though no sum has more than one term

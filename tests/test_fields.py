@@ -1,5 +1,6 @@
 """Field-layer tests: packed arithmetic, tables, residue construction."""
 
+import copy
 import functools
 import random
 
@@ -9,6 +10,7 @@ import pytest
 from bcscan import fields
 from bcscan.fields import (
     BaseField,
+    ConsistencyError,
     FieldError,
     ResidueField,
     default_modulus,
@@ -150,6 +152,17 @@ def test_a_reducible_prime_is_refused_on_every_call():
             residue_field(f)
 
 
+def test_a_reducible_prime_is_refused_before_any_table_is_built(monkeypatch):
+    def never(*_):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(fields, "ResidueField", never)
+    f = parse_poly("t^2 + 1", fq_make(2, 1))  # (t + 1)^2
+    for _ in range(2):
+        with pytest.raises(FieldError, match="not irreducible"):
+            residue_field(f)
+
+
 def test_residue_field_q2_quadratic():
     F = fq_make(2, 1)
     R = residue_field_raw(F, (1, 1, 1))  # t^2 + t + 1
@@ -247,6 +260,19 @@ def test_vmatmul_is_exact_where_float32_is_not():
     A, B = np.full((2, 999), 249, dtype=np.int32), np.full((999, 3), 249, dtype=np.int32)
     assert np.array_equal(F.vmatmul(A, B), schoolbook_matmul(F, A, B))
     assert F.vmatmul(A, B)[0, 0] == 4 * 999 % 251
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 7.0])
+def test_vmatmul_refuses_a_product_that_is_not_exact(bad):
+    # a copy of F_3 whose digit table gives the value 1 a NaN, an
+    # infinite or an out-of-range digit: every product through it breaks
+    F = copy.copy(fq_make(3, 1))
+    unpack = F._unpack.astype(np.float64)
+    unpack[1, 0] = bad
+    F._unpack = unpack
+    A = np.ones((2, 4), dtype=np.int32)
+    with pytest.raises(ConsistencyError, match="vmatmul"):
+        F.vmatmul(A, A.T.copy())
 
 
 def test_vmatmul_over_a_residue_field():

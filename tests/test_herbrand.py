@@ -2,13 +2,14 @@
 
 import dataclasses
 import gc
+import itertools
 import os
 import re
 import weakref
 
 import pytest
 
-from bcscan import herbrand, lseries
+from bcscan import fields, herbrand, lseries, poly
 from bcscan.carlitz import bc_numbers, irregular_indices
 from bcscan.fields import ConsistencyError, FieldError, fq_make
 from bcscan.herbrand import (
@@ -27,7 +28,14 @@ from bcscan.herbrand import (
     validate_report,
 )
 from bcscan.lseries import CharacterContext
-from bcscan.poly import Poly, parse_poly, poly_to_str, residue_field
+from bcscan.poly import (
+    Poly,
+    monic_irreducibles,
+    monic_polys,
+    parse_poly,
+    poly_to_str,
+    residue_field,
+)
 from scans import scanned
 
 F2 = fq_make(2, 1)
@@ -228,6 +236,43 @@ def test_scan_frees_each_regular_report_before_the_next_prime(monkeypatch):
     r = scan(F2, 5, ScanOptions(threads=1))
     assert [rep.prime for rep in r.reports] == ["t^4 + t + 1"]
     assert len(freed) >= 12 and all(freed)
+
+
+def count_irreducibility_tests(monkeypatch):
+    """The polynomials the distinct-degree test runs on, at every name
+    it is looked up by, recorded as coefficient tuples."""
+    calls = []
+    test = fields._pl_is_irreducible
+
+    def counted(F, coeffs):
+        calls.append(tuple(coeffs))
+        return test(F, coeffs)
+
+    monkeypatch.setattr(fields, "_pl_is_irreducible", counted)
+    monkeypatch.setattr(poly, "_pl_is_irreducible", counted)
+    return calls
+
+
+def test_a_scan_tests_irreducibility_only_in_the_first_prime_searches(monkeypatch):
+    # each degree's search for its first prime f0 tests the monic
+    # polynomials up to f0 in canonical order; no prime is tested again
+    searched = []
+    for d in range(2, 5):
+        first = monic_irreducibles(F3, d)[0]
+        searched += list(itertools.takewhile(lambda f: f != first, monic_polys(F3, d))) + [first]
+    calls = count_irreducibility_tests(monkeypatch)
+    r = scanned(F3, 4, ScanOptions(threads=1))
+    assert r.primes_scanned == 32 and len(r.reports) == 8
+    assert calls == [f.coeffs for f in searched]
+
+
+def test_a_scan_worker_tests_neither_its_modulus_nor_its_prime(monkeypatch):
+    prime = monic_irreducibles(F4, 3)[7]
+    fields._residue_cached.cache_clear()  # the worker builds the field itself
+    calls = count_irreducibility_tests(monkeypatch)
+    herbrand._scan_worker((2, 2, F4.modulus, prime.coeffs, ScanOptions()))
+    residue_field(prime)  # found where the worker built it, so not tested either
+    assert calls == []
 
 
 def test_scan_rejects_bad_degree_and_size():

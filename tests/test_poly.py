@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bcscan.fields import MAX_FIELD_SIZE, fq_make
+from bcscan.fields import MAX_FIELD_SIZE, FieldError, fq_make
 from bcscan.poly import (
     Poly,
     PolyParseError,
@@ -194,9 +194,39 @@ def necklace_count(q, d):
 
 @pytest.mark.parametrize("p,r", [(2, 1), (3, 1), (2, 2), (5, 1)])
 def test_irreducible_counts_match_necklace_formula(p, r):
+    # every degree up to the residue-field cap, and the next one refused
     F = fq_make(p, r)
-    for d in range(1, 5):
+    d = 1
+    while F.size**d <= MAX_FIELD_SIZE:
         assert len(monic_irreducibles(F, d)) == necklace_count(F.size, d)
+        d += 1
+    with pytest.raises(FieldError, match="exceeds supported limit"):
+        monic_irreducibles(F, d)
+
+
+def irreducibles_by_test(F, d):
+    """The enumeration the orbit enumerator replaced, kept as its oracle:
+    the distinct-degree test on every monic polynomial of degree d."""
+    return [f for f in monic_polys(F, d) if f.is_irreducible()]
+
+
+# (p, r, modulus over F_p or None for the default); q in {2, 3, 4, 5, 7,
+# 8, 9, 16}, and F_8 and F_9 once more under a modulus that is not theirs
+# by default: x^3 + x^2 + 1 and x^2 + x + 2
+ORACLE_FIELDS = [(2, 1, None), (3, 1, None), (2, 2, None), (5, 1, None), (7, 1, None),
+                 (2, 3, None), (3, 2, None), (2, 4, None), (2, 3, (1, 0, 1, 1)), (3, 2, (2, 1, 1))]
+
+
+@pytest.mark.parametrize("p,r,modulus", ORACLE_FIELDS)
+def test_orbit_enumeration_matches_the_irreducibility_test(p, r, modulus):
+    F = fq_make(p, r, modulus)
+    d = 1
+    while F.size**d <= 1 << 12:
+        got = monic_irreducibles(F, d)
+        assert got == irreducibles_by_test(F, d), (F, d)
+        assert all(type(c) is int for f in got for c in f.coeffs)
+        assert all(parse_poly(poly_to_str(f), F) == f for f in got)
+        d += 1
 
 
 def test_scan_range_prime_counts():
