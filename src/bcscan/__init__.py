@@ -35,7 +35,7 @@ from .lseries import (
 )
 from .poly import Poly, monic_irreducibles, parse_poly, poly_to_str, residue_field
 from .series import TruncSeries
-from .witt import WittRing, witt_ring
+from .witt import WittRing
 
 __version__ = "0.1.0"
 
@@ -81,5 +81,4 @@ __all__ = [
     "residue_field",
     "scan",
     "validate_report",
-    "witt_ring",
 ]

@@ -12,14 +12,17 @@ A scan writes each irregular prime's report as soon as it is
 classified, so on exit 1 or 2 standard output may already hold part of
 the output.  ``--out FILE`` is written through a temporary file beside
 it and appears only when the run succeeds.  A reader that closes
-standard output early ends the run at once, with exit 0.
+standard output early ends the run at once, with exit 0.  SIGTERM
+ends it with exit 143, once the worker processes are stopped.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
+import signal
 import sys
+import threading
 from dataclasses import replace
 
 from .carlitz import bc_numbers
@@ -134,7 +137,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _terminate(signum, frame):
+    raise SystemExit(128 + signum)
+
+
 def main(argv=None) -> int:
+    """Run one command.  In the main thread SIGTERM raises SystemExit
+    while it runs, so a scan's worker pool is shut down on the way out
+    instead of being left running; the previous handler is restored on
+    return."""
+    if threading.current_thread() is not threading.main_thread():
+        return _run(argv)
+    previous = signal.signal(signal.SIGTERM, _terminate)
+    try:
+        return _run(argv)
+    finally:
+        signal.signal(signal.SIGTERM, signal.SIG_DFL if previous is None else previous)
+
+
+def _run(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -24,9 +24,11 @@ that the truncated-series layer is built on, and ``vmatmul``, a matrix
 product over the field done as float BLAS products of F_p digits whose
 sums are small enough to stay exact.
 
-Field objects are immutable after construction and safe to share across
-threads; the factory functions memoize so equal parameters give the
-identical object.
+Field tables are immutable after construction and safe to share across
+threads.  ``fq_make`` and ``residue_field_raw`` intern their fields, so
+equal parameters give the identical object; a residue field also owns
+the character contexts built over it (``lseries.character_context``),
+which live exactly as long as the field.
 """
 
 from __future__ import annotations
@@ -614,6 +616,11 @@ class ResidueField(PackedField):
             self.t_res = base.neg(prime_coeffs[0])
         else:
             self.t_res = q  # the class of t packs to q: digit 1 in slot 1
+        # character contexts by Witt precision, filled by
+        # lseries.character_context; each refers back to the field, so
+        # they go with it, freed by the cyclic collector unless a caller
+        # done with the field clears them first, as a scan does
+        self.contexts: dict = {}
 
     @property
     def frob_exponent(self) -> int:
@@ -683,32 +690,19 @@ def fq_make(p: int, r: int = 1, modulus=None) -> BaseField:
     return _fq_cached(p, r, mod)
 
 
-class _Irreducible(tuple):
-    """Prime coefficients irreducible by construction, as the orbit
-    enumerator makes them: equal to the plain tuple and hashed alike, so
-    both reach the same cached field."""
-
-
 @functools.lru_cache(maxsize=16)
 def _residue_cached(p, r, modulus, prime_coeffs) -> ResidueField:
-    """Where a prime is tested for irreducibility before its field is
-    built, once per field: a field found in the cache is not tested
-    again, and an ``_Irreducible`` prime, which comes from the
-    enumerator, not at all.  lru_cache keeps no exception, so a
-    reducible prime is refused on every call, before any table is
-    built.  The bound keeps a scan, which visits each prime once, from
-    holding every field it built (0.7 MB each at Q = 4096)."""
+    """Where a polynomial from outside the enumerator is tested for
+    irreducibility before its field is built, once per field: a field
+    found in the cache is not tested again.  lru_cache keeps no
+    exception, so a reducible prime is refused on every call, before any
+    table is built.  The bound keeps a caller that visits many primes
+    from holding every field it built; a scan builds its enumerated
+    primes' fields directly, untested, and never comes here."""
     base = _fq_cached(p, r, modulus)
-    known = isinstance(prime_coeffs, _Irreducible)
-    if not known and not _pl_is_irreducible(base, list(prime_coeffs)):
+    if not _pl_is_irreducible(base, list(prime_coeffs)):
         raise FieldError("polynomial is not irreducible")
-    return ResidueField(base, tuple(prime_coeffs))
-
-
-def _enumerated_residue_field(base: BaseField, prime_coeffs) -> ResidueField:
-    """The residue field of a prime from ``poly.monic_irreducibles``,
-    irreducible by construction, so built without a test."""
-    return _residue_cached(base.p, base.r, base.modulus, _Irreducible(prime_coeffs))
+    return ResidueField(base, prime_coeffs)
 
 
 def residue_field_raw(base: BaseField, prime_coeffs) -> ResidueField:

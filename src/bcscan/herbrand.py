@@ -41,16 +41,9 @@ from multiprocessing.context import SpawnContext, SpawnProcess
 import numpy as np
 
 from .carlitz import bc_numbers, irregular_indices
-from .fields import (
-    BaseField,
-    ConsistencyError,
-    FieldError,
-    _enumerated_residue_field,
-    _fq_cached,
-    fq_make,
-)
+from .fields import BaseField, ConsistencyError, FieldError, ResidueField, _fq_cached, fq_make
 from .lseries import character_context, l_report, pic_eigenspace_length
-from .localfield import LocalSweep, bc_local_sweep, check_local_size, local_model
+from .localfield import LocalModel, LocalSweep, bc_local_sweep, check_local_size
 from .poly import Poly, monic_irreducibles, poly_to_str, residue_field
 
 DIM_ZERO = "0"
@@ -166,29 +159,33 @@ class ScanResult:
 
 
 class PrimeContext:
-    """What classification needs at one prime, built once: the residue
-    field, the Bernoulli-Carlitz vector with its irregular indices, and
-    the options.  The local sweep is built on first use, which only
-    check_local asks for; its size bound is checked first."""
+    """What classification needs at one prime, built once from its
+    residue field: the prime, the Bernoulli-Carlitz vector with its
+    irregular indices, and the options.  The local sweep is built on
+    first use, which only check_local asks for.  The character contexts
+    belong to the field."""
 
-    def __init__(self, prime: Poly, options: ScanOptions):
-        if options.check_local:
-            check_local_size(prime.field.size**prime.degree)
+    def __init__(self, rf: ResidueField, options: ScanOptions):
         t0 = time.perf_counter()
-        self.prime = prime
+        self.rf = rf
+        self.prime = Poly(rf.base, rf.prime_coeffs)
         self.options = options
-        self.rf = residue_field(prime)
-        self.bc = bc_numbers(self.rf)
+        self.bc = bc_numbers(rf)
         self.irregular = tuple(sorted(irregular_indices(self.bc)))
         self.build_s = time.perf_counter() - t0
 
     @functools.cached_property
     def sweep(self) -> LocalSweep:
-        return bc_local_sweep(local_model(self.prime))
+        return bc_local_sweep(LocalModel(self.rf))
 
 
 def _context(at: Poly | PrimeContext, options: ScanOptions | None) -> PrimeContext:
-    return at if isinstance(at, PrimeContext) else PrimeContext(at, options or ScanOptions())
+    if isinstance(at, PrimeContext):
+        return at
+    options = options or ScanOptions()
+    if options.check_local:  # before the field is built
+        check_local_size(at.field.size**at.degree)
+    return PrimeContext(residue_field(at), options)
 
 
 def _report(ctx: PrimeContext, checked) -> PrimeReport:
@@ -341,16 +338,19 @@ def _worker_pool(threads: int) -> ProcessPoolExecutor:
     return ProcessPoolExecutor(max_workers=threads, mp_context=_WorkerContext())
 
 
-def _scan_prime(prime: Poly, options: ScanOptions) -> PrimeReport | None:
+def _scan_prime(base: BaseField, coeffs: tuple[int, ...], options: ScanOptions) -> PrimeReport | None:
     """The report at an irregular prime, None at a regular one.  The BC
     vector alone shows a prime regular; only a check flag goes on to
     classify it, for the checks.  The prime comes from the enumerator,
-    so its field is built untested, and the context finds it cached."""
-    _enumerated_residue_field(prime.field, prime.coeffs)
-    ctx = PrimeContext(prime, options)
+    so its field is built directly, untested, and with it go all the
+    prime's tables when this returns."""
+    ctx = PrimeContext(ResidueField(base, coeffs), options)
     if not (ctx.irregular or options.check_local or options.cross_check):
         return None
     report = classify_prime(ctx)
+    # the contexts refer back to the field, a cycle that only the cyclic
+    # collector would free: drop them so the tables go now
+    ctx.rf.contexts.clear()
     return report if report.irregular_indices else None
 
 
@@ -358,7 +358,7 @@ def _scan_worker(payload):
     # the modulus and the prime come from a scan's base field and
     # enumerator, so neither is tested again here
     p, r, modulus, coeffs, options = payload
-    return _scan_prime(Poly(_fq_cached(p, r, modulus), coeffs), options)
+    return _scan_prime(_fq_cached(p, r, modulus), coeffs, options)
 
 
 def _irregular_reports(base: BaseField, primes: list, options: ScanOptions, threads: int):
@@ -366,15 +366,20 @@ def _irregular_reports(base: BaseField, primes: list, options: ScanOptions, thre
     tables are dropped before the next prime."""
     if threads == 1:
         for f in primes:
-            report = _scan_prime(f, options)
+            report = _scan_prime(base, f.coeffs, options)
             if report is not None:
                 yield report
         return
     payloads = [(base.p, base.r, base.modulus, f.coeffs, options) for f in primes]
-    with _worker_pool(threads) as pool:
+    pool = _worker_pool(threads)
+    try:
         for report in pool.map(_scan_worker, payloads, chunksize=8):
             if report is not None:
                 yield report
+    finally:
+        # a reader that stops early, or SIGTERM, leaves chunks queued:
+        # they are dropped, not run, before the workers are joined
+        pool.shutdown(cancel_futures=True)
 
 
 def scan(base: BaseField, max_degree: int, options: ScanOptions | None = None) -> ScanResult:
@@ -402,11 +407,6 @@ def scan(base: BaseField, max_degree: int, options: ScanOptions | None = None) -
         primes_scanned=len(primes),
         reports=_irregular_reports(base, primes, options, threads),
     )
-
-
-def strip_timings(result: ScanResult) -> ScanResult:
-    """The result with its reports drawn into a tuple, timings removed."""
-    return replace(result, reports=tuple(replace(r, timings=None) for r in result.reports))
 
 
 def validated(result: ScanResult) -> ScanResult:

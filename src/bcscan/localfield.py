@@ -30,8 +30,8 @@ along the ratio's few nonzero coefficients; the dlog components, the
 ``fields.char_sums`` weights times that dlog matrix in one F_Q matrix
 product (``vmatmul``, float BLAS products of F_p digits); and
 pi^(n-1) pi' for every n by ``fields.power_rows``, each component
-checked against it.  The model keeps none of these tables: the sweep
-reads each once, and ``local_model`` caches models.
+checked against it.  A model is built from its prime's residue field
+and keeps none of these tables: the sweep reads each once.
 
 Internal truncation is q^d + 2: a logarithmic derivative costs one
 index to the division by lambda and one to d/dlambda, so reported
@@ -40,13 +40,12 @@ series are exact mod lambda^(q^d).
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .carlitz import additive_apply, exp_coeffs
-from .fields import ConsistencyError, FieldError, char_sums, power_rows
+from .fields import ConsistencyError, FieldError, ResidueField, char_sums, power_rows
 from .poly import Poly, residue_field
 from .series import TruncSeries, derivative_rows, divide_rows, mul_rows
 
@@ -89,11 +88,11 @@ class EigenUniformizer:
 
 
 class LocalModel:
-    def __init__(self, prime: Poly):
-        check_local_size(prime.field.size ** prime.degree)
-        self.prime = prime
-        self.rf = residue_field(prime)
-        self.q, self.d = self.rf.q, self.rf.d
+    def __init__(self, rf: ResidueField):
+        check_local_size(rf.size)
+        self.rf = rf
+        self.prime = Poly(rf.base, rf.prime_coeffs)
+        self.q, self.d = rf.q, rf.d
         self.N = self.q**self.d
         self.n_work = self.N + 2
         self.t_series = self._solve_t_series()
@@ -229,6 +228,7 @@ def bc_local_sweep(model: LocalModel) -> LocalSweep:
     return LocalSweep(model.prime, vanished, values)
 
 
-@functools.lru_cache(maxsize=64)
 def local_model(prime: Poly) -> LocalModel:
-    return LocalModel(prime)
+    """The model at a prime, its size refused before the field is built."""
+    check_local_size(prime.field.size**prime.degree)
+    return LocalModel(residue_field(prime))

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import ConsistencyError, FieldError, ResidueField, char_sums, power_rows
-from .witt import MAX_PRECISION, PrecisionError, WittElem, WittRing, witt_ring
+from .witt import MAX_PRECISION, PrecisionError, WittElem, WittRing
 
 INT64_SAFE_BOUND = 1 << 62
 
@@ -45,9 +45,9 @@ INT64_SAFE_BOUND = 1 << 62
 class CharacterContext:
     """Tables for evaluating omega-power character sums over one prime."""
 
-    def __init__(self, rf: ResidueField, k: int, lift_offsets: tuple[int, ...] | None = None):
+    def __init__(self, rf: ResidueField, k: int):
         self.rf = rf
-        self.W = witt_ring(rf, k)
+        self.W = WittRing(rf, k)
         q, d = rf.q, rf.d
         self.Q = rf.size
         self.order = self.Q - 1
@@ -64,7 +64,7 @@ class CharacterContext:
         self._unit_weights = (logs, np.ones_like(degs))
 
         W = self.W
-        wg = W.teichmuller(rf.generator, lift_offsets)
+        wg = W.teichmuller(rf.generator)
         # multiplication by omega(gamma) is Z/p^k-linear; row i of M holds
         # the coordinates of x^i * omega(gamma), so omega(gamma^j) is row 0
         # of M^j.  int64 products are exact while m (p^k - 1)^2 < 2^63.
@@ -145,13 +145,13 @@ class CharacterContext:
         return self._witt_sum(self._deg_weights, n)
 
 
-@functools.lru_cache(maxsize=32)
-def _context_cached(rf, k, lift_offsets):
-    return CharacterContext(rf, k, lift_offsets)
-
-
-def character_context(rf: ResidueField, k: int, lift_offsets=None) -> CharacterContext:
-    return _context_cached(rf, k, tuple(lift_offsets) if lift_offsets else None)
+def character_context(rf: ResidueField, k: int) -> CharacterContext:
+    """The context of the field at precision k, built on first use and
+    kept in ``rf.contexts``, so it lives as long as the field."""
+    ctx = rf.contexts.get(k)
+    if ctx is None:
+        ctx = rf.contexts[k] = CharacterContext(rf, k)
+    return ctx
 
 
 def l_value_at_one(ctx: CharacterContext, n: int) -> WittElem:

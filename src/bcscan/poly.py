@@ -8,10 +8,11 @@ value.  Text round trips are exact: ``parse_poly(poly_to_str(f)) == f``.
 
 The primes of F_q[t] are enumerated by Frobenius orbits, one field
 F_(q^d) per degree (``monic_irreducibles``), and are irreducible by
-construction.  A prime's irreducibility is tested in one place,
-``fields._residue_cached``, when its residue field is first built, and
-only for polynomials from outside the enumerator; the enumerator's own
-test runs only in its search for the first prime of each degree.
+construction, so a scan builds their fields directly, untested.  A
+polynomial from outside the enumerator is tested in one place,
+``fields._residue_cached``, before ``residue_field`` first builds its
+field; the enumerator's own test runs only in its search for the first
+prime of each degree.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .fields import (
     FieldError,
     MAX_FIELD_SIZE,
     ResidueField,
-    _enumerated_residue_field,
     _pl_add,
     _pl_divmod,
     _pl_gcd,
@@ -150,14 +150,14 @@ def monic_irreducibles(field, d: int) -> list[Poly]:
     exactly d in F_(q^d) (Lidl and Niederreiter, *Finite Fields*, Thm.
     3.25).  One field serves the degree: R = F_q[t]/(f0), f0 the first
     monic irreducible in canonical order, found by the distinct-degree
-    test; R is cached, so a scan that reaches f0 reuses it.  Each orbit
-    is kept at its least packed element a, its conjugates a^(q^i) are
-    gathers through R's Frobenius table, and prod (x - a^(q^i)) is
-    multiplied out across all orbits at once.  The F_q inside R are the
-    packed values below q, so every coefficient is checked to be one.
-    Degree 1 is t + c directly.  These primes are irreducible by
-    construction: a scan builds their fields without testing them.  A
-    degree with q^d above the residue-field cap is refused."""
+    test and built directly.  Each orbit is kept at its least packed
+    element a, its conjugates a^(q^i) are gathers through R's Frobenius
+    table, and prod (x - a^(q^i)) is multiplied out across all orbits
+    at once.  The F_q inside R are the packed values below q, so every
+    coefficient is checked to be one.  Degree 1 is t + c directly.
+    These primes are irreducible by construction: a scan builds their
+    fields without testing them.  A degree with q^d above the
+    residue-field cap is refused."""
     q = field.size
     if d < 1:
         return []
@@ -168,7 +168,7 @@ def monic_irreducibles(field, d: int) -> list[Poly]:
     if d == 1:
         return [Poly(field, (c, 1)) for c in range(q)]
     f0 = next(f for f in monic_polys(field, d) if f.is_irreducible())
-    R = _enumerated_residue_field(field, f0.coeffs)
+    R = ResidueField(field, f0.coeffs)
     conj = np.empty((R.size, d), dtype=np.int32)  # row a: a, a^q, .., a^(q^(d-1))
     conj[:, 0] = np.arange(R.size)
     for i in range(1, d):

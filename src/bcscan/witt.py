@@ -12,7 +12,6 @@ valuation of elements, both used by the L-value layer.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 from .fields import FieldError, ResidueField
@@ -128,17 +127,10 @@ class WittRing:
             for i in range(self.m)
         )
 
-    def lift(self, v: int, offsets: tuple[int, ...] | None = None) -> "WittElem":
-        """Any lift of a residue element: digit 0 is exact, higher digits
-        are free, steered by the optional per-coordinate offsets."""
-        base = self.theta_coords(v)
-        if offsets is None:
-            return self.from_coords(base)
-        if len(offsets) != self.m:
-            raise FieldError("lift offsets length must match the ring dimension")
-        return self.from_coords(
-            tuple(c + self.p * off for c, off in zip(base, offsets))
-        )
+    def lift(self, v: int) -> "WittElem":
+        """A lift of a residue element: digit 0 is exact, higher digits
+        are free, and this one leaves them 0."""
+        return self.from_coords(self.theta_coords(v))
 
     def reduce_p(self, w: "WittElem") -> int:
         """Image in the residue field."""
@@ -148,13 +140,10 @@ class WittRing:
             acc = rf.add(acc, rf.mul(c % self.p, pw))
         return acc
 
-    def teichmuller(self, v: int, offsets: tuple[int, ...] | None = None) -> "WittElem":
-        """The unique root of unity (or 0) over the residue v.
-
-        The result is independent of the lift the iteration starts from;
-        ``offsets`` exists so tests can prove that.
-        """
-        y = self.lift(v, offsets)
+    def teichmuller(self, v: int) -> "WittElem":
+        """The unique root of unity (or 0) over the residue v, iterated
+        from ``lift(v)``; the result does not depend on that lift."""
+        y = self.lift(v)
         e = self.p**self.m
         for _ in range(self.k + 2):
             y2 = y**e
@@ -236,8 +225,3 @@ class WittElem:
 
     def __repr__(self) -> str:
         return f"WittElem{self.coords}"
-
-
-@functools.lru_cache(maxsize=32)  # a ring holds its residue field alive
-def witt_ring(rf: ResidueField, k: int) -> WittRing:
-    return WittRing(rf, k)

@@ -24,6 +24,7 @@ from __future__ import annotations
 import random
 import time
 from collections import Counter
+from unittest import mock
 
 from bcscan import (
     DIM_AT_LEAST_ONE,
@@ -50,9 +51,7 @@ from bcscan import (
     residue_field,
     scan,
     validate_report,
-    witt_ring,
 )
-from bcscan import lseries
 from bcscan.carlitz import additive_apply
 from bcscan.poly import Poly
 from carlitz_oracle import (
@@ -65,6 +64,7 @@ from carlitz_oracle import (
 )
 from l_valuation_oracle import l_valuations
 from scans import scanned
+from steered_lift import steered_lift
 
 SINGLE = ScanOptions(threads=1)
 
@@ -378,7 +378,7 @@ def test_criterion_7_randomized_algebraic_laws():
     for _ in range(CASES):
         R = rng.choice(rfs)
         k = rng.randrange(2, 9)
-        W = witt_ring(R, k)
+        W = WittRing(R, k)
         x, y, z = (
             W.from_coords([rng.randrange(W.pk) for _ in range(W.m)]) for _ in range(3)
         )
@@ -419,13 +419,15 @@ def test_criterion_7_randomized_algebraic_laws():
     for _ in range(CASES):
         R = rng.choice(rfs)
         k = rng.randrange(2, 7)
-        W = witt_ring(R, k)
+        W = WittRing(R, k)
         u, v = rng.randrange(1, R.size), rng.randrange(1, R.size)
         offs = tuple(rng.randrange(-3, 4) for _ in range(W.m))
         wu, wv = W.teichmuller(u), W.teichmuller(v)
+        with mock.patch.object(WittRing, "lift", steered_lift(offs)):
+            wu_steered = W.teichmuller(u)
         ok = (
             wu * wv == W.teichmuller(R.mul(u, v))
-            and W.teichmuller(u, offs) == wu
+            and wu_steered == wu
             and wu ** (R.size - 1) == W.one()
             and W.reduce_p(wu) == u
         )
@@ -434,7 +436,7 @@ def test_criterion_7_randomized_algebraic_laws():
     for _ in range(CASES):
         R = rng.choice(rfs)
         k = rng.randrange(2, 7)
-        W = witt_ring(R, k)
+        W = WittRing(R, k)
         order = R.size - 1
         n = rng.randrange(1, 3 * order + 1)
         wgn = W.teichmuller(R.generator) ** n
@@ -447,22 +449,20 @@ def test_criterion_7_randomized_algebraic_laws():
         )
         check("character orthogonality", total == expected, (R.size, k, n))
 
-    # schedule sorted so the context cache sees each (field, precision) once
+    # each field keeps its contexts, so each (field, precision) is built once
     s1_pool = [R for R in rfs if R.d >= 2]
-    sched = []
     for _ in range(CASES):
         R = rng.choice(s1_pool)
         k = rng.choice((6, 12))
         step = R.q - 1
         n = step * rng.randrange(1, (R.size - 2) // step + 1)
-        sched.append((R, k, n))
-    for R, k, n in sorted(sched, key=lambda e: (e[0].size, e[0].prime_coeffs, e[1], e[2])):
         ctx = character_context(R, k)
         rep = l_report(ctx, n)  # raises if S_n(1) fails to vanish exactly
         ok = rep.in_scope and rep.s_at_one.is_zero and rep.l_value == l_value_at_one(ctx, n)
         check("character sum vanishing at T=1", ok, (R.size, k, n))
 
     torsion_pool = _small_primes(32)
+    models = {f: local_model(f) for f in torsion_pool}
     sched = []
     for _ in range(2 * CASES):
         f = rng.choice(torsion_pool)
@@ -470,7 +470,7 @@ def test_criterion_7_randomized_algebraic_laws():
     sched.sort(key=lambda e: (e[0].field.size, e[0].coeffs, e[1]))
     torsion_coeffs: dict = {}
     for f, g in sched[:CASES]:
-        model = local_model(f)
+        model = models[f]
         if f not in torsion_coeffs:
             ts = model.t_series
             torsion_coeffs[f] = [eval_poly_coeffs(ts, c.coeffs) for c in cyclotomic_poly(f).coeffs]
@@ -483,7 +483,7 @@ def test_criterion_7_randomized_algebraic_laws():
                 x = x.frobenius_q()
         check("galois orbit stays torsion", acc.is_zero, (poly_to_str(f), g))
     for f, g in sched[CASES:]:
-        model = local_model(f)
+        model = models[f]
         pi = model.eigen_uniformizer().series
         lhs = compose(pi, galois_image(model, g))
         check("uniformizer eigenproperty", lhs == pi.scale(g), (poly_to_str(f), g))
@@ -530,20 +530,18 @@ def test_criterion_8_determinism_and_representation_independence(monkeypatch):
     assert render_json(scan(F3, 3, ScanOptions(threads=2))) == j1
 
     # every Teichmuller lift starts from a steered lift, offsets (7, 3)
-    # cycled to the ring dimension; the context cache is cleared first,
-    # or it would serve tables built without the steer
-    teichmuller, steered = WittRing.teichmuller, []
+    # cycled to the ring dimension; a scan builds its fields, and so
+    # their tables, afresh
+    lift, steered = steered_lift((7, 3)), []
 
-    def steer(self, v, offsets=None):
+    def steer(self, v):
         steered.append(v)
-        return teichmuller(self, v, tuple((7, 3)[i % 2] for i in range(self.m)))
+        return lift(self, v)
 
-    monkeypatch.setattr(WittRing, "teichmuller", steer)
-    lseries._context_cached.cache_clear()
+    monkeypatch.setattr(WittRing, "lift", steer)
     assert render_json(scan(F3, 3, SINGLE)) == j1
     assert steered, "the steered Teichmuller lift never ran"
     monkeypatch.undo()
-    lseries._context_cached.cache_clear()
     assert render_json(scan(F3, 3, SINGLE)) == j1
 
     # F_4 admits exactly one quadratic modulus, so modulus independence is

@@ -4,8 +4,10 @@ import dataclasses
 import json
 import os
 import resource
+import signal
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -276,11 +278,13 @@ def _run_cli_child(args, **kwargs):
     )
 
 
-def test_a_reader_that_closes_early_ends_the_scan_quietly():
-    # 141 KB of CSV overfills the pipe, so the scan writes into a closed one
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_a_reader_that_closes_early_ends_the_scan_quietly(threads):
+    # 141 KB of CSV overfills the pipe, so the scan writes into a closed
+    # one; with workers, their queued chunks are dropped, not run
     proc = subprocess.Popen(
         [sys.executable, "-m", "bcscan.cli", "scan", "--q", "2", "--max-degree", "8",
-         "--format", "csv", "--threads", "1"],
+         "--format", "csv", "--threads", threads],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         env=_child_env(),
@@ -290,6 +294,57 @@ def test_a_reader_that_closes_early_ends_the_scan_quietly():
     err = proc.stderr.read()
     proc.stderr.close()
     assert proc.wait(timeout=120) == 0 and err == b""
+
+
+def _children(pid):
+    try:
+        with open(f"/proc/{pid}/task/{pid}/children", encoding="ascii") as fh:
+            return {int(c) for c in fh.read().split()}
+    except OSError:
+        return set()
+
+
+def _running(pid):
+    """Whether pid is a process that has not exited (a zombie has)."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/task"), reason="reads /proc")
+def test_sigterm_stops_the_scan_and_its_workers():
+    # two workers and the multiprocessing resource tracker; at D = 13 the
+    # scan runs long enough to be stopped part way
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "bcscan.cli", "scan", "--q", "2", "--max-degree", "13",
+         "--threads", "2"],
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE,
+        env=_child_env(),
+    )
+    children = set()
+    try:
+        deadline = time.monotonic() + 30
+        while len(children) < 3 and time.monotonic() < deadline and proc.poll() is None:
+            children |= _children(proc.pid)
+            time.sleep(0.05)
+        assert len(children) == 3 and proc.poll() is None
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=60) == 143
+        assert proc.stderr.read() == b""
+        deadline = time.monotonic() + 30
+        while any(map(_running, children)) and time.monotonic() < deadline:
+            time.sleep(0.1)
+        assert [c for c in children if _running(c)] == []
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
+        for c in children:
+            if _running(c):
+                os.kill(c, signal.SIGKILL)
 
 
 def test_a_guarded_script_scans_with_worker_processes(tmp_path):

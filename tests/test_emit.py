@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import emit_oracle
-from scans import scanned
+from scans import scanned, strip_timings
 
 from bcscan.emit import (
     LOWER_BOUND_NOTE,
@@ -22,7 +22,7 @@ from bcscan.emit import (
     render_table,
 )
 from bcscan.fields import FieldError, fq_make
-from bcscan.herbrand import PrimeReport, ScanOptions, ScanResult, classify_prime, scan, strip_timings
+from bcscan.herbrand import PrimeReport, ScanOptions, ScanResult, classify_prime, scan
 from bcscan.poly import parse_poly
 
 F2 = fq_make(2, 1)

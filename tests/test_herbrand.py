@@ -9,7 +9,7 @@ import weakref
 
 import pytest
 
-from bcscan import fields, herbrand, lseries, poly
+from bcscan import fields, herbrand, poly
 from bcscan.carlitz import bc_numbers, irregular_indices
 from bcscan.fields import ConsistencyError, FieldError, fq_make
 from bcscan.herbrand import (
@@ -24,7 +24,6 @@ from bcscan.herbrand import (
     classify_index,
     classify_prime,
     scan,
-    strip_timings,
     validate_report,
 )
 from bcscan.lseries import CharacterContext
@@ -36,7 +35,7 @@ from bcscan.poly import (
     poly_to_str,
     residue_field,
 )
-from scans import scanned
+from scans import scanned, strip_timings
 
 F2 = fq_make(2, 1)
 F3 = fq_make(3, 1)
@@ -145,7 +144,7 @@ def test_check_local_disagreement_still_raises(monkeypatch):
 def test_classify_index_takes_a_prime_or_its_context():
     f = parse_poly("t^4 + t + 1", F2)
     options = ScanOptions(cross_check=True)
-    ctx = PrimeContext(f, options)
+    ctx = PrimeContext(residue_field(f), options)
     for n in (3, 5, 9):
         assert classify_index(ctx, n) == classify_index(f, n, options)
 
@@ -220,22 +219,35 @@ def test_thread_count_is_clamped(monkeypatch):
 
 def test_scan_frees_each_regular_report_before_the_next_prime(monkeypatch):
     # a regular prime gets no report: its context (the field and the BC
-    # vector) is all it holds, and that is freed before the next prime
-    last_regular, freed = [], []
+    # vector) is all it holds.  Every prime's context and residue field,
+    # irregular or not, go with the field's character contexts before the
+    # next prime, by reference counting alone: no cycle is left for the
+    # collector to find
+    live, freed = [], []  # weak references to the last prime's objects
 
     class Tracked(herbrand.PrimeContext):
-        def __init__(self, prime, options):
-            if last_regular:
-                gc.collect()
-                freed.append(last_regular.pop()() is None)
-            super().__init__(prime, options)
-            if not self.irregular:
-                last_regular.append(weakref.ref(self))
+        def __init__(self, rf, options):
+            freed.extend(ref() is None for ref in live)
+            live.clear()
+            super().__init__(rf, options)
+            live.extend((weakref.ref(self), weakref.ref(rf)))
+
+    def tracked_context(rf, k, _real=herbrand.character_context):
+        ctx = _real(rf, k)
+        live.append(weakref.ref(ctx))
+        return ctx
 
     monkeypatch.setattr(herbrand, "PrimeContext", Tracked)
-    r = scan(F2, 5, ScanOptions(threads=1))
+    monkeypatch.setattr(herbrand, "character_context", tracked_context)
+    gc.collect()
+    gc.disable()
+    try:
+        r = scanned(F2, 5, ScanOptions(threads=1))
+    finally:
+        gc.enable()
     assert [rep.prime for rep in r.reports] == ["t^4 + t + 1"]
-    assert len(freed) >= 12 and all(freed)
+    # 13 of the 14 primes have a next one; one prime built a context
+    assert len(freed) == 2 * 13 + 1 and all(freed)
 
 
 def count_irreducibility_tests(monkeypatch):
@@ -268,10 +280,8 @@ def test_a_scan_tests_irreducibility_only_in_the_first_prime_searches(monkeypatc
 
 def test_a_scan_worker_tests_neither_its_modulus_nor_its_prime(monkeypatch):
     prime = monic_irreducibles(F4, 3)[7]
-    fields._residue_cached.cache_clear()  # the worker builds the field itself
     calls = count_irreducibility_tests(monkeypatch)
     herbrand._scan_worker((2, 2, F4.modulus, prime.coeffs, ScanOptions()))
-    residue_field(prime)  # found where the worker built it, so not tested either
     assert calls == []
 
 
@@ -345,23 +355,18 @@ def test_default_scan_builds_character_tables_only_at_irregular_primes(monkeypat
     built = []
     real_init = CharacterContext.__init__
 
-    def counted(self, rf, k, lift_offsets=None):
+    def counted(self, rf, k):
         built.append((_prime_of(rf), k))
-        real_init(self, rf, k, lift_offsets)
+        real_init(self, rf, k)
 
     monkeypatch.setattr(CharacterContext, "__init__", counted)
-    lseries._context_cached.cache_clear()  # cached tables would hide a build
-    try:
-        r = scanned(F3, 4, ScanOptions(threads=1))
-        assert sorted(built) == sorted((rep.prime, 12) for rep in r.reports)
-        assert len(built) == 8 and r.primes_scanned == 32
-        built.clear()
-        lseries._context_cached.cache_clear()
-        # a check flag classifies, and so checks, every prime
-        r = scanned(F3, 3, ScanOptions(threads=1, cross_check=True))
-        assert len({prime for prime, _ in built}) == r.primes_scanned == 14
-    finally:
-        lseries._context_cached.cache_clear()
+    r = scanned(F3, 4, ScanOptions(threads=1))
+    assert sorted(built) == sorted((rep.prime, 12) for rep in r.reports)
+    assert len(built) == 8 and r.primes_scanned == 32
+    built.clear()
+    # a check flag classifies, and so checks, every prime
+    r = scanned(F3, 3, ScanOptions(threads=1, cross_check=True))
+    assert len({prime for prime, _ in built}) == r.primes_scanned == 14
 
 
 def test_classify_prime_reads_the_valuation_table_once(monkeypatch):

@@ -8,7 +8,6 @@ from bcscan.carlitz import additive_apply, bc_numbers, exp_coeffs
 from bcscan.fields import ConsistencyError, FieldError, fq_make
 from bcscan.localfield import (
     MAX_LOCAL_SIZE,
-    LocalModel,
     bc_local_sweep,
     check_local_size,
     local_model,
@@ -146,7 +145,7 @@ def test_recursion_matches_horner_routes_over_the_whole_range():
     rows equal phi of the lift applied coefficient by coefficient."""
     count = 0
     for f in _whole_range_primes():
-        m = LocalModel(f)
+        m = local_model(f)
         R = m.rf
         assert torsion_residual(m, m.t_series).is_zero, f
         rows = m.galois_rows()
@@ -169,7 +168,7 @@ def dense_dlog_matrix(m):
 def test_dlog_matrix_equals_the_dense_route_over_the_whole_range(F, count):
     seen = 0
     for f in _whole_range_primes([F]):
-        m = LocalModel(f)
+        m = local_model(f)
         M = m.dlog_matrix()
         assert M.shape == (m.N - 1, m.N) and not M.flags.writeable
         assert np.array_equal(M, dense_dlog_matrix(m)), f
@@ -327,7 +326,7 @@ def test_components_match_the_per_index_sums(q):
     d = 1
     while q**d <= 64:
         for f in monic_irreducibles(F, d):
-            m = LocalModel(f)
+            m = local_model(f)
             comps = m.dlog_components()
             assert comps.shape == (m.N - 2, m.N) and not comps.flags.writeable
             for n in range(1, m.N - 1):
@@ -341,12 +340,12 @@ def test_components_do_not_depend_on_the_chunk_size(s, F, monkeypatch):
     for cells, block in ((1, 1), (fields.CHUNK_CELLS, fields.MATMUL_CELLS), (1 << 30, 1 << 30)):
         monkeypatch.setattr(fields, "CHUNK_CELLS", cells)
         monkeypatch.setattr(fields, "MATMUL_CELLS", block)
-        tables.append(LocalModel(parse_poly(s, F)).dlog_components())
+        tables.append(local_model(parse_poly(s, F)).dlog_components())
     assert all(np.array_equal(t, tables[0]) for t in tables[1:])
 
 
 def test_sweep_names_the_first_non_proportional_component(monkeypatch):
-    m = LocalModel(parse_poly("t^3 + t + 1", F2))
+    m = local_model(parse_poly("t^3 + t + 1", F2))
     comps = m.dlog_components().copy()
     comps[2, 5] ^= 1  # n = 3, off the diagonal that carries the residue
     monkeypatch.setattr(m, "dlog_components", lambda: comps)
@@ -376,12 +375,6 @@ def test_dlog_product_rule():
     )
     u, v = mk(), mk()
     assert dlog(u * v) == dlog(u) + dlog(v)
-
-
-def test_local_model_is_cached():
-    a = model("t^3 + t + 1", F2)
-    b = model("t^3 + t + 1", F2)
-    assert a is b
 
 
 def test_batched_dlog_matches_scalar_dlog():
