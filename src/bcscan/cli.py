@@ -26,7 +26,7 @@ import threading
 from dataclasses import replace
 
 from .carlitz import bc_numbers
-from .fields import MAX_FIELD_SIZE, BaseField, ConsistencyError, FieldError, fq_make
+from .fields import MAX_FIELD_SIZE, BaseField, ConsistencyError, FieldError, _prime_factors, fq_make
 from .emit import emit
 from .herbrand import ScanOptions, ScanResult, classify_prime, fq_modulus_str, scan, validated
 from .poly import PolyParseError, parse_poly, residue_field, residue_to_str
@@ -49,18 +49,12 @@ def _q_to_base(q: int, fq_modulus: str | None) -> BaseField:
         raise FieldError("q must be a prime power >= 2")
     if q > MAX_FIELD_SIZE:  # before trial division, which takes sqrt(q) steps
         raise FieldError(f"q = {q} exceeds the supported field size {MAX_FIELD_SIZE}")
-    p = 2
-    while p * p <= q and q % p != 0:
-        p += 1
-    if q % p != 0:
-        p = q
-    r = 0
-    m = q
-    while m % p == 0:
-        m //= p
-        r += 1
-    if m != 1:
+    factors = _prime_factors(q)
+    if len(factors) != 1:
         raise FieldError(f"q = {q} is not a prime power")
+    p, r = factors[0], 1
+    while p**r < q:
+        r += 1
     modulus = None
     if fq_modulus is not None:
         if r == 1:

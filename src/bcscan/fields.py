@@ -17,7 +17,9 @@ filled by doubling (``power_rows``), since multiplication by the
 generator is an F_p-linear map on coordinate vectors; ``power_rows``
 takes the product as an argument and also fills the Teichmuller table
 and the local powers of pi.  ``char_sums`` is the one character-sum
-gather, for the L-value sums and the local dlog components.  Everything
+gather, for the L-value sums and the local dlog components, and
+``orbit_polys`` multiplies out the minimal polynomials of Frobenius
+orbits, for the prime enumeration and the Witt modulus.  Everything
 is exact integer arithmetic.  numpy mirrors of the tables drive the
 vectorized helpers (``vadd``, ``vmul``, ``vscale``, ``vsum``, ``vfrobq``)
 that the truncated-series layer is built on, and ``vmatmul``, a matrix
@@ -34,7 +36,6 @@ which live exactly as long as the field.
 from __future__ import annotations
 
 import functools
-import itertools
 
 import numpy as np
 
@@ -214,6 +215,23 @@ def power_rows(first, x, count: int, mul) -> np.ndarray:
     return rows
 
 
+def orbit_polys(F, roots: np.ndarray, sub: int) -> np.ndarray:
+    """Row i: the coefficients, constant term first, of the product of
+    (x - roots[i, j]) over j in F, multiplied out across all rows at once:
+    each root shifts the product up and subtracts root times it.  Each
+    row of roots is a Frobenius orbit, so every coefficient must be in
+    the subfield of packed values below ``sub``; one that is not raises."""
+    coeffs = np.zeros((len(roots), roots.shape[1] + 1), dtype=np.int32)
+    coeffs[:, 0] = 1
+    for i in range(roots.shape[1]):
+        shifted = np.zeros_like(coeffs)
+        shifted[:, 1:] = coeffs[:, :-1]
+        coeffs = F.vsub(shifted, F.vmul(roots[:, i : i + 1], coeffs))
+    if (coeffs >= sub).any():
+        raise ConsistencyError(f"a minimal polynomial in F_{F.size} is not over F_{sub}")
+    return coeffs
+
+
 # cells one gather of the character-sum primitive may produce: 32K int64
 # cells are 256 KB, so the temporaries of a chunk stay well under 1 MB
 CHUNK_CELLS = 1 << 15
@@ -272,7 +290,7 @@ class PackedField:
 
     def _build_tables(self, mul0, gen_candidates) -> None:
         p, m, size, order = self.p, self.m, self.size, self.order
-        unpack = np.zeros((size, m), dtype=np.int16)
+        unpack = np.zeros((size, m), dtype=np.int16 if p <= 1 << 15 else np.int32)
         vals = np.arange(size)
         for i in range(m):
             unpack[:, i] = (vals // p**i) % p
@@ -533,7 +551,7 @@ class BaseField(PackedField):
                 rem = _pl_rem(fp, prod, mod)
                 return sum(c * p**i for i, c in enumerate(rem))
 
-            cands = itertools.chain((p,), range(2, p**r))
+            cands = range(p, p**r)  # the constants below p have order dividing p - 1
         super().__init__(p, r, mul0, cands)
         self.q = self.size
         self.a_packed = p if r >= 2 else 1
@@ -611,7 +629,8 @@ class ResidueField(PackedField):
             rem = _pl_rem(base, prod, mod)
             return sum(c * q**i for i, c in enumerate(rem))
 
-        super().__init__(base.p, base.r * self.d, mul0, range(2, q**self.d))
+        # at d >= 2 the constants below q have order dividing q - 1
+        super().__init__(base.p, base.r * self.d, mul0, range(q if self.d >= 2 else 2, q**self.d))
         if self.d == 1:
             self.t_res = base.neg(prime_coeffs[0])
         else:

@@ -41,7 +41,7 @@ from multiprocessing.context import SpawnContext, SpawnProcess
 import numpy as np
 
 from .carlitz import bc_numbers, irregular_indices
-from .fields import BaseField, ConsistencyError, FieldError, ResidueField, _fq_cached, fq_make
+from .fields import MAX_FIELD_SIZE, BaseField, ConsistencyError, FieldError, ResidueField, _fq_cached, fq_make
 from .lseries import character_context, l_report, pic_eigenspace_length
 from .localfield import LocalModel, LocalSweep, bc_local_sweep, check_local_size
 from .poly import Poly, monic_irreducibles, poly_to_str, residue_field
@@ -391,9 +391,10 @@ def scan(base: BaseField, max_degree: int, options: ScanOptions | None = None) -
     options = options or ScanOptions()
     if max_degree < 1:
         raise FieldError("max_degree must be at least 1")
-    # q >= 2, so a degree above 16 is over the cap before q^max_degree is formed
-    if max_degree > 16 or base.size**max_degree > 1 << 16:
-        raise FieldError("residue fields beyond 2^16 elements are not supported")
+    # q >= 2, so a degree above log2 of the cap is over it before q^max_degree is formed
+    log2_cap = MAX_FIELD_SIZE.bit_length() - 1
+    if max_degree > log2_cap or base.size**max_degree > MAX_FIELD_SIZE:
+        raise FieldError(f"residue fields beyond 2^{log2_cap} elements are not supported")
     if options.check_local:
         check_local_size(base.size**max_degree)
     _requested_threads(options)  # refuse a bad environment value before enumerating

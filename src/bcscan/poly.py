@@ -25,7 +25,6 @@ import numpy as np
 
 from .fields import (
     BaseField,
-    ConsistencyError,
     FieldError,
     MAX_FIELD_SIZE,
     ResidueField,
@@ -37,6 +36,7 @@ from .fields import (
     _pl_sub,
     _pl_trim,
     _prime_factors,
+    orbit_polys,
     residue_field_raw,
 )
 
@@ -152,9 +152,9 @@ def monic_irreducibles(field, d: int) -> list[Poly]:
     monic irreducible in canonical order, found by the distinct-degree
     test and built directly.  Each orbit is kept at its least packed
     element a, its conjugates a^(q^i) are gathers through R's Frobenius
-    table, and prod (x - a^(q^i)) is multiplied out across all orbits
-    at once.  The F_q inside R are the packed values below q, so every
-    coefficient is checked to be one.  Degree 1 is t + c directly.
+    table, and ``fields.orbit_polys`` multiplies out prod (x - a^(q^i))
+    across all orbits at once, checking that every coefficient is in
+    F_q, the packed values below q.  Degree 1 is t + c directly.
     These primes are irreducible by construction: a scan builds their
     fields without testing them.  A degree with q^d above the
     residue-field cap is refused."""
@@ -177,17 +177,7 @@ def monic_irreducibles(field, d: int) -> list[Poly]:
     keep = conj.min(axis=1) == a
     for ell in _prime_factors(d):
         keep &= conj[:, d // ell] != a  # the orbit is no shorter than d
-    roots = conj[keep]
-    # column j holds the coefficient of x^j of prod (x - root) over the
-    # roots taken so far; each root shifts it up and subtracts root * it
-    coeffs = np.zeros((len(roots), d + 1), dtype=np.int32)
-    coeffs[:, 0] = 1
-    for i in range(d):
-        shifted = np.zeros_like(coeffs)
-        shifted[:, 1:] = coeffs[:, :-1]
-        coeffs = R.vsub(shifted, R.vmul(roots[:, i : i + 1], coeffs))
-    if (coeffs >= q).any():
-        raise ConsistencyError(f"a minimal polynomial in F_{R.size} is not over F_{q}")
+    coeffs = orbit_polys(R, conj[keep], q)
     coeffs = coeffs[np.lexsort(coeffs[:, :d].T)]  # the x^(d-1) column is the primary key
     return [Poly(field, tuple(row)) for row in coeffs.tolist()]
 

@@ -1,20 +1,25 @@
-"""Truncated Witt vectors of a residue field: W_k = (Z/p^k)[x]/(g).
+"""Truncated Witt vectors of a residue field: W_k = (Z/p^k)[x]/(G).
 
-For a residue field with p^m elements, g lifts the minimal polynomial
-over F_p of a primitive element theta, so W_k is the length-k truncation
-of the unramified extension of Z_p with that residue field.  Elements
-are coordinate tuples against 1, x, ..., x^(m-1) with entries in Z/p^k.
+The ring is presented on the residue field's own generator gamma: for a
+field with p^m elements, G lifts the minimal polynomial of gamma over
+F_p, so x reduces to gamma and W_k is the length-k truncation of the
+unramified extension of Z_p with that residue field.  Elements are
+coordinate tuples against 1, x, ..., x^(m-1) with entries in Z/p^k.
 
 The two operations everything else needs are exact Teichmuller lifts
 (the unique (p^m - 1)-th root of unity over a given residue) and p-adic
-valuation of elements, both used by the L-value layer.
+valuation of elements, both used by the L-value layer.  Every
+Teichmuller lift is a power of omega(gamma): omega(v) is
+omega(gamma)^(dlog v), and omega(gamma) is iterated once per ring.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fields import FieldError, ResidueField
+import numpy as np
+
+from .fields import FieldError, ResidueField, orbit_polys
 
 
 class PrecisionError(ArithmeticError):
@@ -22,23 +27,6 @@ class PrecisionError(ArithmeticError):
 
 
 MAX_PRECISION = 96
-
-
-def _gauss_inverse_mod_p(rows: list[list[int]], p: int) -> list[list[int]]:
-    m = len(rows)
-    aug = [list(r) + [int(i == j) for j in range(m)] for i, r in enumerate(rows)]
-    for col in range(m):
-        piv = next((r for r in range(col, m) if aug[r][col] % p), None)
-        if piv is None:
-            raise FieldError("basis matrix is singular mod p")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = pow(aug[col][col], -1, p)
-        aug[col] = [(v * inv) % p for v in aug[col]]
-        for r in range(m):
-            if r != col and aug[r][col] % p:
-                f = aug[r][col]
-                aug[r] = [(a - f * b) % p for a, b in zip(aug[r], aug[col])]
-    return [r[m:] for r in aug]
 
 
 class WittRing:
@@ -50,63 +38,14 @@ class WittRing:
         self.m = rf.m
         self.k = k
         self.pk = rf.p**k
-        self.theta = self._find_theta()
-        self.modulus = self._minimal_polynomial(self.theta)
-        self._build_basis()
-
-    # -- residue-side setup -----------------------------------------------
-
-    def _orbit_size(self, v: int) -> int:
-        seen = v
-        cur = self.rf.pow(v, self.p)
-        size = 1
-        while cur != seen:
-            cur = self.rf.pow(cur, self.p)
-            size += 1
-        return size
-
-    def _find_theta(self) -> int:
-        rf = self.rf
-        candidates = [rf.t_res]
-        if rf.base.r >= 2:
-            a_img = rf.base.a_packed
-            for c in range(1, self.p):
-                candidates.append(rf.add(rf.t_res, rf.mul(c, a_img)))
-        for v in candidates:
-            if self._orbit_size(v) == self.m:
-                return v
-        for v in rf.elements():
-            if self._orbit_size(v) == self.m:
-                return v
-        raise FieldError("no primitive element found")  # pragma: no cover
-
-    def _minimal_polynomial(self, theta: int) -> tuple[int, ...]:
-        # product of (x - theta^(p^i)) over the p-power orbit; the result
-        # must have prime-subfield coefficients, i.e. packed values < p
-        rf = self.rf
-        coeffs = [1]
-        cur = theta
-        for _ in range(self.m):
-            nxt = [0] * (len(coeffs) + 1)
-            for i, c in enumerate(coeffs):
-                nxt[i + 1] = rf.add(nxt[i + 1], c)
-                nxt[i] = rf.add(nxt[i], rf.mul(rf.neg(cur), c))
-            coeffs = nxt
-            cur = rf.pow(cur, self.p)
-        if any(c >= self.p for c in coeffs):
-            raise FieldError("minimal polynomial left the prime subfield")
-        return tuple(coeffs)
-
-    def _build_basis(self):
-        rf = self.rf
-        pows = [1]
-        for _ in range(self.m - 1):
-            pows.append(rf.mul(pows[-1], self.theta))
-        self.theta_pows = tuple(pows)
-        cols = [list(rf.coords(v)) for v in pows]
-        # rows[i][j] = F_p-coordinate i of theta^j
-        rows = [[cols[j][i] for j in range(self.m)] for i in range(self.m)]
-        self._basis_inv = _gauss_inverse_mod_p(rows, self.p)
+        self.theta = rf.generator
+        # the conjugates of gamma over F_p are gamma^(p^i), read off the exp table
+        conj = np.array([[rf.exp_of(self.p**i) for i in range(self.m)]], dtype=np.int32)
+        self.modulus = tuple(orbit_polys(rf, conj, self.p)[0].tolist())
+        self.theta_pows = tuple(rf.exp_of(j) for j in range(self.m))
+        # coordinates of omega(gamma), iterated on the first teichmuller
+        # call; a tuple, since a WittElem would refer back to the ring
+        self._omega: tuple[int, ...] | None = None
 
     # -- element plumbing ---------------------------------------------------
 
@@ -119,19 +58,6 @@ class WittRing:
     def from_coords(self, coords) -> "WittElem":
         return WittElem(self, tuple(int(c) % self.pk for c in coords))
 
-    def theta_coords(self, v: int) -> tuple[int, ...]:
-        """F_p-coordinates of a residue element against the theta basis."""
-        vec = self.rf.coords(v)
-        return tuple(
-            sum(self._basis_inv[i][j] * vec[j] for j in range(self.m)) % self.p
-            for i in range(self.m)
-        )
-
-    def lift(self, v: int) -> "WittElem":
-        """A lift of a residue element: digit 0 is exact, higher digits
-        are free, and this one leaves them 0."""
-        return self.from_coords(self.theta_coords(v))
-
     def reduce_p(self, w: "WittElem") -> int:
         """Image in the residue field."""
         rf = self.rf
@@ -140,19 +66,35 @@ class WittRing:
             acc = rf.add(acc, rf.mul(c % self.p, pw))
         return acc
 
-    def teichmuller(self, v: int) -> "WittElem":
-        """The unique root of unity (or 0) over the residue v, iterated
-        from ``lift(v)``; the result does not depend on that lift."""
-        y = self.lift(v)
+    def _omega_start(self) -> "WittElem":
+        """x, the plain lift of gamma, where the iteration for omega(gamma)
+        starts; at m = 1, x is -G_0."""
+        if self.m == 1:
+            return self.from_coords((-self.modulus[0],))
+        return self.from_coords(int(i == 1) for i in range(self.m))
+
+    def _omega_gamma(self) -> tuple[int, ...]:
+        """omega(gamma) by y -> y^(p^m) from ``_omega_start``: each step
+        gains one p-adic digit, so k steps reach the fixed point."""
+        y = self._omega_start()
         e = self.p**self.m
         for _ in range(self.k + 2):
             y2 = y**e
             if y2 == y:
-                if self.reduce_p(y) != v:
+                if self.reduce_p(y) != self.theta:
                     raise FieldError("Teichmuller lift drifted off its residue")
-                return y
+                return y.coords
             y = y2
         raise FieldError("Teichmuller iteration failed to stabilize")
+
+    def teichmuller(self, v: int) -> "WittElem":
+        """The unique root of unity (or 0) over the residue v:
+        omega(gamma)^(dlog v)."""
+        if v == 0:
+            return self.zero()
+        if self._omega is None:
+            self._omega = self._omega_gamma()
+        return WittElem(self, self._omega) ** self.rf.dlog(v)
 
     def valuation(self, w: "WittElem") -> int:
         """Largest j <= k with w in p^j W_k; k means 0 at this precision."""

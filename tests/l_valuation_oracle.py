@@ -1,11 +1,11 @@
 """Test-only oracle for v_p(L_n), independent of the Witt-vector layer.
 
-The package computes L_n in W_k = (Z/p^k)[x]/(g), where g lifts the
-minimal polynomial of a primitive element theta, and finds the
-Teichmuller lift omega(gamma) of the field generator gamma by iterating
-y -> y^(p^m).  This oracle takes neither step.  It Hensel-lifts the
-minimal polynomial h of gamma itself over F_p to the monic factor H of
-the integer polynomial x^(Q-1) - 1 over Z/p^k.  The class of x in
+The package computes L_n in W_k = (Z/p^k)[x]/(g), where g is the plain
+lift of the minimal polynomial of the field generator gamma, and finds
+the Teichmuller lift omega(gamma) by iterating y -> y^(p^m) from x.
+This oracle takes neither step.  It Hensel-lifts the minimal polynomial
+h of gamma over F_p, multiplied out by its own loop, to the monic
+factor H of the integer polynomial x^(Q-1) - 1 over Z/p^k.  The class of x in
 (Z/p^k)[x]/(H) is then a (Q-1)-th root of unity over gamma, i.e. its
 Teichmuller lift, so omega(gamma^j) = x^j and
 

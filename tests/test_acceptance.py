@@ -64,7 +64,7 @@ from carlitz_oracle import (
 )
 from l_valuation_oracle import l_valuations
 from scans import scanned
-from steered_lift import steered_lift
+from steered_lift import steered_start
 
 SINGLE = ScanOptions(threads=1)
 
@@ -423,11 +423,12 @@ def test_criterion_7_randomized_algebraic_laws():
         u, v = rng.randrange(1, R.size), rng.randrange(1, R.size)
         offs = tuple(rng.randrange(-3, 4) for _ in range(W.m))
         wu, wv = W.teichmuller(u), W.teichmuller(v)
-        with mock.patch.object(WittRing, "lift", steered_lift(offs)):
-            wu_steered = W.teichmuller(u)
+        # a ring iterates omega(gamma) once, so the steered start needs its own
+        with mock.patch.object(WittRing, "_omega_start", steered_start(offs)):
+            wu_steered = WittRing(R, k).teichmuller(u)
         ok = (
             wu * wv == W.teichmuller(R.mul(u, v))
-            and wu_steered == wu
+            and wu_steered.coords == wu.coords
             and wu ** (R.size - 1) == W.one()
             and W.reduce_p(wu) == u
         )
@@ -467,7 +468,6 @@ def test_criterion_7_randomized_algebraic_laws():
     for _ in range(2 * CASES):
         f = rng.choice(torsion_pool)
         sched.append((f, rng.randrange(1, residue_field(f).size)))
-    sched.sort(key=lambda e: (e[0].field.size, e[0].coeffs, e[1]))
     torsion_coeffs: dict = {}
     for f, g in sched[:CASES]:
         model = models[f]
@@ -485,8 +485,9 @@ def test_criterion_7_randomized_algebraic_laws():
     for f, g in sched[CASES:]:
         model = models[f]
         pi = model.eigen_uniformizer().series
-        lhs = compose(pi, galois_image(model, g))
-        check("uniformizer eigenproperty", lhs == pi.scale(g), (poly_to_str(f), g))
+        # the model is exact mod lambda^N, not over all of its working precision
+        lhs = compose(pi, galois_image(model, g)).truncate(model.N)
+        check("uniformizer eigenproperty", lhs == pi.scale(g).truncate(model.N), (poly_to_str(f), g))
 
     assert not failures, f"{len(failures)} law violations; first three: {failures[:3]}"
     assert len(counts) == 10
@@ -529,18 +530,18 @@ def test_criterion_8_determinism_and_representation_independence(monkeypatch):
     j1 = render_json(scan(F3, 3, SINGLE))
     assert render_json(scan(F3, 3, ScanOptions(threads=2))) == j1
 
-    # every Teichmuller lift starts from a steered lift, offsets (7, 3)
-    # cycled to the ring dimension; a scan builds its fields, and so
-    # their tables, afresh
-    lift, steered = steered_lift((7, 3)), []
+    # every ring's omega(gamma) is iterated from a steered start, offsets
+    # (7, 3) cycled to the ring dimension; a scan builds its fields, and
+    # so their tables, afresh
+    start, steered = steered_start((7, 3)), []
 
-    def steer(self, v):
-        steered.append(v)
-        return lift(self, v)
+    def steer(self):
+        steered.append(self.rf)
+        return start(self)
 
-    monkeypatch.setattr(WittRing, "lift", steer)
+    monkeypatch.setattr(WittRing, "_omega_start", steer)
     assert render_json(scan(F3, 3, SINGLE)) == j1
-    assert steered, "the steered Teichmuller lift never ran"
+    assert steered, "the steered Teichmuller start never ran"
     monkeypatch.undo()
     assert render_json(scan(F3, 3, SINGLE)) == j1
 

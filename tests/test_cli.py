@@ -380,6 +380,16 @@ def test_a_huge_prime_q_is_refused_before_factoring():
     assert proc.stderr.startswith("bcscan: q = 2305843009213693951 exceeds"), proc.stderr
 
 
+def test_a_prime_q_above_2_to_the_15_runs(capsys):
+    # the F_p digits of q = 32771 do not fit int16
+    code, out, err = run(["classify", "--q", "32771", "--prime", "t + 3", "--cross-check"], capsys)
+    assert (code, err) == (0, "")
+    assert out.startswith("prime  indices  dim\nt + 3  {}\n")
+    code, out, err = run(["bc", "--q", "32771", "--prime", "t + 5"], capsys)
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()) == 32769
+
+
 def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 

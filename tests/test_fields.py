@@ -446,3 +446,27 @@ def test_a_table_that_repeats_an_element_is_refused(monkeypatch):
     monkeypatch.setattr(fields, "power_rows", repeated)
     with pytest.raises(FieldError, match="enumerate the unit group"):
         ResidueField(fq_make(2, 1), (1, 1, 0, 0, 1))
+
+
+def test_the_generator_search_skips_the_constants_below_q(monkeypatch):
+    # at degree >= 2 a constant below q (or p) has order dividing q - 1 and
+    # never generates, so the search starts at q; it still finds the first
+    # passing candidate of the full range
+    F5, mod25 = fq_make(5), default_modulus(5, 2)
+    tried = []
+    build = fields.PackedField._build_tables
+
+    def recorded(self, mul0, candidates):
+        def each():
+            for c in candidates:
+                tried.append(c)
+                yield c
+
+        return build(self, mul0, each())
+
+    monkeypatch.setattr(fields.PackedField, "_build_tables", recorded)
+    for build_field in (lambda: ResidueField(F5, (2, 0, 1)), lambda: BaseField(5, 2, mod25)):
+        F = build_field()  # t^2 + 2 over F_5, then F_25 itself
+        assert tried and min(tried) >= 5, F
+        assert F.generator == tried[-1] == reference_generator(F), F
+        tried.clear()

@@ -16,7 +16,7 @@ from bcscan.lseries import (
     saturating_valuation,
 )
 from bcscan.witt import PrecisionError, WittElem, WittRing
-from steered_lift import steered_lift
+from steered_lift import steered_start
 
 
 def ctx_for(q_params, prime_str, k=12):
@@ -122,7 +122,7 @@ def test_valuations_independent_of_precision():
 def test_l_value_independent_of_teichmuller_lift_offsets(monkeypatch):
     rf = residue_field(parse_poly("t^4 + t + 1", fq_make(2, 1)))
     a = CharacterContext(rf, 12)
-    monkeypatch.setattr(WittRing, "lift", steered_lift((1, 0, 2, 1)))
+    monkeypatch.setattr(WittRing, "_omega_start", steered_start((1, 0, 2, 1)))
     b = CharacterContext(rf, 12)
     for n in [3, 9, 12]:
         assert l_value_at_one(a, n).coords == l_value_at_one(b, n).coords
@@ -247,11 +247,11 @@ TEICH_PRIMES = [((2, 1), "t^5 + t^2 + 1"), ((3, 1), "t^3 - t + 1"), ((2, 2), "t^
 @pytest.mark.parametrize("offsets", [None, (1, 0, 2)])
 def test_teich_table_equals_successive_witt_products(pr, prime, k, offsets, monkeypatch):
     rf = residue_field(parse_poly(prime, fq_make(*pr)))
-    if offsets:  # the table's Teichmuller lift starts from a steered lift
-        monkeypatch.setattr(WittRing, "lift", steered_lift(offsets))
+    if offsets:  # the table's omega(gamma) is iterated from a steered start
+        monkeypatch.setattr(WittRing, "_omega_start", steered_start(offsets))
     ctx = CharacterContext(rf, k)
-    monkeypatch.undo()  # the successive products below start unsteered
-    W = ctx.W
+    monkeypatch.undo()
+    W = WittRing(rf, k)  # a fresh ring, whose omega(gamma) is iterated unsteered
     assert (W.m * (W.pk - 1) ** 2 < 1 << 63) == (k == 12)
     wg, cur, rows = W.teichmuller(rf.generator), W.one(), []
     for _ in range(ctx.order):
