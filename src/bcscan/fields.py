@@ -16,8 +16,9 @@ tables of size p^m; addition is coordinatewise mod p.  The exp table is
 filled by doubling (``power_rows``), since multiplication by the
 generator is an F_p-linear map on coordinate vectors; ``power_rows``
 takes the product as an argument and also fills the Teichmuller table
-and the local powers of pi.  ``char_sums`` is the one character-sum
-gather, for the L-value sums and the local dlog components, and
+and the local powers of pi.  ``char_sums`` gathers a character sum at
+each of a few exponents, for the exact L-value sums, the mod-p
+screen's power sums of small degree and the local dlog components, and
 ``orbit_polys`` multiplies out the minimal polynomials of Frobenius
 orbits, for the prime enumeration and the Witt modulus.  Everything
 is exact integer arithmetic.  numpy mirrors of the tables drive the
@@ -232,8 +233,9 @@ def orbit_polys(F, roots: np.ndarray, sub: int) -> np.ndarray:
     return coeffs
 
 
-# cells one gather of the character-sum primitive may produce: 32K int64
-# cells are 256 KB, so the temporaries of a chunk stay well under 1 MB
+# cells one gather of the character-sum primitive or of a step of
+# series.divide_rows may produce: 32K int64 cells are 256 KB, so the
+# temporaries of a chunk stay well under 1 MB
 CHUNK_CELLS = 1 << 15
 
 
@@ -415,20 +417,7 @@ class PackedField:
     def exp_of(self, j: int) -> int:
         return self._exp[j % self.order] if self.order else 1
 
-    def coords(self, v: int) -> tuple[int, ...]:
-        out = []
-        for _ in range(self.m):
-            out.append(v % self.p)
-            v //= self.p
-        return tuple(out)
-
-    def elements(self) -> range:
-        return range(self.size)
-
     # -- vectorized operations (packed int32 numpy arrays) -------------
-
-    def varr(self, values) -> np.ndarray:
-        return np.asarray(values, dtype=np.int32)
 
     def vadd(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         if self.p == 2:
@@ -640,6 +629,9 @@ class ResidueField(PackedField):
         # they go with it, freed by the cyclic collector unless a caller
         # done with the field clears them first, as a scan does
         self.contexts: dict = {}
+        # the mod-p screen of its character sums, set by
+        # lseries.mod_p_screen on first use and shared by every context
+        self.screen = None
 
     @property
     def frob_exponent(self) -> int:
@@ -652,17 +644,6 @@ class ResidueField(PackedField):
     def reduce_list(self, coeffs) -> int:
         rem = _pl_rem(self.base, list(coeffs), list(self.prime_coeffs))
         return sum(c * self.q**i for i, c in enumerate(rem))
-
-    def degree_of(self, v: int) -> int:
-        """Degree of the canonical representative (v nonzero)."""
-        if v == 0:
-            raise FieldError("zero residue has no representative degree")
-        d = 0
-        q = self.q
-        while v >= q:
-            v //= q
-            d += 1
-        return d
 
     def __repr__(self) -> str:
         return f"F_{self.base.size}[t] mod prime of degree {self.d}"

@@ -343,7 +343,11 @@ def _scan_prime(base: BaseField, coeffs: tuple[int, ...], options: ScanOptions) 
     vector alone shows a prime regular; only a check flag goes on to
     classify it, for the checks.  The prime comes from the enumerator,
     so its field is built directly, untested, and with it go all the
-    prime's tables when this returns."""
+    prime's tables when this returns.  No multiple of q - 1 lies
+    strictly between 0 and q - 1, so a prime of degree one is regular
+    and needs no field unless a check flag asks for one."""
+    if len(coeffs) == 2 and not (options.check_local or options.cross_check):
+        return None
     ctx = PrimeContext(ResidueField(base, coeffs), options)
     if not (ctx.irregular or options.check_local or options.cross_check):
         return None

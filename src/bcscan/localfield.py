@@ -109,9 +109,11 @@ class LocalModel:
         # monic top term survives: the first residual sits at q^d - 1
         if not r.is_zero and v < self.N - 1:
             raise ConsistencyError(f"initial torsion residual at depth {v}, expected >= {self.N - 1}")
-        steps = 0
+        steps, n = 0, self.n_work
         while not r.is_zero:
-            T = T - r * dG.inverse()
+            # r vanishes below z^v, so r / dG mod z^n needs 1/dG only mod z^(n - v)
+            step = r.shift_down(v) * dG.truncate(n - v).inverse()
+            T = T - TruncSeries(self.rf, n, np.pad(step.c, (v, 0)))
             r, dG = _apply_phi(T, self.prime.coeffs)
             if not r.is_zero and r.valuation() <= v:
                 raise ConsistencyError("Newton iteration for t(lambda) stalled")

@@ -22,24 +22,142 @@ context, covering v(L_n) at in-scope n and v(S_n(1)) elsewhere.  The
 weights are rational integers and Frobenius sends omega(x) to
 omega(x)^p, so both sums at n and at pn mod (Q-1) have the same
 valuation and the table computes each p-orbit once, at its least
-member.  Since omega(g) reduces to g mod p,
-a sum over F_Q first settles every member of valuation 0; only the
-rest take the exact Witt sum.  Both are gathers of ``fields.char_sums``,
-shared with the local model.  The polynomial route stays available as
-an independent cross-check.
+member.  Since omega(g) reduces to g mod p, both sums reduce mod p to
+combinations of the power sums of the monic g of each degree j < d,
+which Carlitz's polynomials e_j give for every exponent at once, one
+series division per degree (``monic_power_sums``).  That screen
+settles every orbit of valuation 0, once per field for every
+precision (``mod_p_screen``); only the rest take the exact Witt sum,
+a gather of ``fields.char_sums``.  The polynomial route stays
+available as an independent cross-check.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .fields import ConsistencyError, FieldError, ResidueField, char_sums, power_rows
+from .series import divide_rows
 from .witt import MAX_PRECISION, PrecisionError, WittElem, WittRing
 
 INT64_SAFE_BOUND = 1 << 62
+
+# monic g of degree j with q^j at most this are summed directly at the
+# wanted exponents; above it S_j comes from Carlitz's series, one
+# divide_rows over all Q exponents.  Best of 7 screens on a 2-core host,
+# one BLAS thread, 256 against 128: 92-112 against 110-130 ms at
+# t^16 + t^5 + t^3 + t^2 + 1 over F_2, the degree-16 primes being the
+# largest a scan reaches; 20-26 against 14-21 ms at t^8 + t^2 - 1 and
+# 234-308 against 177-249 ms at a degree-10 prime over F_3; 4-6 ms
+# either way at t^12 + t^3 + 1.  64 and 1024 were slower at degree 16,
+# and 16 up to three times slower everywhere.
+DIRECT_SUM_SIZE = 256
+
+
+def monic_power_sums(F, t: int, d: int, ns) -> np.ndarray:
+    """Row j < d, column i: the sum of g^(-n), n = ns[i], over the monic
+    g = t^j + c_(j-1) t^(j-1) + ... + c_0 of degree j over F_q, each
+    evaluated in F at the element t, whose minimal polynomial over F_q
+    must have degree at least d, so that no g vanishes.
+
+    Let e_j(x) be the product of x - a over the a of degree < j; it is
+    F_q-linear, sum_i E_(j,i) x^(q^i) with E_(j,j) = 1, and
+    e_(j+1) = e_j^q - e_j(t^j)^(q-1) e_j gives E_(j+1) from E_j
+    (Carlitz 1935).  The g of degree j are the roots of
+    P = e_j(x) - e_j(t^j), and P' = E_(j,0), so the logarithmic
+    derivative of P at x = 1/u gives
+
+        sum_k S_j(k) u^(k+1)
+          = E_(j,0) u^(q^j) / (1 + sum_(i<j) E_(j,i) u^(q^j - q^i) - e_j(t^j) u^(q^j)),
+
+    S_j(k) the sum of g^k: one ``divide_rows`` by a denominator of
+    j + 2 terms.  As g^(-n) = g^k at k = -n mod Q-1, column i is
+    S_j(k) at that k.  Rows with q^j at most DIRECT_SUM_SIZE are summed
+    directly at the ns instead, through ``char_sums``."""
+    q, order = F.q, F.order
+    ns = np.asarray(ns, dtype=np.int64)
+    out = np.empty((d, ns.size), dtype=np.int32)
+    # the degrees j < J summed directly, in one gather: span holds
+    # c_0 + c_1 t + ... at the packed c < q^J, so the monic g of degree
+    # j sit at [q^j, 2 q^j), as they pack in F_q[t]/(f)
+    J = next((j for j in range(d) if q**j > DIRECT_SUM_SIZE), d)
+    span, tj = np.zeros(1, dtype=np.int32), 1
+    for _ in range(J):
+        span = F.vadd(F.vmul(np.arange(q, dtype=np.int32), tj)[:, None], span[None]).ravel()
+        tj = F.mul(tj, t)
+    logs = F._nplog[np.concatenate([span[q**j : 2 * q**j] for j in range(J)])].astype(np.int64)
+    bounds = np.cumsum([0] + [q**j for j in range(J)])
+    out[:J] = char_sums(order, F._npexp, logs, lambda g: _run_sums(F, g, bounds), ns).T
+    for j, (E, D) in zip(range(J, d), itertools.islice(_carlitz_coeffs(F, t), J, None)):
+        den = np.zeros(order + 1, dtype=np.int32)
+        den[q**j - q ** np.arange(j + 1)] = E
+        den[q**j] = F.neg(D)
+        num = np.zeros_like(den)
+        num[q**j] = E[0]
+        out[j] = divide_rows(F, num[None], den[None])[0, -ns % order + 1]
+    return out
+
+
+def _carlitz_coeffs(F, t: int):
+    """(E_(j,0..j), e_j(t^j)) for j = 0, 1, 2, ...: e_0(x) = x and
+    e_(j+1) = e_j^q - e_j(t^j)^(q-1) e_j."""
+    q, E, D, tj = F.q, [1], 1, 1
+    while True:
+        yield E, D
+        c = F.pow(D, q - 1)
+        E = [F.sub(F.pow(E[i - 1], q) if i else 0, F.mul(c, E[i]) if i < len(E) else 0)
+             for i in range(len(E) + 1)]
+        tj = F.mul(tj, t)
+        D = functools.reduce(F.add, (F.mul(e, F.pow(tj, q**i)) for i, e in enumerate(E)))
+
+
+def _run_sums(F, g: np.ndarray, bounds) -> np.ndarray:
+    """Column i: the sum in F of each row's run g[:, bounds[i] : bounds[i + 1]]."""
+    return np.stack([F.vsum(g[:, a:b], axis=1) for a, b in zip(bounds, bounds[1:])], axis=1)
+
+
+@dataclass(frozen=True)
+class ModPScreen:
+    """The units among one field's character sums, decided mod p.
+
+    ``rep``, entry n: the least member of n's orbit under n -> pn mod
+    Q-1.  ``unit``, entry n: whether the sum at n has valuation 0, which
+    is L_n at in-scope n and S_n(1) at the others (entry 0 is unused)."""
+
+    rep: np.ndarray
+    unit: np.ndarray
+
+
+def mod_p_screen(rf: ResidueField) -> ModPScreen:
+    """The field's screen, built on first use and kept in ``rf.screen``,
+    so that every precision's context shares it.
+
+    omega(g) reduces to g mod p, so L_n reduces to -sum (deg g mod p)
+    g^(-n) and S_n(1) to sum g^(-n), over the monic g of degree < d:
+    sums of the rows of ``monic_power_sums``, taken once per orbit
+    representative as their F_p digits and tested for zero."""
+    if rf.screen is not None:
+        return rf.screen
+    order, p = rf.order, rf.p
+    rep = np.arange(order, dtype=np.int64)
+    cur = rep.copy()
+    for _ in range(rf.m - 1):
+        cur = cur * p % order
+        np.minimum(rep, cur, out=rep)
+    reps = np.flatnonzero(rep == np.arange(order))[1:]
+    in_scope = reps % (rf.q - 1) == 0
+    total = np.zeros((reps.size, rf.m), dtype=np.int64)
+    for j, row in enumerate(monic_power_sums(rf, rf.t_res, rf.d, reps)):
+        # the weight of degree j: j for L_n at in-scope n, 1 for S_n(1)
+        total += np.where(in_scope, j % p, 1)[:, None] * rf._unpack[row]
+    unit = np.zeros(order, dtype=bool)
+    unit[reps] = (total % p).any(axis=1)
+    rf.screen = ModPScreen(rep, unit[rep])
+    return rf.screen
 
 
 class CharacterContext:
@@ -90,43 +208,18 @@ class CharacterContext:
         (total,) = char_sums(self.order, self.teich, logs, reduce, [n])
         return self.W.from_coords(int(v) for v in total)
 
-    def _unit_mod_p(self, weights, ns) -> np.ndarray:
-        """Whether each weighted sum at n in ns is a unit, i.e. has
-        valuation 0: omega(g) reduces to g, so the sum reduces to
-        sum (w(g) mod p) g^(-n) in F_Q, decided without the Witt ring."""
-        rf, (logs, w) = self.rf, weights
-        p = rf.p
-        keep = w % p != 0
-        logs, w = logs[keep], w[keep] % p
-        if p == 2:  # every kept weight is 1 and F_Q addition is XOR
-            return char_sums(
-                self.order, rf._npexp, logs, lambda g: np.bitwise_xor.reduce(g, axis=1) != 0, ns
-            )
-        digits = rf._unpack[rf._npexp]  # F_p-coordinates of gamma^i
-        return char_sums(
-            self.order, digits, logs, lambda g: (np.einsum("rjc,j->rc", g, w) % p).any(axis=1), ns
-        )
-
     @functools.cached_property
     def _valuations(self) -> np.ndarray:
         """Entry n: v(L_n) at in-scope n, v(S_n(1)) at the other
         0 < n < Q-1, each capped at k (entry 0 is unused)."""
-        order, p = self.order, self.rf.p
-        rep = np.arange(order, dtype=np.int64)  # least member of each n -> pn orbit
-        cur = rep.copy()
-        for _ in range(self.rf.m - 1):
-            cur = cur * p % order
-            np.minimum(rep, cur, out=rep)
-        reps = np.flatnonzero(rep == np.arange(order))[1:]
-        vals = np.zeros(order, dtype=np.int64)
-        for in_scope in (True, False):
-            ns = reps[(reps % (self.rf.q - 1) == 0) == in_scope]
-            weights = self._deg_weights if in_scope else self._unit_weights
-            for r in ns[~self._unit_mod_p(weights, ns)]:
-                r = int(r)
-                s = self.closed_weighted_sum(r) if in_scope else self._witt_sum(weights, r)
-                vals[r] = self.W.valuation(s)
-        return vals[rep]
+        screen = mod_p_screen(self.rf)
+        reps = np.flatnonzero(screen.rep == np.arange(self.order))[1:]
+        vals = np.zeros(self.order, dtype=np.int64)
+        for r in reps[~screen.unit[reps]]:
+            r = int(r)
+            s = self.closed_weighted_sum(r) if self.in_scope(r) else self._witt_sum(self._unit_weights, r)
+            vals[r] = self.W.valuation(s)
+        return vals[screen.rep]
 
     def valuation(self, n: int) -> int:
         """v_p of L_n for an in-scope n, of S_n(1) for any other

@@ -30,7 +30,6 @@ from .fields import (
     ResidueField,
     _pl_add,
     _pl_divmod,
-    _pl_gcd,
     _pl_is_irreducible,
     _pl_mul,
     _pl_sub,
@@ -129,10 +128,6 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({poly_to_str(self)!r})"
-
-
-def poly_gcd(a: Poly, b: Poly) -> Poly:
-    return Poly(a.field, tuple(_pl_gcd(a.field, list(a.coeffs), list(b.coeffs))))
 
 
 def monic_polys(field, d: int):

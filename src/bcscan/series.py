@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import fields
 from .fields import FieldError
 
 
@@ -72,16 +73,18 @@ def divide_rows(F, num: np.ndarray, den: np.ndarray) -> np.ndarray:
     """Row-wise num / den mod z^n, den with unit constant terms, by the
     recurrence y_k = den_0^-1 (num_k - sum over s in S of den_s y_(k-s)),
     S the nonzero columns s >= 1 of den.  Columns k..k+min(S)-1 read only
-    y below k, so each step fills min(S) columns of every row in one
-    gather over the s in S that reach them: a den nonzero at a few
-    columns costs a few cells per coefficient, not a dense inverse."""
+    y below k, so each step fills up to min(S) columns of every row in
+    one gather over the s in S that reach them: a den nonzero at a few
+    columns costs a few cells per coefficient, not a dense inverse.  A
+    step takes fewer columns where min(S) of them would gather more than
+    CHUNK_CELLS cells, unless a single column does."""
     num, den = np.broadcast_arrays(num, den)
     if not den[:, 0].all():
         raise ZeroDivisionError("series has no inverse: zero constant term")
     rows, n = den.shape
     inv0 = F._zexp[F.order - F._zlog[den[:, :1]]]
     cols = np.flatnonzero(den[:, 1:].any(axis=0)) + 1
-    step = int(cols[0]) if cols.size else n
+    step = min(int(cols[0]), max(1, fields.CHUNK_CELLS // (rows * cols.size))) if cols.size else n
     # y_k = num_k / den_0 + sum(-den_s / den_0 * y_(k-s)); the logs of y
     # are kept beside it, with a last column holding the log of 0 for
     # the y_(k-s) at k < s

@@ -16,6 +16,11 @@ Both rings are the length-k truncation of the unramified extension of
 Z_p with residue field F_Q, so the valuation (the least p-adic valuation
 of the power-basis coordinates) does not depend on the basis.
 
+``units_mod_p`` is the oracle of the package's mod-p screen: whether
+v(L_n) = 0 at in-scope n and v(S_n(1)) = 0 elsewhere, decided by
+gathering g^(-n) over every monic g of degree < d for each n, in
+O(Q^2) field operations, where the package sums Carlitz's power series.
+
 Nothing here imports bcscan.witt or bcscan.lseries; only the residue
 field's own arithmetic is used.  Polynomials are little-endian numpy
 int64 coefficient arrays.  The precision k is the largest with
@@ -25,6 +30,8 @@ p^k <= 2^24, which keeps every product sum below 2^63.
 from __future__ import annotations
 
 import numpy as np
+
+from bcscan.fields import char_sums
 
 _WORD_BOUND = 1 << 24
 
@@ -194,3 +201,26 @@ def l_valuations(rf, ns) -> dict[int, int]:
         bad = [int(n) for n in ns[v >= k]]
         raise AssertionError(f"L_n saturated at the oracle precision k={k} for n in {bad}")
     return {int(n): int(x) for n, x in zip(ns, v)}
+
+
+def units_mod_p(rf, ns) -> np.ndarray:
+    """Whether the sum at each n in ns is a unit: L_n at in-scope n,
+    S_n(1) elsewhere.  omega(g) reduces to g, so the sum reduces to
+    sum (w(g) mod p) g^(-n) in F_Q, w(g) = deg g for L_n and 1 for
+    S_n(1), gathered at every monic g of degree < d."""
+    ns = np.asarray(ns, dtype=np.int64)
+    q, d, p, order = rf.q, rf.d, rf.p, rf.size - 1
+    logs = np.concatenate([rf._nplog[q**j : 2 * q**j] for j in range(d)]).astype(np.int64)
+    degs = np.repeat(np.arange(d, dtype=np.int64), [q**j for j in range(d)])
+    out = np.zeros(ns.size, dtype=bool)
+    for in_scope, w in ((True, degs), (False, np.ones_like(degs))):
+        sel = (ns % (q - 1) == 0) == in_scope
+        keep = w % p != 0
+        kept, wk = logs[keep], w[keep] % p
+        if p == 2:  # every kept weight is 1 and F_Q addition is XOR
+            reduce = lambda g: np.bitwise_xor.reduce(g, axis=1) != 0
+            out[sel] = char_sums(order, rf._npexp, kept, reduce, ns[sel])
+        else:
+            reduce = lambda g: (np.einsum("rjc,j->rc", g, wk) % p).any(axis=1)
+            out[sel] = char_sums(order, rf._unpack[rf._npexp], kept, reduce, ns[sel])
+    return out

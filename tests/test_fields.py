@@ -192,24 +192,13 @@ def test_residue_field_over_extension_base():
     assert R.reduce_list([0, 0, 1]) == R.add(tr, 2)
 
 
-def test_residue_representative_degree():
-    F3 = fq_make(3, 1)
-    R = residue_field_raw(F3, (1, 2, 0, 1))
-    assert R.degree_of(1) == 0
-    assert R.degree_of(3) == 1
-    assert R.degree_of(9) == 2
-    assert R.degree_of(26) == 2
-    with pytest.raises(FieldError):
-        R.degree_of(0)
-
-
 @pytest.mark.parametrize("p,r", [(2, 1), (3, 2), (5, 1)])
 def test_vector_ops_match_scalar_ops(p, r):
     F = fq_make(p, r)
     rng = random.Random(13 * p + r)
     n = 257
-    a = F.varr([rng.randrange(F.size) for _ in range(n)])
-    b = F.varr([rng.randrange(F.size) for _ in range(n)])
+    a = np.array([rng.randrange(F.size) for _ in range(n)], dtype=np.int32)
+    b = np.array([rng.randrange(F.size) for _ in range(n)], dtype=np.int32)
     va, vs, vm = F.vadd(a, b), F.vsub(a, b), F.vmul(a, b)
     vn, vf = F.vneg(a), F.vfrobq(a)
     for i in range(n):
@@ -228,7 +217,7 @@ def test_vector_ops_match_scalar_ops(p, r):
 
 def test_vsum_axis_on_matrix():
     F = fq_make(3, 1)
-    m = F.varr([[1, 2, 0], [2, 2, 1]])
+    m = np.array([[1, 2, 0], [2, 2, 1]], dtype=np.int32)
     assert list(F.vsum(m, axis=0)) == [0, 1, 1]
     assert list(F.vsum(m, axis=1)) == [0, 2]
 
@@ -288,7 +277,7 @@ def test_residue_frobenius_fixes_base_scalars():
     R = residue_field_raw(F4, (2, 1, 1))
     for c in range(4):
         assert R.pow(c, 4) == c
-    arr = R.varr(list(range(4)))
+    arr = np.arange(4, dtype=np.int32)
     assert list(R.vfrobq(arr)) == list(range(4))
 
 

@@ -9,7 +9,7 @@ import weakref
 
 import pytest
 
-from bcscan import fields, herbrand, poly
+from bcscan import cli, fields, herbrand, poly
 from bcscan.carlitz import bc_numbers, irregular_indices
 from bcscan.fields import ConsistencyError, FieldError, fq_make
 from bcscan.herbrand import (
@@ -185,6 +185,25 @@ def test_scan_empty_q5():
     assert r.primes_scanned == 15
 
 
+def test_a_default_scan_builds_no_field_at_degree_one(monkeypatch, capsys):
+    built = []
+    real_init = fields.ResidueField.__init__
+
+    def counted(self, base, coeffs):
+        built.append(coeffs)
+        real_init(self, base, coeffs)
+
+    monkeypatch.setattr(fields.ResidueField, "__init__", counted)
+    assert cli.main(["scan", "--q", "5", "--max-degree", "1"]) == 0
+    assert capsys.readouterr().out == (
+        "prime  indices  dim\n\nscanned 5 primes of degree <= 1 over F_5; 0 irregular\n"
+    )
+    assert built == []
+    # a check flag still classifies, and so builds, every prime
+    assert scanned(fq_make(5, 1), 1, ScanOptions(cross_check=True)).reports == ()
+    assert len(built) == 5
+
+
 def test_scan_thread_determinism():
     r1 = scan(F3, 3, ScanOptions(threads=1))
     r2 = scan(F3, 3, ScanOptions(threads=2))
@@ -246,8 +265,9 @@ def test_scan_frees_each_regular_report_before_the_next_prime(monkeypatch):
     finally:
         gc.enable()
     assert [rep.prime for rep in r.reports] == ["t^4 + t + 1"]
-    # 13 of the 14 primes have a next one; one prime built a context
-    assert len(freed) == 2 * 13 + 1 and all(freed)
+    # the 12 primes of degree >= 2 build a context, 11 of them have a
+    # next one, and one prime built a character context
+    assert len(freed) == 2 * 11 + 1 and all(freed)
 
 
 def count_irreducibility_tests(monkeypatch):

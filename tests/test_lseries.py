@@ -1,10 +1,13 @@
 """L-values over truncated Witt vectors: worked example, identities,
 scope rules, valuations, precision behaviour."""
 
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from bcscan import lseries
+from bcscan import fields, lseries
 from bcscan.fields import ConsistencyError, FieldError, ResidueField, fq_make
 from bcscan.poly import monic_irreducibles, parse_poly, residue_field
 from bcscan.lseries import (
@@ -12,10 +15,13 @@ from bcscan.lseries import (
     character_context,
     l_report,
     l_value_at_one,
+    mod_p_screen,
+    monic_power_sums,
     pic_eigenspace_length,
     saturating_valuation,
 )
 from bcscan.witt import PrecisionError, WittElem, WittRing
+from l_valuation_oracle import units_mod_p
 from steered_lift import steered_start
 
 
@@ -206,23 +212,18 @@ def test_valuation_table_gathers_once_per_frobenius_orbit(monkeypatch):
     rf = ResidueField(f.field, f.coeffs)  # a new field has no context yet
     reps = {min(n * 2**i % 4095 for i in range(12)) for n in range(1, 4095)}
     assert 340 <= len(reps) <= 360
-    calls = {"closed_weighted_sum": 0, "rows": 0}
-    closed, char_sums = CharacterContext.closed_weighted_sum, lseries.char_sums
+    summed, witt_sum = [], CharacterContext._witt_sum
 
-    def counted_closed(self, n):
-        calls["closed_weighted_sum"] += 1
-        return closed(self, n)
+    def counted(self, weights, n):
+        summed.append(n)
+        return witt_sum(self, weights, n)
 
-    def counted_rows(order, table, logs, reduce, ns):
-        calls["rows"] += len(ns)
-        return char_sums(order, table, logs, reduce, ns)
-
-    monkeypatch.setattr(CharacterContext, "closed_weighted_sum", counted_closed)
-    monkeypatch.setattr(lseries, "char_sums", counted_rows)
+    monkeypatch.setattr(CharacterContext, "_witt_sum", counted)
     vals = [pic_eigenspace_length(rf, n) for n in range(1, 4095)]
-    assert 1 <= calls["closed_weighted_sum"] <= len(reps)
-    # the screen sees each representative once, the Witt sums only survivors
-    assert calls["rows"] <= len(reps) + calls["closed_weighted_sum"]
+    # the Witt sum runs once at each representative the screen leaves
+    left = sorted(n for n in reps if not rf.screen.unit[n])
+    assert 1 <= len(left) < len(reps) // 10
+    assert sorted(summed) == left
     assert sum(v > 0 for v in vals) == 2
 
 
@@ -297,3 +298,118 @@ def test_a_teich_table_that_does_not_close_is_refused(monkeypatch):
     rf = residue_field(parse_poly("t^3 - t + 1", fq_make(3, 1)))
     with pytest.raises(ConsistencyError, match="does not close"):
         CharacterContext(rf, 12)
+
+
+def primes_up_to(limit):
+    """Every prime with q^d <= limit over F_2, F_3, F_4, F_5, F_7, F_8,
+    F_9 and F_16."""
+    for p, r in [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (2, 4)]:
+        F, d = fq_make(p, r), 1
+        while F.size**d <= limit:
+            yield from monic_irreducibles(F, d)
+            d += 1
+
+
+def direct_power_sums(rf, t, ns):
+    """Row j: sum of g^(-n) over the monic g of degree j in t, each g
+    evaluated by Horner's rule in the field's scalar arithmetic."""
+    q, order = rf.q, rf.order
+    rows = []
+    for j in range(rf.d):
+        gs = []
+        for tail in itertools.product(range(q), repeat=j):
+            g = 1
+            for c in tail:
+                g = rf.add(rf.mul(g, t), c)
+            gs.append(g)
+        logs = rf._nplog[gs].astype(np.int64)
+        rows.append(rf.vsum(rf._npexp[(-ns[:, None] * logs) % order], axis=1))
+    return np.array(rows, dtype=np.int32)
+
+
+@pytest.mark.parametrize("direct", [1, lseries.DIRECT_SUM_SIZE])
+def test_monic_power_sums_equal_the_direct_sums(direct, monkeypatch):
+    # at direct = 1 every degree j >= 1 takes Carlitz's series; t runs
+    # over the class of t and the field's generator, whose monic g differ
+    monkeypatch.setattr(lseries, "DIRECT_SUM_SIZE", direct)
+    for f in primes_up_to(256):
+        rf = residue_field(f)
+        ns = np.arange(1, rf.order)
+        for t in {rf.t_res, rf.generator}:
+            want = direct_power_sums(rf, t, ns)
+            assert np.array_equal(monic_power_sums(rf, t, rf.d, ns), want), (str(f), t)
+
+
+def assert_screen_matches_the_oracle(rf, ns):
+    screen = mod_p_screen(rf)
+    assert np.array_equal(screen.unit[ns], units_mod_p(rf, ns)), rf.prime_coeffs
+    assert np.array_equal(screen.unit, screen.unit[screen.rep])
+
+
+def test_the_screen_equals_the_gather_oracle():
+    # every n up to q^d = 256, every orbit representative up to 2^10
+    for f in primes_up_to(1 << 10):
+        rf = residue_field(f)
+        ns = np.arange(1, rf.order)
+        if rf.size > 256:
+            ns = ns[mod_p_screen(rf).rep[ns] == ns]
+        assert_screen_matches_the_oracle(rf, ns)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_the_screen_equals_the_gather_oracle_at_q_to_the_16(seed):
+    # a seeded prime with 2^16 elements over F_2, F_4 and F_16: the
+    # oracle at every representative the screen leaves and at 256 more
+    rng = np.random.default_rng(seed)
+    for p, r, d in [(2, 1, 16), (2, 2, 8), (2, 4, 4)]:
+        primes = monic_irreducibles(fq_make(p, r), d)
+        f = primes[rng.integers(len(primes))]
+        rf = ResidueField(f.field, f.coeffs)
+        screen = mod_p_screen(rf)
+        reps = np.flatnonzero(screen.rep == np.arange(rf.order))[1:]
+        left = reps[~screen.unit[reps]]
+        assert_screen_matches_the_oracle(rf, np.union1d(left, rng.choice(reps, 256, replace=False)))
+
+
+def test_an_escalated_context_reuses_its_fields_screen(monkeypatch):
+    rf = ResidueField(fq_make(3, 1), (2, 0, 1, 0, 1))  # t^4 + t^2 - 1, no context yet
+    calls, sums = [], lseries.monic_power_sums
+
+    def counted(*args):
+        calls.append(args)
+        return sums(*args)
+
+    monkeypatch.setattr(lseries, "monic_power_sums", counted)
+    # v_3(L_40) = 1 saturates W_1, so k = 1 escalates to k = 2
+    assert pic_eigenspace_length(rf, 40, k=1) == 1
+    assert sorted(rf.contexts) == [1, 2] and len(calls) == 1
+
+
+@pytest.mark.parametrize("pr,prime", [((2, 1), "t^9 + t^4 + 1"), ((3, 1), "t^6 + t + 2")])
+def test_power_sums_do_not_depend_on_the_chunk_size(pr, prime, monkeypatch):
+    rf = residue_field(parse_poly(prime, fq_make(*pr)))
+    ns = np.arange(1, rf.order)
+    tables = []
+    for direct in (1, lseries.DIRECT_SUM_SIZE):
+        for cells in (1, fields.CHUNK_CELLS, 1 << 30):
+            monkeypatch.setattr(lseries, "DIRECT_SUM_SIZE", direct)
+            monkeypatch.setattr(fields, "CHUNK_CELLS", cells)
+            tables.append(monic_power_sums(rf, rf.t_res, rf.d, ns))
+    assert all(np.array_equal(t, tables[0]) for t in tables[1:])
+
+
+@pytest.mark.parametrize("p,d", [(2, 16), (3, 10)])
+def test_the_screen_holds_a_few_tables_of_q_entries(p, d):
+    # the screen keeps a few arrays of Q entries and gathers at most
+    # CHUNK_CELLS cells at a time, in the direct sums and in each step of
+    # divide_rows; with CHUNK_CELLS raised to 2^30 it peaked at 277 bytes
+    # per element at 2^16 and 242 at 3^10, against 49 and 61
+    f = monic_irreducibles(fq_make(p, 1), d)[5]
+    rf = ResidueField(f.field, f.coeffs)
+    tracemalloc.start()
+    try:
+        mod_p_screen(rf)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 80 * rf.size

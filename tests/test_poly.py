@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bcscan.fields import MAX_FIELD_SIZE, FieldError, fq_make
+from bcscan.fields import MAX_FIELD_SIZE, FieldError, _pl_gcd, fq_make
 from bcscan.poly import (
     Poly,
     PolyParseError,
@@ -14,7 +14,6 @@ from bcscan.poly import (
     monic_irreducibles,
     monic_polys,
     parse_poly,
-    poly_gcd,
     poly_to_str,
     residue_field,
     residue_to_str,
@@ -246,7 +245,7 @@ def test_gcd_and_factor_check():
     F2 = fq_make(2, 1)
     a = parse_poly("t^5 + t + 1", F2)
     b = parse_poly("t^2 + t + 1", F2)
-    assert poly_to_str(poly_gcd(a, b)) == "t^2 + t + 1"
+    assert poly_to_str(Poly(F2, tuple(_pl_gcd(F2, a.coeffs, b.coeffs)))) == "t^2 + t + 1"
     assert (a % b).is_zero
 
 
