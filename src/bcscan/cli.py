@@ -23,11 +23,10 @@ import os
 import signal
 import sys
 import threading
-from dataclasses import replace
 
 from .carlitz import bc_numbers
 from .fields import MAX_FIELD_SIZE, BaseField, ConsistencyError, FieldError, _prime_factors, fq_make
-from .emit import emit
+from .emit import emit, replacing
 from .herbrand import ScanOptions, ScanResult, classify_prime, fq_modulus_str, scan, validated
 from .poly import PolyParseError, parse_poly, residue_field, residue_to_str
 from .witt import MAX_PRECISION, PrecisionError
@@ -75,9 +74,8 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--threads", type=int,
                     help="worker processes (default 1 or BCSCAN_THREADS), at most the cpu count")
     sp.add_argument("--timings", action="store_true",
-                    help="print per-prime timings to stderr, for each prime classified: by"
-                         " default only irregular primes get L-values, while --check-local"
-                         " and --cross-check classify and check every prime")
+                    help="write one line per scanned prime to stderr: the seconds of each"
+                         " step that ran there (field, bc, classify)")
     sp.add_argument("--format", choices=["table", "json", "csv"], default="table")
     sp.add_argument("--out", help="write output to a file instead of stdout")
 
@@ -94,21 +92,6 @@ def _options(args) -> ScanOptions:
         threads=args.threads,
         include_timings=args.timings,
     )
-
-
-def _checked(result: ScanResult, timings: bool) -> ScanResult:
-    """The result, each report validated, and its timings printed, as
-    it is drawn."""
-    result = validated(result)
-    return replace(result, reports=_print_timings(result.reports)) if timings else result
-
-
-def _print_timings(reports):
-    for rep in reports:
-        if rep.timings:
-            parts = " ".join(f"{k}={v:.3f}s" for k, v in rep.timings.items())
-            print(f"timing {rep.prime}: {parts}", file=sys.stderr)
-        yield rep
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -156,7 +139,7 @@ def _run(argv) -> int:
         base = _q_to_base(args.q, args.fq_modulus)
         if args.command == "scan":
             result = scan(base, args.max_degree, _options(args))
-            emit(_checked(result, args.timings), args.format, args.out or sys.stdout)
+            emit(validated(result), args.format, args.out or sys.stdout)
         elif args.command == "classify":
             options = _options(args)
             prime = parse_poly(args.prime, base)
@@ -169,7 +152,7 @@ def _run(argv) -> int:
                 primes_scanned=1,
                 reports=(report,),
             )
-            emit(_checked(result, args.timings), args.format, args.out or sys.stdout, detail=True)
+            emit(validated(result), args.format, args.out or sys.stdout, detail=True)
         else:
             prime = parse_poly(args.prime, base)
             rf = residue_field(prime)
@@ -180,7 +163,7 @@ def _run(argv) -> int:
             ]
             text = "\n".join(lines) + "\n" if lines else ""
             if args.out:
-                with open(args.out, "w", encoding="utf-8") as fh:
+                with replacing(args.out) as fh:
                     fh.write(text)
             else:
                 sys.stdout.write(text)

@@ -5,9 +5,9 @@ the report's columns: a run holds one prime's report at a time.  The
 table aligns its columns, so it keeps its rows (three short strings
 per irregular prime) and writes them once the last is known.
 JSON carries a schema_version field and is the only format meant to be
-read back; parse_scan_json inverts render_json exactly.  Timings never
-reach any rendered format, so equal scans emit byte-identical output
-regardless of thread count or clock.
+read back; parse_scan_json inverts render_json exactly.  A report holds
+results only (a scan's timings go to stderr as it runs), so equal scans
+emit byte-identical output regardless of thread count or clock.
 """
 
 from __future__ import annotations
@@ -231,15 +231,23 @@ def emit(result: ScanResult, format: str = "table", out=None, detail: bool = Fal
     if not isinstance(out, (str, os.PathLike)):
         write(result, out, detail)
         return None
-    head, name = os.path.split(os.path.abspath(out))
+    with replacing(out) as fh:
+        write(result, fh, detail)
+    return None
+
+
+@contextlib.contextmanager
+def replacing(path):
+    """A text file beside ``path``, moved into its place once the block
+    completes; on failure ``path`` is as it was and no file is left."""
+    head, name = os.path.split(os.path.abspath(path))
     tmp = os.path.join(head, f".{name}.{os.getpid()}-{os.urandom(4).hex()}.part")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with open(fd, "w", encoding="utf-8") as fh:
-            write(result, fh, detail)
-        os.replace(tmp, out)
+            yield fh
+        os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
             os.unlink(tmp)
         raise
-    return None

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import functools
 import os
+import sys
 import threading
 import time
 from collections.abc import Iterable
@@ -102,13 +103,12 @@ class PrimeReport:
     valuations: np.ndarray
     local_vanished: np.ndarray | None = None
     cross_checked: bool = False
-    timings: dict | None = None
 
     def __eq__(self, other):
         if not isinstance(other, PrimeReport):
             return NotImplemented
         scalars = lambda r: (r.q, r.prime, r.degree, r.irregular_indices, r.witt_precision,
-                             r.cross_checked, r.timings, r.local_vanished is None)
+                             r.cross_checked, r.local_vanished is None)
         return (
             scalars(self) == scalars(other)
             and np.array_equal(self.bc_residues, other.bc_residues)
@@ -166,26 +166,38 @@ class PrimeContext:
     belong to the field."""
 
     def __init__(self, rf: ResidueField, options: ScanOptions):
-        t0 = time.perf_counter()
         self.rf = rf
         self.prime = Poly(rf.base, rf.prime_coeffs)
         self.options = options
         self.bc = bc_numbers(rf)
         self.irregular = tuple(sorted(irregular_indices(self.bc)))
-        self.build_s = time.perf_counter() - t0
 
     @functools.cached_property
     def sweep(self) -> LocalSweep:
         return bc_local_sweep(LocalModel(self.rf))
 
 
-def _context(at: Poly | PrimeContext, options: ScanOptions | None) -> PrimeContext:
+def _timed(seconds: dict, step: str, fn, *args):
+    t0 = time.perf_counter()
+    out = fn(*args)
+    seconds[step] = time.perf_counter() - t0
+    return out
+
+
+def _write_timing(prime: Poly, seconds: dict) -> None:
+    """A prime's timing line on stderr: the seconds of each step that ran
+    at it, of ``field`` (its residue field), ``bc`` and ``classify``."""
+    parts = "".join(f" {step}={s:.6f}s" for step, s in seconds.items())
+    print(f"timing {poly_to_str(prime)}:{parts}", file=sys.stderr, flush=True)
+
+
+def _context(at: Poly | PrimeContext, options: ScanOptions | None, seconds: dict) -> PrimeContext:
     if isinstance(at, PrimeContext):
         return at
     options = options or ScanOptions()
     if options.check_local:  # before the field is built
         check_local_size(at.field.size**at.degree)
-    return PrimeContext(residue_field(at), options)
+    return _timed(seconds, "bc", PrimeContext, _timed(seconds, "field", residue_field, at), options)
 
 
 def _report(ctx: PrimeContext, checked) -> PrimeReport:
@@ -255,7 +267,7 @@ def classify_index(
     """
     if isinstance(at, PrimeReport):
         return at.classification(n)
-    ctx = _context(at, options)
+    ctx = _context(at, options, {})
     order = ctx.rf.size - 1
     if not 0 < n < order:
         raise FieldError(f"character power must satisfy 0 < n < {order}")
@@ -264,13 +276,15 @@ def classify_index(
 
 def classify_prime(at: Poly | PrimeContext, options: ScanOptions | None = None) -> PrimeReport:
     """Full per-index report for one prime, every 1 <= n <= q^d - 2;
-    ``at`` is a prime or its context, as for classify_index."""
-    ctx = _context(at, options)
-    t0 = time.perf_counter()
-    report = _report(ctx, range(1, ctx.rf.size - 1))
+    ``at`` is a prime or its context, as for classify_index; a prime
+    writes its timing line under include_timings, as a scanned one does."""
+    if isinstance(at, PrimeContext):
+        return _report(at, range(1, at.rf.size - 1))
+    seconds = {}
+    ctx = _context(at, options, seconds)
+    report = _timed(seconds, "classify", classify_prime, ctx)
     if ctx.options.include_timings:
-        timings = {"bc": ctx.build_s, "classify": time.perf_counter() - t0}
-        report = replace(report, timings=timings)
+        _write_timing(ctx.prime, seconds)
     return report
 
 
@@ -345,17 +359,21 @@ def _scan_prime(base: BaseField, coeffs: tuple[int, ...], options: ScanOptions) 
     so its field is built directly, untested, and with it go all the
     prime's tables when this returns.  No multiple of q - 1 lies
     strictly between 0 and q - 1, so a prime of degree one is regular
-    and needs no field unless a check flag asks for one."""
-    if len(coeffs) == 2 and not (options.check_local or options.cross_check):
-        return None
-    ctx = PrimeContext(ResidueField(base, coeffs), options)
-    if not (ctx.irregular or options.check_local or options.cross_check):
-        return None
-    report = classify_prime(ctx)
-    # the contexts refer back to the field, a cycle that only the cyclic
-    # collector would free: drop them so the tables go now
-    ctx.rf.contexts.clear()
-    return report if report.irregular_indices else None
+    and needs no field unless a check flag asks for one.  Every scanned
+    prime's timing line is written here, by the process that scans it."""
+    checks = options.check_local or options.cross_check
+    seconds, report = {}, None
+    if len(coeffs) > 2 or checks:
+        rf = _timed(seconds, "field", ResidueField, base, coeffs)
+        ctx = _timed(seconds, "bc", PrimeContext, rf, options)
+        if ctx.irregular or checks:
+            report = _timed(seconds, "classify", classify_prime, ctx)
+            # the contexts refer back to the field, a cycle that only the
+            # cyclic collector would free: drop them so the tables go now
+            rf.contexts.clear()
+    if options.include_timings:
+        _write_timing(Poly(base, coeffs), seconds)
+    return report if report is not None and report.irregular_indices else None
 
 
 def _scan_worker(payload):

@@ -7,15 +7,16 @@ series, and binary operations between different truncation orders work
 at the shorter one.  No coefficient in a result is ever a guess.
 
 Coefficients live in a numpy int32 array (packed field elements).
-Product, inverse, quotient and derivative have one implementation each,
-the row kernel below: ``mul_rows``, ``inverse_rows``, ``divide_rows``
-and ``derivative_rows`` act on (rows, n) coefficient matrices, one
-series per row.  ``TruncSeries`` calls them on a one-row view, and the
-local model's dlog table and its powers of the uniformizer call them on
-all of their rows at once, so numpy overhead is paid per column rather
-than per element.  Composition and Horner evaluation at a series are
-not here: nothing in the package runs them, and the tests keep them as
-references in ``tests/carlitz_oracle.py``.
+Product, quotient (an inverse is 1 over the series) and derivative have
+one implementation each, the row kernel below: ``mul_rows``,
+``divide_rows`` and ``derivative_rows`` act on (rows, n) coefficient
+matrices, one series per row.  ``TruncSeries`` calls them on a one-row
+view, and the local model's dlog table and its powers of the uniformizer
+call them on all of their rows at once, so numpy overhead is paid per
+column rather than per element.  Newton's inverse, composition and
+Horner evaluation at a series are not here: nothing in the package runs
+them, and the tests keep them as references in ``tests/series_oracle.py``
+and ``tests/carlitz_oracle.py``.
 """
 
 from __future__ import annotations
@@ -52,21 +53,6 @@ def mul_rows(F, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     for j in cols:
         acc[:, j:] += F._unpack[F._zexp[logA[:, j, None] + logB[:, : n - j]]]
     return ((acc % F.p) @ F._packw).astype(np.int32)
-
-
-def inverse_rows(F, A: np.ndarray) -> np.ndarray:
-    """Row-wise inverse mod z^n by Newton iteration, y <- 2y - A y^2.  A
-    step that doubles the precision to prec reads only A[:, :prec]."""
-    if not A[:, 0].all():
-        raise ZeroDivisionError("series has no inverse: zero constant term")
-    y = np.array([[F.inv(int(v))] for v in A[:, 0]], dtype=np.int32)
-    prec = 1
-    while prec < A.shape[1]:
-        prec = min(2 * prec, A.shape[1])
-        y = np.pad(y, ((0, 0), (0, prec - y.shape[1])))
-        ay2 = mul_rows(F, A[:, :prec], mul_rows(F, y, y))
-        y = F.vsub(F.vadd(y, y), ay2)
-    return y
 
 
 def divide_rows(F, num: np.ndarray, den: np.ndarray) -> np.ndarray:
@@ -248,7 +234,8 @@ class TruncSeries:
 
     def inverse(self) -> "TruncSeries":
         """Multiplicative inverse mod z^n; constant term must be a unit."""
-        return TruncSeries(self.field, self.n, inverse_rows(self.field, self.c[None])[0])
+        one = np.eye(1, self.n, dtype=np.int32)
+        return TruncSeries(self.field, self.n, divide_rows(self.field, one, self.c[None])[0])
 
     def shift_up(self, k: int) -> "TruncSeries":
         """Multiply by z^k (same truncation order)."""

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import re
 import resource
 import signal
 import subprocess
@@ -13,10 +14,10 @@ import pytest
 
 import bcscan
 from bcscan import cli, herbrand
-from bcscan.fields import ConsistencyError
+from bcscan.fields import ConsistencyError, fq_make
 from bcscan.localfield import MAX_LOCAL_SIZE
 from bcscan.lseries import CharacterContext
-from bcscan.poly import poly_to_str
+from bcscan.poly import monic_irreducibles, poly_to_str
 from bcscan.witt import PrecisionError
 
 
@@ -247,6 +248,63 @@ def test_timings_go_to_stderr(capsys):
     assert code == 0
     assert "timing t^4 + t + 1" in err
     assert "timing" not in out
+
+
+STEPS = r"(?: field=\d+\.\d{6}s bc=\d+\.\d{6}s(?: classify=\d+\.\d{6}s)?)?"
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_timings_time_every_scanned_prime(threads, capfd):
+    # fd-level capture: a worker process writes its primes' lines itself
+    args = ["scan", "--q", "2", "--max-degree", "5", "--threads", threads]
+    assert cli.main(args) == 0
+    plain = capfd.readouterr()
+    assert cli.main(args + ["--timings"]) == 0
+    timed = capfd.readouterr()
+    assert timed.out == plain.out and plain.err == ""
+    lines = timed.err.splitlines()
+    assert len(lines) == 14
+    assert all(re.fullmatch(r"timing [^:]+:" + STEPS, line) for line in lines), lines
+    steps = {line[7 : line.index(":")]: line[line.index(":") + 1 :].split() for line in lines}
+    F2 = fq_make(2, 1)
+    assert sorted(steps) == sorted(poly_to_str(f) for d in range(1, 6) for f in monic_irreducibles(F2, d))
+    # a degree-one prime runs no step, a regular one stops at its BC vector
+    assert steps["t"] == [] and len(steps["t^3 + t + 1"]) == 2
+    assert [s.split("=")[0] for s in steps["t^4 + t + 1"]] == ["field", "bc", "classify"]
+
+
+def test_classify_timings_write_one_line(capfd):
+    args = ["classify", "--q", "2", "--prime", "t^4 + t + 1"]
+    assert cli.main(args) == 0
+    plain = capfd.readouterr()
+    assert cli.main(args + ["--timings"]) == 0
+    timed = capfd.readouterr()
+    assert timed.out == plain.out
+    (line,) = timed.err.splitlines()
+    assert re.fullmatch(r"timing t\^4 \+ t \+ 1: field=\S+ bc=\S+ classify=\S+", line)
+
+
+def test_bc_out_is_left_as_it_was_when_the_move_fails(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "bc.txt"
+    path.write_bytes(b"earlier output\n")
+
+    def refuse(*_):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    code, out, err = run(["bc", "--q", "2", "--prime", "t^4 + t + 1", "--out", str(path)], capsys)
+    assert code == 1 and "rename refused" in err and out == ""
+    assert path.read_bytes() == b"earlier output\n"
+    assert os.listdir(tmp_path) == ["bc.txt"]  # no .part file beside it
+
+
+def test_bc_out_writes_the_residues(tmp_path, capsys):
+    path = tmp_path / "bc.txt"
+    _, shown, _ = run(["bc", "--q", "2", "--prime", "t^4 + t + 1"], capsys)
+    code, out, _ = run(["bc", "--q", "2", "--prime", "t^4 + t + 1", "--out", str(path)], capsys)
+    assert code == 0 and out == ""
+    assert path.read_text(encoding="utf-8") == shown
+    assert os.listdir(tmp_path) == ["bc.txt"]
 
 
 def _child_env():

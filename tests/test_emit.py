@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import emit_oracle
-from scans import scanned, strip_timings
+from scans import scanned
 
 from bcscan.emit import (
     LOWER_BOUND_NOTE,
@@ -70,12 +70,7 @@ def test_detail_table_has_banner(q3_result):
 
 def test_json_round_trip(q3_result):
     back = parse_scan_json(render_json(q3_result))
-    assert back == strip_timings(q3_result)
-
-
-def test_json_round_trip_with_timings():
-    r = scanned(F2, 4, ScanOptions(include_timings=True))
-    assert parse_scan_json(render_json(r)) == strip_timings(r)
+    assert back == q3_result
 
 
 def test_json_rejects_unknown_schema(q2_result):
@@ -119,14 +114,6 @@ def test_emit_writes_file(tmp_path, q2_result):
 def test_emit_rejects_unknown_format(q2_result):
     with pytest.raises(FieldError):
         emit(q2_result, "yaml")
-
-
-def test_rendering_ignores_timings():
-    quiet = scanned(F2, 4)
-    timed = scanned(F2, 4, ScanOptions(include_timings=True))
-    assert render_json(quiet) == render_json(timed)
-    assert render_csv(quiet) == render_csv(timed)
-    assert render_table(quiet) == render_table(timed)
 
 
 def test_round_trip_preserves_diagnostics(q3_result):

@@ -35,7 +35,7 @@ from bcscan.poly import (
     poly_to_str,
     residue_field,
 )
-from scans import scanned, strip_timings
+from scans import scanned
 
 F2 = fq_make(2, 1)
 F3 = fq_make(3, 1)
@@ -205,9 +205,7 @@ def test_a_default_scan_builds_no_field_at_degree_one(monkeypatch, capsys):
 
 
 def test_scan_thread_determinism():
-    r1 = scan(F3, 3, ScanOptions(threads=1))
-    r2 = scan(F3, 3, ScanOptions(threads=2))
-    assert strip_timings(r1) == strip_timings(r2)
+    assert scanned(F3, 3, ScanOptions(threads=1)) == scanned(F3, 3, ScanOptions(threads=2))
 
 
 def test_scan_threads_env_override(monkeypatch):
@@ -320,11 +318,14 @@ def test_scan_fq_modulus_recorded():
     assert scan(F2, 2).fq_modulus is None
 
 
-def test_timings_gated_by_option():
+def test_timings_gated_by_option(capfd):
     f = parse_poly("t^2 + t + 2", F3)
-    assert classify_prime(f).timings is None
-    rep = classify_prime(f, ScanOptions(include_timings=True))
-    assert set(rep.timings) == {"bc", "classify"}
+    quiet = classify_prime(f)
+    assert capfd.readouterr().err == ""
+    timed = classify_prime(f, ScanOptions(include_timings=True))
+    assert timed == quiet
+    (line,) = capfd.readouterr().err.splitlines()
+    assert re.fullmatch(r"timing t\^2 \+ t - 1: field=\d+\.\d{6}s bc=\d+\.\d{6}s classify=\d+\.\d{6}s", line)
 
 
 def _forge(result, rep, **columns):

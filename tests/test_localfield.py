@@ -13,7 +13,7 @@ from bcscan.localfield import (
     local_model,
 )
 from bcscan.poly import lift_to_poly, monic_irreducibles, parse_poly
-from bcscan.series import TruncSeries, derivative_rows, inverse_rows, mul_rows
+from bcscan.series import TruncSeries, derivative_rows, mul_rows
 from carlitz_oracle import (
     eval_at,
     carlitz_action,
@@ -23,6 +23,7 @@ from carlitz_oracle import (
     galois_image,
     torsion_residual,
 )
+from series_oracle import inverse_rows
 
 F2 = fq_make(2, 1)
 F3 = fq_make(3, 1)
