@@ -5,9 +5,9 @@ The Carlitz module is the ring map phi from A = F_q[t] into additive
 operators determined by phi(t) = t + F, F the q-power map.  Mod a prime
 f of degree d the Carlitz exponential e(z) = sum(e_i z^(q^i)) has d
 integral coefficients (``exp_coeffs``); ``additive_apply`` applies such
-an additive polynomial to a series, and ``bc_numbers`` inverts e(z)/z to
-read off the Bernoulli-Carlitz residue at every index.  phi itself acts
-in one place, the local model, through the recursion
+an additive polynomial to a series, and ``bc_numbers`` inverts e(z)/z, a
+series in w = z^(q-1), by one recurrence summed by Zech logarithms.
+phi itself acts in one place, the local model, through the recursion
 x_(k+1) = T x_k + x_k^q of ``localfield``.
 """
 
@@ -76,45 +76,46 @@ class BCVector:
 
 
 def bc_numbers(R: ResidueField) -> BCVector:
-    """BC residues by the sparse recurrence of 1/E.
+    """BC residues by the sparse recurrence of 1/E in w = z^(q-1).
 
-    E has d terms and e_0 = 1, so b = 1/E satisfies b_0 = 1 and
-    b_k = -sum(e_i b_(k - (q^i - 1)), 1 <= i < d): O(Q d) field
-    operations.  Every shift is at least q - 1, so q - 1 coefficients
-    depend only on earlier ones and are filled together."""
-    q, d = R.q, R.d
-    n = q**d - 1
+    E = sum(e_i w^(s_i)), s_i = (q^i - 1)/(q - 1), so b_n = 0 off the
+    multiples of q - 1 and c_j = b_(j(q-1)) has c_0 = 1 and
+    c_j = -sum(e_i c_(j - s_i), 1 <= i < d).  Each c_j is kept as its
+    discrete log, None for zero, and two terms add by one lookup in the
+    Zech table log(1 + gamma^k): O(Q d/(q-1)) lookups for every p."""
+    q, order = R.q, R.order
     ec = exp_coeffs(R)
-    shifts = [q**i - 1 for i in range(1, d)]
-    if R.p == 2:
-        # addition is XOR and -1 = 1: a scalar loop over the log tables
-        # beats numpy calls on one coefficient at a time
-        exp2, log = R._exp * 2, R._log
-        terms = [(s, log[e]) for s, e in zip(shifts, ec[1:])]
-        b = [1] + [0] * (n - 1)
-        for k in range(1, n):
-            acc = 0
-            for s, le in terms:
-                if s > k:
-                    break
-                v = b[k - s]
-                if v:
-                    acc ^= exp2[log[v] + le]
-            b[k] = acc
-        return BCVector(R, tuple(b))
-    # odd p: coefficients as F_p-coordinate rows; multiplication by e_i is
-    # the m x m matrix of the images of the basis p^j, stacked over i
-    p, m = R.p, R.m
-    M = R._unpack[[R.mul(p**j, e) for e in ec[1:] for j in range(m)]]
-    B = np.zeros((n + 1, m), dtype=np.int64)  # row n stays 0: indices below 0 read it
-    B[0, 0] = 1
-    w = q - 1
-    offsets = np.arange(w)[:, None] - np.array(shifts, dtype=np.int64)
-    for k in range(1, n, w):
-        rows = min(w, n - k)
-        src = np.maximum(k + offsets[:rows], -1)
-        B[k : k + rows] = -(B[src].reshape(rows, len(M)) @ M) % p
-    return BCVector(R, tuple((B[:n] @ R._packw).tolist()))
+    terms = [((q**i - 1) // (q - 1), R.dlog(R.neg(ec[i]))) for i in range(1, R.d)]
+    # 1 + gamma^k changes only the F_p digit 0 of gamma^k's packing, and
+    # is 0 where gamma^k = -1; three periods of the table serve every
+    # index -2*order < x < 3*order that the loop below forms
+    g = R._npexp.astype(np.int64)
+    zech = R._nplog[g - g % R.p + (g + 1) % R.p].tolist()
+    zech[R.dlog(R.neg(1))] = None
+    zech *= 3
+    J = order // (q - 1)
+    logs = [0] + [None] * (J - 1)
+    ends = [s for s, _ in terms] + [J]
+    for k in range(1, len(ends)):  # terms 1..k reach the j in [s_k, s_(k+1))
+        (_, le1), rest = terms[0], terms[1:k]
+        for j in range(ends[k - 1], ends[k]):
+            try:
+                # gamma^acc + gamma^t = gamma^(t + zech[acc - t]), and
+                # acc < 3*order; None, a zero, raises TypeError
+                acc = logs[j - 1] + le1
+                for s, le in rest:
+                    t = logs[j - s] + le
+                    acc = t + zech[acc - t]
+                logs[j] = acc % order
+            except TypeError:  # a zero term or partial sum: add in the field
+                c = 0
+                for s, le in terms[:k]:
+                    if logs[j - s] is not None:
+                        c = R.add(c, R.exp_of(logs[j - s] + le))
+                logs[j] = R.dlog(c) if c else None
+    values = [0] * order
+    values[:: q - 1] = [0 if v is None else R._exp[v] for v in logs]
+    return BCVector(R, tuple(values))
 
 
 def irregular_indices(bc: BCVector) -> frozenset[int]:

@@ -46,6 +46,7 @@ from .fields import MAX_FIELD_SIZE, BaseField, ConsistencyError, FieldError, Res
 from .lseries import character_context, l_report, pic_eigenspace_length
 from .localfield import LocalModel, LocalSweep, bc_local_sweep, check_local_size
 from .poly import Poly, monic_irreducibles, poly_to_str, residue_field
+from .witt import MAX_PRECISION
 
 DIM_ZERO = "0"
 DIM_ONE = "1"
@@ -413,6 +414,10 @@ def scan(base: BaseField, max_degree: int, options: ScanOptions | None = None) -
     options = options or ScanOptions()
     if max_degree < 1:
         raise FieldError("max_degree must be at least 1")
+    if options.threads is not None and options.threads < 1:
+        raise FieldError(f"threads must be at least 1, got {options.threads}")
+    if not 1 <= options.precision <= MAX_PRECISION:
+        raise FieldError(f"precision must be in 1..{MAX_PRECISION}, got {options.precision}")
     # q >= 2, so a degree above log2 of the cap is over it before q^max_degree is formed
     log2_cap = MAX_FIELD_SIZE.bit_length() - 1
     if max_degree > log2_cap or base.size**max_degree > MAX_FIELD_SIZE:

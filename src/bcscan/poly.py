@@ -231,9 +231,6 @@ def poly_to_str(poly: Poly, var: str = "t") -> str:
 # where coefficient is an integer, an a-power (a, a^3), or a parenthesized
 # integer combination of a-powers like (a + 2) or (2*a^2 + 1).
 
-_INT_RE = re.compile(r"\d+")
-
-
 class PolyParseError(ValueError):
     pass
 
@@ -275,18 +272,14 @@ def _parse_coeff_atom(field, tok: str) -> int:
     tok = tok.strip()
     if not tok:
         raise PolyParseError("empty coefficient")
-    if tok.isdecimal():
-        return _int_embed(field, _bounded_int(tok, "coefficient"))
-    if tok == "a":
-        return _a_power(field, 1)
-    m = re.fullmatch(r"a\^(\d+)", tok)
-    if m:
-        return _a_power(field, _bounded_int(m.group(1), "exponent"))
-    m = re.fullmatch(r"(\d+)\*?a(?:\^(\d+))?", tok)
-    if m:
-        c = _int_embed(field, _bounded_int(m.group(1), "coefficient"))
-        return field.mul(c, _a_power(field, _bounded_int(m.group(2) or "1", "exponent")))
-    raise PolyParseError(f"cannot parse coefficient {tok!r}")
+    # ASCII digits only: \d and str.isdecimal take every script's digits
+    m = re.fullmatch(r"([0-9]+)|(?:([0-9]+)\*?)?a(?:\^([0-9]+))?", tok)
+    if not m:
+        raise PolyParseError(f"cannot parse coefficient {tok!r}")
+    if m[1]:
+        return _int_embed(field, _bounded_int(m[1], "coefficient"))
+    c = _int_embed(field, _bounded_int(m[2], "coefficient")) if m[2] else 1
+    return field.mul(c, _a_power(field, _bounded_int(m[3] or "1", "exponent")))
 
 
 def _bounded_int(digits: str, what: str) -> int:
@@ -339,7 +332,7 @@ def _parse_term(field, chunk: str, var: str) -> tuple[int, int]:
         rest = s[vpos + len(var) :]
         if rest == "":
             exp = 1
-        elif rest.startswith("^") and rest[1:].isdecimal():
+        elif re.fullmatch(r"\^[0-9]+", rest):
             exp = _bounded_int(rest[1:], "exponent")
         else:
             raise PolyParseError(f"bad exponent in {chunk!r}")

@@ -3,12 +3,13 @@ laws and torsion through the test oracle."""
 
 import random
 
+import numpy as np
 import pytest
 
 from bcscan.fields import fq_make
 from bcscan.carlitz import additive_apply, bc_numbers, exp_coeffs, irregular_indices
 from bcscan.poly import Poly, monic_irreducibles, parse_poly, poly_to_str, residue_field
-from bcscan.series import TruncSeries
+from bcscan.series import TruncSeries, mul_rows
 from series_oracle import inverse_rows
 from carlitz_oracle import (
     eval_at,
@@ -147,41 +148,44 @@ def test_bc_support_only_on_multiples_of_q_minus_1():
             assert v == 0
 
 
-def test_bc_times_exp_is_one():
-    # independent reconstruction: values * (e(z)/z) == 1 by schoolbook sum
-    F3 = fq_make(3, 1)
-    R = residue_field(parse_poly("t^2 + 1", F3))
-    bc = bc_numbers(R)
-    e = exp_coeffs(R)
-    n = len(bc.values)
-    exp_over_z = [0] * n
+def exp_over_z(R) -> np.ndarray:
+    """E = e(z)/z mod z^(Q-1) as one dense row of packed coefficients."""
+    q, e = R.q, exp_coeffs(R)
+    row = np.zeros(R.size - 1, dtype=np.int32)
     for i in range(R.d):
-        if 3**i - 1 < n:
-            exp_over_z[3**i - 1] = e[i]
-    for k in range(n):
-        s = 0
-        for i in range(k + 1):
-            s = R.add(s, R.mul(exp_over_z[i], bc.values[k - i]))
-        assert s == (1 if k == 0 else 0)
+        row[q**i - 1] = e[i]
+    return row
+
+
+# seeded primes with Q near 2^16, over F_2, F_4, F_16, F_3 and F_251
+NEAR_2_16 = [((2, 1), 16), ((2, 2), 8), ((2, 4), 4), ((3, 1), 10), ((251, 1), 2)]
+
+
+def test_bc_times_exp_is_one():
+    # an independent reconstruction, b E = 1 mod z^(Q-1), by the row
+    # kernel's product: one pass per term of E, so O(Q d)
+    rng = random.Random(16)
+    for pr, d in NEAR_2_16:
+        f = rng.choice(monic_irreducibles(fq_make(*pr), d))
+        R = residue_field(f)
+        b = np.array(bc_numbers(R).values, dtype=np.int32)
+        product = mul_rows(R, b[None], exp_over_z(R)[None])[0]
+        assert product[0] == 1 and not product[1:].any(), str(f)
 
 
 def bc_by_newton(R):
     """1/E mod z^(Q-1) by Newton iteration on the dense series: the route
     the sparse recurrence replaced, kept as its oracle."""
-    q, d = R.q, R.d
-    n = q**d - 1
-    e = exp_coeffs(R)
-    coeffs = [0] * n
-    for i in range(d):
-        if q**i - 1 < n:
-            coeffs[q**i - 1] = e[i]
-    E = TruncSeries.from_coeffs(R, n, coeffs)
+    E = TruncSeries(R, R.size - 1, exp_over_z(R))
     return E, tuple(int(v) for v in inverse_rows(R, E.c[None])[0])
 
 
-# every prime with q^d <= 256 for q = 2, 3, 4, 5, and the two Q ~ 5000
-# primes the benchmark draws at seed 0
-RECURRENCE_CASES = [((2, 1), 8), ((3, 1), 5), ((2, 2), 4), ((5, 1), 3)]
+# every prime with q^d <= 256 for q = 2, 3, 4, 5: the torsion check's range
+TORSION_CASES = [((2, 1), 8), ((3, 1), 5), ((2, 2), 4), ((5, 1), 3)]
+# the same range for q = 7, 8, 9, 13 and 16 as well: q - 1 > 1 at p = 2,
+# odd p with m > 1, and gamma^((Q-1)/2) = -1, where a sum of two terms
+# is zero; and the two Q ~ 5000 primes the benchmark draws at seed 0
+RECURRENCE_CASES = TORSION_CASES + [((7, 1), 2), ((2, 3), 2), ((3, 2), 2), ((13, 1), 2), ((2, 4), 2)]
 LARGE_PRIMES = [((2, 1), "t^12 + t^3 + 1"), ((3, 1), "t^8 + t^2 - 1")]
 
 
@@ -291,7 +295,7 @@ def test_torsion_poly_shape_and_eisenstein():
     built by the oracle's twisted product: the fact behind the depth
     the local model's Newton solve checks at its first residual."""
     count = 0
-    for pr, max_d in RECURRENCE_CASES:
+    for pr, max_d in TORSION_CASES:
         F = fq_make(*pr)
         for d in range(1, max_d + 1):
             for f in monic_irreducibles(F, d):

@@ -129,6 +129,22 @@ def test_oversized_coefficient_integer_exits_1(q, prime, capsys):
 @pytest.mark.parametrize(
     "args",
     [
+        ["classify", "--q", "2", "--prime", "t^\u0664 + t + \u0661"],
+        ["bc", "--q", "3", "--prime", "t^2 + \u0661"],
+        ["scan", "--q", "4", "--fq-modulus", "x^\u0662 + x + 1", "--max-degree", "2"],
+    ],
+)
+def test_non_ascii_digits_exit_1(args, capsys):
+    # Arabic-Indic digits; read as 4, 1 and 2, each command would run
+    code, out, err = run(args, capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("bcscan: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
         ["scan", "--q", "2", "--max-degree", "3", "--threads", "-4"],
         ["scan", "--q", "2", "--max-degree", "3", "--threads", "0"],
         ["scan", "--q", "2", "--max-degree", "3", "--precision", "0"],

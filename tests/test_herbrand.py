@@ -312,6 +312,24 @@ def test_scan_rejects_bad_degree_and_size():
         scan(F2, 17)  # refused before 2^17 is formed
 
 
+BAD_OPTIONS = {
+    "threads=0": ScanOptions(threads=0),
+    "threads=-3": ScanOptions(threads=-3),
+    "precision=0": ScanOptions(precision=0),
+    "precision=500": ScanOptions(precision=500),
+}
+
+
+@pytest.mark.parametrize("options", BAD_OPTIONS.values(), ids=BAD_OPTIONS.keys())
+def test_scan_refuses_bad_options_before_enumerating(options, monkeypatch):
+    def never(*_):
+        raise AssertionError("a prime was enumerated")
+
+    monkeypatch.setattr(herbrand, "monic_irreducibles", never)
+    with pytest.raises(FieldError, match="threads must be at least 1|precision must be in 1..96"):
+        scan(F2, 3, options)
+
+
 def test_scan_fq_modulus_recorded():
     r = scan(F4, 2)
     assert r.fq_modulus == "x^2 + x + 1"

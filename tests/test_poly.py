@@ -84,6 +84,24 @@ def test_parse_rejects_garbage():
     for bad in ["t +", "+ + t", "t^-2", "(t", "b*t", "t^", "t^\u00b2 + 1", "\u00b2*t + 1"]:
         with pytest.raises(PolyParseError):
             parse_poly(bad, F)
+    # digits of other scripts, which str.isdecimal and \d accept: Arabic-Indic
+    # 4, 1 and 2, Devanagari 2 and fullwidth 3
+    F4 = fq_make(2, 2)
+    for bad in ["t^\u0664 + t + \u0661", "t^4 + \u0662*t + 1"]:
+        with pytest.raises(PolyParseError):
+            parse_poly(bad, F)
+    for bad in ["t^2 + a^\u0968*t + 1", "t^2 + \uff13*a*t + a", "(a + \u0661)*t + 1"]:
+        with pytest.raises(PolyParseError):
+            parse_poly(bad, F4)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_render_parse_round_trip(data):
+    p, r = data.draw(st.sampled_from(FIELDS))
+    F = fq_make(p, r)
+    f = Poly.make(F, data.draw(st.lists(st.integers(0, F.size - 1), max_size=9)))
+    assert parse_poly(poly_to_str(f), F) == f
 
 
 def test_parse_rejects_exponents_past_the_field_size_cap():
