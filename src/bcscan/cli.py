@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import signal
 import sys
 import threading
@@ -43,6 +44,13 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _integer(text: str) -> int:
+    """An integer option in ASCII digits; int() alone reads other scripts' digits too."""
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise argparse.ArgumentTypeError(f"expected an integer in ASCII digits, got {text!r}")
+    return int(text)
+
+
 def _q_to_base(q: int, fq_modulus: str | None) -> BaseField:
     if q < 2:
         raise FieldError("q must be a prime power >= 2")
@@ -64,14 +72,14 @@ def _q_to_base(q: int, fq_modulus: str | None) -> BaseField:
 
 
 def _add_common(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--q", type=int, required=True, help="base field size, a prime power")
+    sp.add_argument("--q", type=_integer, required=True, help="base field size, a prime power")
     sp.add_argument("--fq-modulus", help="modulus of F_q over F_p, a polynomial in x")
-    sp.add_argument("--precision", type=int, default=12, help="Witt vector length (default 12)")
+    sp.add_argument("--precision", type=_integer, default=12, help="Witt vector length (default 12)")
     sp.add_argument("--check-local", action="store_true",
                     help="cross-check Bernoulli-Carlitz residues against the local model")
     sp.add_argument("--cross-check", action="store_true",
                     help="recompute L-values along the graded route as well")
-    sp.add_argument("--threads", type=int,
+    sp.add_argument("--threads", type=_integer,
                     help="worker processes (default 1 or BCSCAN_THREADS), at most the cpu count")
     sp.add_argument("--timings", action="store_true",
                     help="write one line per scanned prime to stderr: the seconds of each"
@@ -100,14 +108,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("scan", help="classify all primes up to a degree bound")
     _add_common(sp)
-    sp.add_argument("--max-degree", type=int, required=True)
+    sp.add_argument("--max-degree", type=_integer, required=True)
 
     cp = sub.add_parser("classify", help="full per-index report for one prime")
     _add_common(cp)
     cp.add_argument("--prime", required=True, help="monic irreducible polynomial in t")
 
     bp = sub.add_parser("bc", help="print Bernoulli-Carlitz residues at one prime")
-    bp.add_argument("--q", type=int, required=True)
+    bp.add_argument("--q", type=_integer, required=True)
     bp.add_argument("--fq-modulus")
     bp.add_argument("--prime", required=True)
     bp.add_argument("--out")

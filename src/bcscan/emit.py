@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import errno
 import io
 import json
 import os
@@ -239,10 +240,17 @@ def emit(result: ScanResult, format: str = "table", out=None, detail: bool = Fal
 @contextlib.contextmanager
 def replacing(path):
     """A text file beside ``path``, moved into its place once the block
-    completes; on failure ``path`` is as it was and no file is left."""
+    completes; on failure ``path`` is as it was and no file is left.  A
+    ``path`` that is a directory, or whose directory is missing, is
+    refused on entry, before the block runs, by an error naming it."""
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     head, name = os.path.split(os.path.abspath(path))
     tmp = os.path.join(head, f".{name}.{os.getpid()}-{os.urandom(4).hex()}.part")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
     try:
         with open(fd, "w", encoding="utf-8") as fh:
             yield fh

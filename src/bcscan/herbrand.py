@@ -20,16 +20,19 @@ them (the valuation of the unnormalized character sum S_n(1)) so the
 off-scope landscape can be inspected without any interpretation being
 attached.
 
-A report holds its prime's classification as columns over n, filled in
-whole-array steps; an ``IndexClassification`` is a view of one index.
-The BC vector alone shows a prime regular, so a scan builds the
-character tables and classifies only at irregular primes, unless a
-check flag asks for every prime to be checked.
+One route classifies a prime from its residue field: the BC vector,
+then a report holding the classification as columns over n, filled in
+whole-array steps.  ``scan`` takes a base field and a degree bound, and
+builds each enumerated prime's field untested; ``classify_prime`` takes
+a prime, and ``classify_index`` a prime or a report, and a prime is
+tested first.  An ``IndexClassification`` is a view of one index.  The
+BC vector alone shows a prime regular, so a scan builds the character
+tables and classifies only at irregular primes, unless a check flag asks
+for every prime to be checked.
 """
 
 from __future__ import annotations
 
-import functools
 import os
 import sys
 import threading
@@ -44,7 +47,7 @@ import numpy as np
 from .carlitz import bc_numbers, irregular_indices
 from .fields import MAX_FIELD_SIZE, BaseField, ConsistencyError, FieldError, ResidueField, _fq_cached, fq_make
 from .lseries import character_context, l_report, pic_eigenspace_length
-from .localfield import LocalModel, LocalSweep, bc_local_sweep, check_local_size
+from .localfield import LocalModel, bc_local_sweep, check_local_size
 from .poly import Poly, monic_irreducibles, poly_to_str, residue_field
 from .witt import MAX_PRECISION
 
@@ -159,25 +162,6 @@ class ScanResult:
     reports: Iterable[PrimeReport]
 
 
-class PrimeContext:
-    """What classification needs at one prime, built once from its
-    residue field: the prime, the Bernoulli-Carlitz vector with its
-    irregular indices, and the options.  The local sweep is built on
-    first use, which only check_local asks for.  The character contexts
-    belong to the field."""
-
-    def __init__(self, rf: ResidueField, options: ScanOptions):
-        self.rf = rf
-        self.prime = Poly(rf.base, rf.prime_coeffs)
-        self.options = options
-        self.bc = bc_numbers(rf)
-        self.irregular = tuple(sorted(irregular_indices(self.bc)))
-
-    @functools.cached_property
-    def sweep(self) -> LocalSweep:
-        return bc_local_sweep(LocalModel(self.rf))
-
-
 def _timed(seconds: dict, step: str, fn, *args):
     t0 = time.perf_counter()
     out = fn(*args)
@@ -192,23 +176,31 @@ def _write_timing(prime: Poly, seconds: dict) -> None:
     print(f"timing {poly_to_str(prime)}:{parts}", file=sys.stderr, flush=True)
 
 
-def _context(at: Poly | PrimeContext, options: ScanOptions | None, seconds: dict) -> PrimeContext:
-    if isinstance(at, PrimeContext):
-        return at
-    options = options or ScanOptions()
-    if options.check_local:  # before the field is built
-        check_local_size(at.field.size**at.degree)
-    return _timed(seconds, "bc", PrimeContext, _timed(seconds, "field", residue_field, at), options)
+def _check_options(options: ScanOptions, size: int) -> None:
+    """Refuse, before any field is built, fewer than one thread, a precision
+    outside 1..MAX_PRECISION, and check_local at fields of ``size`` elements."""
+    if options.threads is not None and options.threads < 1:
+        raise FieldError(f"threads must be at least 1, got {options.threads}")
+    if not 1 <= options.precision <= MAX_PRECISION:
+        raise FieldError(f"precision must be in 1..{MAX_PRECISION}, got {options.precision}")
+    if options.check_local:
+        check_local_size(size)
 
 
-def _report(ctx: PrimeContext, checked) -> PrimeReport:
-    """The prime's columns, in whole-array steps; saturated valuations
-    are escalated, and the local and graded checks run, at the indices
-    in ``checked`` only."""
-    options, rf = ctx.options, ctx.rf
+def _classified(rf: ResidueField, options: ScanOptions, checked, seconds: dict,
+                keep_regular: bool) -> PrimeReport | None:
+    """The BC vector, then the report at an irregular prime, or at any
+    under ``keep_regular``, else None; the ``bc`` and ``classify`` seconds
+    go into ``seconds``.  Saturated valuations are escalated, and the
+    local and graded checks run, at the indices in ``checked`` only."""
+    bc_vector = _timed(seconds, "bc", bc_numbers, rf)
+    irregular = tuple(sorted(irregular_indices(bc_vector)))
+    if not (irregular or keep_regular):
+        return None
+    start = time.perf_counter()
     q, Q, k = rf.q, rf.size, options.precision
     scope = np.arange(1, Q - 1) % (q - 1) == 0
-    bc = np.array(ctx.bc.values[1 : Q - 1], dtype=np.int64)
+    bc = np.array(bc_vector.values[1 : Q - 1], dtype=np.int64)
     chars = character_context(rf, k)
     valuations = chars._valuations[1:].copy()
     idx = np.asarray(checked, dtype=np.int64) - 1
@@ -219,74 +211,70 @@ def _report(ctx: PrimeContext, checked) -> PrimeReport:
     local = None
     local_ns = range(max(2, q - 1), Q - 1, q - 1)
     if options.check_local and local_ns:
-        sweep = ctx.sweep
+        sweep = bc_local_sweep(LocalModel(rf))
         local = np.zeros(Q - 2, dtype=bool)
         local[np.array(local_ns) - 1] = [sweep.vanished[n] for n in local_ns]
         for n in checked:
             if n in local_ns and sweep.values[n] != bc[n - 1]:
-                raise ConsistencyError(
-                    f"local extraction and power-series route disagree at n={n}"
-                )
+                raise ConsistencyError(f"local extraction and power-series route disagree at n={n}")
     if options.cross_check:
         # the polynomial route recomputes S_n, checks its exact vanishing
         # at T=1 and the prefix-sum L against the closed form internally
         for n in checked:
             rep = l_report(chars, n)
-            if rep.in_scope:
-                graded, what = chars.W.valuation(rep.l_value), f"L_{n}"
-            else:
-                graded, what = chars.W.valuation(rep.s_at_one), f"S_{n}(1)"
-            if graded != chars.valuation(n):
+            value, what = (rep.l_value, f"L_{n}") if rep.in_scope else (rep.s_at_one, f"S_{n}(1)")
+            if chars.W.valuation(value) != chars.valuation(n):
                 raise ConsistencyError(f"graded {what} and the valuation table disagree")
-    return PrimeReport(
-        q=q,
-        prime=poly_to_str(ctx.prime),
-        degree=ctx.prime.degree,
-        irregular_indices=ctx.irregular,
-        witt_precision=k,
-        bc_residues=bc,
-        valuations=valuations,
-        local_vanished=local,
-        cross_checked=options.cross_check and Q - 2 >= q - 1,
+    report = PrimeReport(
+        q, poly_to_str(Poly(rf.base, rf.prime_coeffs)), rf.d, irregular, k, bc, valuations,
+        local_vanished=local, cross_checked=options.cross_check and Q - 2 >= q - 1,
     )
+    seconds["classify"] = time.perf_counter() - start
+    return report
+
+
+def _tested_report(prime: Poly, options: ScanOptions | None, n: int | None) -> PrimeReport:
+    """The report at a prime from outside the enumerator, which
+    ``residue_field`` tests, checked at index ``n`` only or, for None, at
+    every index; under include_timings it writes its timing line."""
+    options = options or ScanOptions()
+    order = prime.field.size**prime.degree - 1
+    _check_options(options, order + 1)
+    if n is not None and not 0 < n < order:
+        raise FieldError(f"character power must satisfy 0 < n < {order}")
+    seconds = {}
+    rf = _timed(seconds, "field", residue_field, prime)
+    report = _classified(rf, options, range(1, order) if n is None else (n,), seconds, True)
+    if options.include_timings:
+        _write_timing(prime, seconds)
+    return report
 
 
 def classify_index(
-    at: Poly | PrimeContext | PrimeReport, n: int, options: ScanOptions | None = None
+    at: Poly | PrimeReport, n: int, options: ScanOptions | None = None
 ) -> IndexClassification:
     """Classify a single character power at a prime; any 0 < n < Q-1.
 
-    ``at`` is a prime, classified under ``options``; the context of
-    one, which carries its own options; or a report, read as it stands.
-    The result is a view of the prime's columns; the check flags check
-    index n only.  In-scope n (multiples of q-1) always get a
-    pic_length, whether or not BC_n vanishes; the L-valuation at a
-    regular index carries no dimension information but is honest data.
-    bc_divisible means an in-scope divisibility event: for (q-1) not
-    dividing n the residue is zero for support reasons and the flag
-    stays False.
+    ``at`` is a prime, classified under ``options`` as by classify_prime
+    but with the check flags checking index n only, or a report, read as
+    it stands.  The result is a view of the prime's columns.  In-scope n
+    (multiples of q-1) always get a pic_length, whether or not BC_n
+    vanishes; the L-valuation at a regular index carries no dimension
+    information but is honest data.  bc_divisible means an in-scope
+    divisibility event: for (q-1) not dividing n the residue is zero for
+    support reasons and the flag stays False.
     """
     if isinstance(at, PrimeReport):
         return at.classification(n)
-    ctx = _context(at, options, {})
-    order = ctx.rf.size - 1
-    if not 0 < n < order:
-        raise FieldError(f"character power must satisfy 0 < n < {order}")
-    return _report(ctx, (n,)).classification(n)
+    return _tested_report(at, options, n).classification(n)
 
 
-def classify_prime(at: Poly | PrimeContext, options: ScanOptions | None = None) -> PrimeReport:
-    """Full per-index report for one prime, every 1 <= n <= q^d - 2;
-    ``at`` is a prime or its context, as for classify_index; a prime
-    writes its timing line under include_timings, as a scanned one does."""
-    if isinstance(at, PrimeContext):
-        return _report(at, range(1, at.rf.size - 1))
-    seconds = {}
-    ctx = _context(at, options, seconds)
-    report = _timed(seconds, "classify", classify_prime, ctx)
-    if ctx.options.include_timings:
-        _write_timing(ctx.prime, seconds)
-    return report
+def classify_prime(prime: Poly, options: ScanOptions | None = None) -> PrimeReport:
+    """Full per-index report for one prime, every 1 <= n <= q^d - 2,
+    regular or not.  ``prime`` is a monic polynomial, tested for
+    irreducibility before its field is built; under include_timings its
+    timing line is written, as a scanned prime's is."""
+    return _tested_report(prime, options, None)
 
 
 def _requested_threads(options: ScanOptions) -> int:
@@ -354,24 +342,21 @@ def _worker_pool(threads: int) -> ProcessPoolExecutor:
 
 
 def _scan_prime(base: BaseField, coeffs: tuple[int, ...], options: ScanOptions) -> PrimeReport | None:
-    """The report at an irregular prime, None at a regular one.  The BC
-    vector alone shows a prime regular; only a check flag goes on to
-    classify it, for the checks.  The prime comes from the enumerator,
-    so its field is built directly, untested, and with it go all the
-    prime's tables when this returns.  No multiple of q - 1 lies
-    strictly between 0 and q - 1, so a prime of degree one is regular
-    and needs no field unless a check flag asks for one.  Every scanned
-    prime's timing line is written here, by the process that scans it."""
+    """The report at an irregular prime, None at a regular one, which a
+    check flag still classifies, for its checks.  The prime comes from
+    the enumerator, so its field is built untested, and all its tables
+    go when this returns.  No multiple of q - 1 lies strictly between 0
+    and q - 1, so a prime of degree one is regular and needs no field
+    unless a check flag asks for one.  The process that scans a prime
+    writes its timing line."""
     checks = options.check_local or options.cross_check
     seconds, report = {}, None
     if len(coeffs) > 2 or checks:
         rf = _timed(seconds, "field", ResidueField, base, coeffs)
-        ctx = _timed(seconds, "bc", PrimeContext, rf, options)
-        if ctx.irregular or checks:
-            report = _timed(seconds, "classify", classify_prime, ctx)
-            # the contexts refer back to the field, a cycle that only the
-            # cyclic collector would free: drop them so the tables go now
-            rf.contexts.clear()
+        report = _classified(rf, options, range(1, rf.size - 1), seconds, checks)
+        # the contexts refer back to the field, a cycle that only the
+        # cyclic collector would free: drop them so the tables go now
+        rf.contexts.clear()
     if options.include_timings:
         _write_timing(Poly(base, coeffs), seconds)
     return report if report is not None and report.irregular_indices else None
@@ -414,16 +399,11 @@ def scan(base: BaseField, max_degree: int, options: ScanOptions | None = None) -
     options = options or ScanOptions()
     if max_degree < 1:
         raise FieldError("max_degree must be at least 1")
-    if options.threads is not None and options.threads < 1:
-        raise FieldError(f"threads must be at least 1, got {options.threads}")
-    if not 1 <= options.precision <= MAX_PRECISION:
-        raise FieldError(f"precision must be in 1..{MAX_PRECISION}, got {options.precision}")
     # q >= 2, so a degree above log2 of the cap is over it before q^max_degree is formed
     log2_cap = MAX_FIELD_SIZE.bit_length() - 1
     if max_degree > log2_cap or base.size**max_degree > MAX_FIELD_SIZE:
         raise FieldError(f"residue fields beyond 2^{log2_cap} elements are not supported")
-    if options.check_local:
-        check_local_size(base.size**max_degree)
+    _check_options(options, base.size**max_degree)
     _requested_threads(options)  # refuse a bad environment value before enumerating
     primes = [f for d in range(1, max_degree + 1) for f in monic_irreducibles(base, d)]
     threads = _resolve_threads(options, len(primes))

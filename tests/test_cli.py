@@ -17,7 +17,7 @@ from bcscan import cli, herbrand
 from bcscan.fields import ConsistencyError, fq_make
 from bcscan.localfield import MAX_LOCAL_SIZE
 from bcscan.lseries import CharacterContext
-from bcscan.poly import monic_irreducibles, poly_to_str
+from bcscan.poly import Poly, monic_irreducibles, poly_to_str
 from bcscan.witt import PrecisionError
 
 
@@ -132,10 +132,15 @@ def test_oversized_coefficient_integer_exits_1(q, prime, capsys):
         ["classify", "--q", "2", "--prime", "t^\u0664 + t + \u0661"],
         ["bc", "--q", "3", "--prime", "t^2 + \u0661"],
         ["scan", "--q", "4", "--fq-modulus", "x^\u0662 + x + 1", "--max-degree", "2"],
+        ["scan", "--q", "\u0662", "--max-degree", "3"],
+        ["scan", "--q", "2", "--max-degree", "\u0663"],
+        ["scan", "--q", "2", "--max-degree", "3", "--threads", "\u0661"],
+        ["classify", "--q", "2", "--prime", "t + 1", "--precision", "\u0661\u0662"],
+        ["bc", "--q", "\u0662", "--prime", "t + 1"],
     ],
 )
 def test_non_ascii_digits_exit_1(args, capsys):
-    # Arabic-Indic digits; read as 4, 1 and 2, each command would run
+    # Arabic-Indic digits; read as the ASCII ones, each command would run
     code, out, err = run(args, capsys)
     assert code == 1
     assert out == ""
@@ -527,15 +532,15 @@ def test_a_fault_at_a_regular_prime_still_exits_2(flag, capsys, monkeypatch):
 
 
 def test_a_failure_mid_scan_leaves_no_out_file(tmp_path, capsys, monkeypatch):
-    real, seen = herbrand.classify_prime, []
+    real, seen = herbrand.character_context, []
 
-    def second_fails(at, options=None):
-        seen.append(poly_to_str(at.prime))
+    def second_fails(rf, k):
+        seen.append(poly_to_str(Poly(rf.base, rf.prime_coeffs)))
         if len(seen) == 2:
             raise ConsistencyError("injected at the second irregular prime")
-        return real(at, options)
+        return real(rf, k)
 
-    monkeypatch.setattr(herbrand, "classify_prime", second_fails)
+    monkeypatch.setattr(herbrand, "character_context", second_fails)
     args = ["scan", "--q", "3", "--max-degree", "3", "--format", "json", "--threads", "1"]
     path = tmp_path / "scan.json"
     code, out, err = run(args + ["--out", str(path)], capsys)
@@ -550,3 +555,17 @@ def test_a_failure_mid_scan_leaves_no_out_file(tmp_path, capsys, monkeypatch):
     seen.clear()
     code, out, _ = run(args, capsys)
     assert code == 2 and '"prime": "t^3 - t + 1"' in out and "t^3 - t - 1" not in out
+
+
+@pytest.mark.parametrize("out", ["directory", "missing/scan.json"])
+def test_an_unwritable_out_is_refused_before_any_prime(out, tmp_path, capsys, monkeypatch):
+    def never(*_):
+        raise AssertionError("a prime was classified")
+
+    monkeypatch.setattr(herbrand, "bc_numbers", never)
+    (tmp_path / "directory").mkdir()
+    path = tmp_path / out
+    code, stdout, err = run(["scan", "--q", "2", "--max-degree", "10", "--out", str(path)], capsys)
+    assert code == 1 and stdout == ""
+    assert err.startswith("bcscan: ") and err.rstrip().endswith(repr(str(path)))
+    assert os.listdir(tmp_path) == ["directory"] and os.listdir(tmp_path / "directory") == []

@@ -18,7 +18,6 @@ from bcscan.herbrand import (
     DIM_ZERO,
     OUT_OF_SCOPE,
     IndexClassification,
-    PrimeContext,
     ScanOptions,
     _resolve_threads,
     classify_index,
@@ -141,14 +140,6 @@ def test_check_local_disagreement_still_raises(monkeypatch):
         classify_prime(f, ScanOptions(check_local=True))
 
 
-def test_classify_index_takes_a_prime_or_its_context():
-    f = parse_poly("t^4 + t + 1", F2)
-    options = ScanOptions(cross_check=True)
-    ctx = PrimeContext(residue_field(f), options)
-    for n in (3, 5, 9):
-        assert classify_index(ctx, n) == classify_index(f, n, options)
-
-
 def test_cross_check_option_matches_pic():
     f = parse_poly("t^3 - t + 1", F3)
     rep = classify_prime(f, ScanOptions(cross_check=True))
@@ -235,27 +226,30 @@ def test_thread_count_is_clamped(monkeypatch):
 
 
 def test_scan_frees_each_regular_report_before_the_next_prime(monkeypatch):
-    # a regular prime gets no report: its context (the field and the BC
-    # vector) is all it holds.  Every prime's context and residue field,
-    # irregular or not, go with the field's character contexts before the
-    # next prime, by reference counting alone: no cycle is left for the
-    # collector to find
+    # a regular prime gets no report: its residue field and BC vector are
+    # all it holds.  Every prime's field and BC vector, irregular or not,
+    # go with the field's character contexts before the next prime, by
+    # reference counting alone: no cycle is left for the collector to find
     live, freed = [], []  # weak references to the last prime's objects
 
-    class Tracked(herbrand.PrimeContext):
-        def __init__(self, rf, options):
-            freed.extend(ref() is None for ref in live)
-            live.clear()
-            super().__init__(rf, options)
-            live.extend((weakref.ref(self), weakref.ref(rf)))
+    def tracked_field(base, coeffs, _real=herbrand.ResidueField):
+        freed.extend(ref() is None for ref in live)
+        live.clear()
+        rf = _real(base, coeffs)
+        live.append(weakref.ref(rf))
+        return rf
 
-    def tracked_context(rf, k, _real=herbrand.character_context):
-        ctx = _real(rf, k)
-        live.append(weakref.ref(ctx))
-        return ctx
+    def tracked(real):
+        def built(*args):
+            out = real(*args)
+            live.append(weakref.ref(out))
+            return out
 
-    monkeypatch.setattr(herbrand, "PrimeContext", Tracked)
-    monkeypatch.setattr(herbrand, "character_context", tracked_context)
+        return built
+
+    monkeypatch.setattr(herbrand, "ResidueField", tracked_field)
+    monkeypatch.setattr(herbrand, "bc_numbers", tracked(herbrand.bc_numbers))
+    monkeypatch.setattr(herbrand, "character_context", tracked(herbrand.character_context))
     gc.collect()
     gc.disable()
     try:
@@ -263,8 +257,8 @@ def test_scan_frees_each_regular_report_before_the_next_prime(monkeypatch):
     finally:
         gc.enable()
     assert [rep.prime for rep in r.reports] == ["t^4 + t + 1"]
-    # the 12 primes of degree >= 2 build a context, 11 of them have a
-    # next one, and one prime built a character context
+    # the 12 primes of degree >= 2 build a field and a BC vector, 11 of
+    # them have a next one, and one prime built a character context
     assert len(freed) == 2 * 11 + 1 and all(freed)
 
 
@@ -328,6 +322,40 @@ def test_scan_refuses_bad_options_before_enumerating(options, monkeypatch):
     monkeypatch.setattr(herbrand, "monic_irreducibles", never)
     with pytest.raises(FieldError, match="threads must be at least 1|precision must be in 1..96"):
         scan(F2, 3, options)
+
+
+@pytest.mark.parametrize("options", BAD_OPTIONS.values(), ids=BAD_OPTIONS.keys())
+def test_classifying_a_prime_refuses_bad_options_before_its_field(options, monkeypatch):
+    def never(*_):
+        raise AssertionError("a field or BC vector was built")
+
+    monkeypatch.setattr(herbrand, "residue_field", never)
+    monkeypatch.setattr(herbrand, "bc_numbers", never)
+    f = parse_poly("t^4 + t + 1", F2)
+    with pytest.raises(FieldError, match="threads must be at least 1|precision must be in 1..96"):
+        classify_prime(f, options)
+    with pytest.raises(FieldError, match="threads must be at least 1|precision must be in 1..96"):
+        classify_index(f, 9, options)
+
+
+ROUTE_OPTIONS = {
+    "default": ScanOptions(threads=1),
+    "checks": ScanOptions(threads=1, check_local=True, cross_check=True),
+}
+
+
+@pytest.mark.parametrize("options", ROUTE_OPTIONS.values(), ids=ROUTE_OPTIONS.keys())
+@pytest.mark.parametrize("base,max_degree", [(F3, 4), (F4, 3)], ids=["q3-D4", "q4-D3"])
+def test_a_scanned_report_is_the_one_classify_prime_gives(base, max_degree, options):
+    reports = {rep.prime: rep for rep in scanned(base, max_degree, options).reports}
+    for d in range(1, max_degree + 1):
+        for f in monic_irreducibles(base, d):
+            rep = classify_prime(f, options)
+            if rep.irregular_indices:
+                assert reports.pop(rep.prime) == rep
+            else:  # a regular prime has no scanned report
+                assert rep.prime not in reports
+    assert reports == {}
 
 
 def test_scan_fq_modulus_recorded():
