@@ -11,14 +11,16 @@ trusted and the bug is in this package, not in the input).
 A scan writes each irregular prime's report as soon as it is
 classified, so on exit 1 or 2 standard output may already hold part of
 the output.  ``--out FILE`` is written through a temporary file beside
-it and appears only when the run succeeds.  A reader that closes
-standard output early ends the run at once, with exit 0.  SIGTERM
-ends it with exit 143, once the worker processes are stopped.
+it and appears only when the run succeeds; a FILE that is a directory,
+or whose directory is missing, exits 1 before any work.  A reader that
+closes standard output early ends the run at once, with exit 0.
+SIGTERM ends it with exit 143, once the worker processes are stopped.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import re
 import signal
@@ -140,41 +142,40 @@ def main(argv=None) -> int:
         signal.signal(signal.SIGTERM, signal.SIG_DFL if previous is None else previous)
 
 
+def _output(path):
+    """Where a command writes: the file at ``path`` through emit.replacing,
+    which refuses a directory or a missing parent on entry, so that a
+    command enters it before any work; else standard output."""
+    return replacing(path) if path else contextlib.nullcontext(sys.stdout)
+
+
 def _run(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
         base = _q_to_base(args.q, args.fq_modulus)
-        if args.command == "scan":
-            result = scan(base, args.max_degree, _options(args))
-            emit(validated(result), args.format, args.out or sys.stdout)
-        elif args.command == "classify":
-            options = _options(args)
-            prime = parse_poly(args.prime, base)
-            report = classify_prime(prime, options)
-            result = ScanResult(
-                q=base.size,
-                fq_modulus=fq_modulus_str(base),
-                max_degree=prime.degree,
-                precision=args.precision,
-                primes_scanned=1,
-                reports=(report,),
-            )
-            emit(validated(result), args.format, args.out or sys.stdout, detail=True)
-        else:
-            prime = parse_poly(args.prime, base)
-            rf = residue_field(prime)
-            bc = bc_numbers(rf)
-            lines = [
-                f"{n}\t{residue_to_str(rf, int(bc.values[n]))}"
-                for n in range(1, len(bc.values))
-            ]
-            text = "\n".join(lines) + "\n" if lines else ""
-            if args.out:
-                with replacing(args.out) as fh:
-                    fh.write(text)
+        options = None if args.command == "bc" else _options(args)
+        with _output(args.out) as out:
+            if args.command == "scan":
+                emit(validated(scan(base, args.max_degree, options)), args.format, out)
+            elif args.command == "classify":
+                prime = parse_poly(args.prime, base)
+                result = ScanResult(
+                    q=base.size,
+                    fq_modulus=fq_modulus_str(base),
+                    max_degree=prime.degree,
+                    precision=args.precision,
+                    primes_scanned=1,
+                    reports=(classify_prime(prime, options),),
+                )
+                emit(validated(result), args.format, out, detail=True)
             else:
-                sys.stdout.write(text)
+                prime = parse_poly(args.prime, base)
+                rf = residue_field(prime)
+                bc = bc_numbers(rf)
+                out.writelines(
+                    f"{n}\t{residue_to_str(rf, int(bc.values[n]))}\n" for n in range(1, len(bc.values))
+                )
         return 0
     except BrokenPipeError:
         # the reader closed early and has all it asked for; point stdout

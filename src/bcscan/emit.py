@@ -15,6 +15,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import errno
+import functools
 import io
 import json
 import os
@@ -98,22 +99,68 @@ def _classification_obj(c: IndexClassification) -> dict:
     }
 
 
-def _report_obj(rep: PrimeReport) -> dict:
-    # each index through the public single-index view of the columns
-    return {
-        "prime": rep.prime,
-        "degree": rep.degree,
-        "irregular_indices": list(rep.irregular_indices),
-        "witt_precision": rep.witt_precision,
-        "classifications": [
-            _classification_obj(classify_index(rep, n)) for n in range(1, len(rep.valuations) + 1)
-        ],
-    }
+_JSON_CONSTANTS = {True: "true", False: "false", None: "null"}
+
+
+def _json_value(v) -> str:
+    """v as json.dumps writes it, a bool, None or an int without a call."""
+    if v is None or isinstance(v, bool):
+        return _JSON_CONSTANTS[v]
+    return str(v) if isinstance(v, int) else json.dumps(v)
+
+
+# the keys and labels of the classifications are a handful of strings
+_json_string = functools.lru_cache(maxsize=64)(json.dumps)
+
+
+def _json_list(items, indent: str) -> str:
+    """A list laid out as json.dumps(indent=2) lays it out with its items
+    at ``indent``: one item per line, ``[]`` when empty."""
+    if not items:
+        return "[]"
+    return "[\n" + ",\n".join(indent + item for item in items) + "\n" + indent[:-2] + "]"
+
+
+def _json_classification(c: IndexClassification) -> str:
+    """One index's object, as it sits four levels deep in the document."""
+    diagnostics = "{}"
+    if c.diagnostics:
+        entries = (f"{_json_string(key)}: {_json_value(v)}" for key, v in c.diagnostics.items())
+        diagnostics = "{\n" + ",\n".join("            " + e for e in entries) + "\n          }"
+    return (
+        "{\n"
+        f'          "n": {c.n},\n'
+        f'          "q_minus_1_divides": {_json_value(c.q_minus_1_divides)},\n'
+        f'          "bc_divisible": {_json_value(c.bc_divisible)},\n'
+        f'          "pic_length": {_json_value(c.pic_length)},\n'
+        f'          "h1_dim": {_json_string(c.h1_dim)},\n'
+        f'          "diagnostics": {diagnostics}\n'
+        "        }"
+    )
+
+
+def _json_report(rep: PrimeReport) -> str:
+    """A report's object, as it sits two levels deep in the document,
+    each index through the public single-index view of the columns."""
+    classifications = [
+        _json_classification(classify_index(rep, n)) for n in range(1, len(rep.valuations) + 1)
+    ]
+    return (
+        "{\n"
+        f'      "prime": {json.dumps(rep.prime)},\n'
+        f'      "degree": {rep.degree},\n'
+        f'      "irregular_indices": {_json_list([str(n) for n in rep.irregular_indices], " " * 8)},\n'
+        f'      "witt_precision": {rep.witt_precision},\n'
+        f'      "classifications": {_json_list(classifications, " " * 8)}\n'
+        "    }"
+    )
 
 
 def _write_json(result: ScanResult, fh, detail: bool = False) -> None:
     """The bytes of json.dumps(document, indent=2) + newline, one report
-    at a time."""
+    at a time.  The reports are laid out by hand: the indented form of
+    json.dumps has no C encoder, and at large scans it was most of the
+    run."""
     head = json.dumps(
         {
             "schema_version": SCHEMA_VERSION,
@@ -128,8 +175,7 @@ def _write_json(result: ScanResult, fh, detail: bool = False) -> None:
     fh.write(head[:-2] + ',\n  "reports": [')
     sep = "\n"
     for rep in result.reports:
-        # a report sits two levels deep in the document
-        fh.write(sep + "    " + json.dumps(_report_obj(rep), indent=2).replace("\n", "\n    "))
+        fh.write(sep + "    " + _json_report(rep))
         sep = ",\n"
     fh.write("]\n}\n" if sep == "\n" else "\n  ]\n}\n")
 

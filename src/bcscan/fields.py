@@ -11,6 +11,16 @@ sum(c_i * p**i).  Two constructions share this core:
   form coincides with base-q packing of the coefficient vector of the
   degree-< d representative, which keeps lifting and reduction trivial.
 
+Every prime of degree d has the residue field F_(q^d), up to the choice
+of labels.  A field is built in one of two ways: searched, from f alone,
+with a generator search and its tables filled from scratch; or
+relabelled (``ResidueField.relabelled``), from a searched field
+R0 = F_q[t]/(f0) of the same degree and a root a of f in it, by pulling
+R0's tables back through the isomorphism t -> a.  Both give f's packing,
+multiplication and Frobenius; only the generator may differ, and nothing
+computed from a field depends on it.  A scan relabels one R0 per degree
+for all its primes; ``residue_field`` searches.
+
 Multiplication, inversion and q-power Frobenius run through discrete-log
 tables of size p^m; addition is coordinatewise mod p.  The exp table is
 filled by doubling (``power_rows``), since multiplication by the
@@ -339,10 +349,16 @@ class PackedField:
             raise FieldError("exp table does not close: gen^(order-1) * gen != 1")
         log = np.zeros(size, dtype=np.int32)
         log[exp] = np.arange(order, dtype=np.int32)
-        inv = exp[(order - log) % order]
-        inv[0] = 0
         frobq = exp[log.astype(np.int64) * self.frob_exponent % order]
         frobq[0] = 0
+        self._set_tables(exp, log, frobq)
+
+    def _set_tables(self, exp: np.ndarray, log: np.ndarray, frobq: np.ndarray) -> None:
+        """Install the exp, log and Frobenius tables (log[0] and frobq[0]
+        are 0) and derive the inverses and the zero-aware pair from them."""
+        order = self.order
+        inv = exp[(order - log) % order]
+        inv[0] = 0
         self._exp = exp.tolist()
         self._log = log.tolist()
         self._inv_t = inv.tolist()
@@ -602,16 +618,14 @@ class ResidueField(PackedField):
     """F_q[t]/(f) for f monic irreducible of degree d over a BaseField.
 
     Packed values encode the degree-< d representative: base-q digit i is
-    the (packed) coefficient of t^i.
+    the (packed) coefficient of t^i.  Built from f alone, the field
+    searches a generator and fills its tables; ``relabelled`` builds the
+    same field from another field of its size that holds a root of f.
     """
 
     def __init__(self, base: BaseField, prime_coeffs: tuple[int, ...]):
-        self.base = base
-        self.prime_coeffs = prime_coeffs
-        self.d = len(prime_coeffs) - 1
-        q = base.size
-        self.q = q  # before table build: frob_exponent reads it
-        mod = list(prime_coeffs)
+        self._set_prime(base, prime_coeffs)
+        q, mod = self.q, list(prime_coeffs)
 
         def mul0(a, b, base=base, mod=mod, q=q, d=self.d):
             prod = _pl_mul(base, _digits(a, q, d), _digits(b, q, d))
@@ -620,10 +634,20 @@ class ResidueField(PackedField):
 
         # at d >= 2 the constants below q have order dividing q - 1
         super().__init__(base.p, base.r * self.d, mul0, range(q if self.d >= 2 else 2, q**self.d))
-        if self.d == 1:
-            self.t_res = base.neg(prime_coeffs[0])
-        else:
-            self.t_res = q  # the class of t packs to q: digit 1 in slot 1
+        # the field this one was relabelled from, None for a searched one
+        self.home = None
+        # label-free Witt tables by precision, filled by lseries and shared
+        # by every field relabelled from this one; a searched field's own
+        # character contexts do not read them
+        self.lifts: dict = {}
+
+    def _set_prime(self, base: BaseField, prime_coeffs: tuple[int, ...]) -> None:
+        self.base = base
+        self.prime_coeffs = prime_coeffs
+        self.d = len(prime_coeffs) - 1
+        self.q = base.size  # before table build: frob_exponent reads it
+        # the class of t: the root -c of t + c, else t itself, packed as q
+        self.t_res = base.neg(prime_coeffs[0]) if self.d == 1 else self.q
         # character contexts by Witt precision, filled by
         # lseries.character_context; each refers back to the field, so
         # they go with it, freed by the cyclic collector unless a caller
@@ -632,6 +656,50 @@ class ResidueField(PackedField):
         # the mod-p screen of its character sums, set by
         # lseries.mod_p_screen on first use and shared by every context
         self.screen = None
+
+    @classmethod
+    def relabelled(cls, home: "ResidueField", prime_coeffs, a: int) -> "ResidueField":
+        """F_q[t]/(f) for the prime f with the root a in ``home``, the
+        field R0 = F_q[t]/(f0) of a prime f0 of f's degree.
+
+        Sending t to a is an F_q-isomorphism from F_q[t]/(f) onto home.
+        Packed, it is the table L, L[sum c_i q^i] = sum c_i a^i, built as
+        one product of F_p digits with the m x m matrix of its images of
+        the basis, and home's tables are pulled back through it:
+        exp = L^-1[exp_0], log = log_0[L], frobq = L^-1[frobq_0[L]].  The
+        field multiplies, packs and applies Frobenius as f's searched
+        field does, with generator L^-1(gamma_0); it searches nothing,
+        multiplies no polynomial, and shares home's digit tables and
+        ``lifts``.  f is taken as irreducible, as the enumerator makes
+        it; an a that is not a root of f is refused."""
+        base = home.base
+        if functools.reduce(lambda acc, c: home.add(home.mul(acc, a), c), reversed(prime_coeffs), 0):
+            raise FieldError(f"{a} is not a root of the prime in {home!r}")
+        rf = cls.__new__(cls)
+        rf._set_prime(base, tuple(prime_coeffs))
+        p, m, order = home.p, home.m, home.order
+        rf.p, rf.m, rf.size, rf.order = p, m, home.size, order
+        rf._unpack, rf._packw, rf._neg_t = home._unpack, home._packw, home._neg_t
+        # row i r + j: the digits of alpha^j a^i, the image of the basis
+        # element alpha^j t^i packed as p^(i r + j), alpha the root of F_q;
+        # the digit sums stay below m (p-1)^2, exact in float32 below 2^24.
+        # BLAS may raise the invalid flag on exact operands (see vmatmul):
+        # it is ignored, and L is checked to be a bijection instead
+        A = home._unpack[[home.mul(p**j, home.pow(a, i)) for i in range(rf.d) for j in range(base.r)]]
+        dtype = np.float32 if m * (p - 1) ** 2 < 1 << 24 else np.float64
+        with np.errstate(invalid="ignore"):
+            digits = home._unpack.astype(dtype) @ A.astype(dtype)
+            digits -= p * np.floor(digits / p)
+            L = (digits @ home._packw.astype(dtype)).astype(np.int32)
+        inv_L = np.full_like(L, -1)
+        inv_L[L] = np.arange(rf.size, dtype=np.int32)
+        if (inv_L < 0).any():
+            raise ConsistencyError("t -> a does not relabel the field one to one")
+        exp = inv_L[home._npexp]
+        rf.generator = int(exp[1 % order])
+        rf._set_tables(exp, home._nplog[L], inv_L[home._npfrobq[L]])
+        rf.home, rf.lifts = home, home.lifts
+        return rf
 
     @property
     def frob_exponent(self) -> int:

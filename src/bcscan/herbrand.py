@@ -23,16 +23,18 @@ attached.
 One route classifies a prime from its residue field: the BC vector,
 then a report holding the classification as columns over n, filled in
 whole-array steps.  ``scan`` takes a base field and a degree bound, and
-builds each enumerated prime's field untested; ``classify_prime`` takes
-a prime, and ``classify_index`` a prime or a report, and a prime is
-tested first.  An ``IndexClassification`` is a view of one index.  The
-BC vector alone shows a prime regular, so a scan builds the character
-tables and classifies only at irregular primes, unless a check flag asks
-for every prime to be checked.
+builds each enumerated prime's field untested, by relabelling the one
+field its degree was enumerated in; ``classify_prime`` takes a prime,
+and ``classify_index`` a prime or a report, and a prime is tested and
+its field searched first.  An ``IndexClassification`` is a view of one
+index.  The BC vector alone shows a prime regular, so a scan builds the
+character tables and classifies only at irregular primes, unless a
+check flag asks for every prime to be checked.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 import sys
 import threading
@@ -171,9 +173,12 @@ def _timed(seconds: dict, step: str, fn, *args):
 
 def _write_timing(prime: Poly, seconds: dict) -> None:
     """A prime's timing line on stderr: the seconds of each step that ran
-    at it, of ``field`` (its residue field), ``bc`` and ``classify``."""
+    at it, of ``field`` (its residue field), ``bc`` and ``classify``.
+    Workers share stderr, so the line and its newline go in one write:
+    print writes them apart, and another worker's line can land between."""
     parts = "".join(f" {step}={s:.6f}s" for step, s in seconds.items())
-    print(f"timing {poly_to_str(prime)}:{parts}", file=sys.stderr, flush=True)
+    sys.stderr.write(f"timing {poly_to_str(prime)}:{parts}\n")
+    sys.stderr.flush()
 
 
 def _check_options(options: ScanOptions, size: int) -> None:
@@ -341,44 +346,66 @@ def _worker_pool(threads: int) -> ProcessPoolExecutor:
     return ProcessPoolExecutor(max_workers=threads, mp_context=_WorkerContext())
 
 
-def _scan_prime(base: BaseField, coeffs: tuple[int, ...], options: ScanOptions) -> PrimeReport | None:
+def _scan_prime(home, prime: Poly, a: int, options: ScanOptions) -> PrimeReport | None:
     """The report at an irregular prime, None at a regular one, which a
     check flag still classifies, for its checks.  The prime comes from
-    the enumerator, so its field is built untested, and all its tables
-    go when this returns.  No multiple of q - 1 lies strictly between 0
-    and q - 1, so a prime of degree one is regular and needs no field
-    unless a check flag asks for one.  The process that scans a prime
-    writes its timing line."""
+    the enumerator with its root a in ``home``, the one field of its
+    degree (``monic_irreducibles``), so its own field is home relabelled
+    by t -> a, untested, and all its tables go when this returns.  No
+    multiple of q - 1 lies strictly between 0 and q - 1, so a prime of
+    degree one is regular and needs no field unless a check flag asks
+    for one; it then gets a field of its own, as home is None there.
+    The process that scans a prime writes its timing line; its
+    ``field`` step is the relabelling."""
     checks = options.check_local or options.cross_check
     seconds, report = {}, None
-    if len(coeffs) > 2 or checks:
-        rf = _timed(seconds, "field", ResidueField, base, coeffs)
+    if prime.degree > 1 or checks:
+        if home is None:
+            rf = _timed(seconds, "field", ResidueField, prime.field, prime.coeffs)
+        else:
+            rf = _timed(seconds, "field", ResidueField.relabelled, home, prime.coeffs, a)
         report = _classified(rf, options, range(1, rf.size - 1), seconds, checks)
         # the contexts refer back to the field, a cycle that only the
         # cyclic collector would free: drop them so the tables go now
         rf.contexts.clear()
     if options.include_timings:
-        _write_timing(Poly(base, coeffs), seconds)
+        _write_timing(prime, seconds)
     return report if report is not None and report.irregular_indices else None
 
 
+@functools.lru_cache(maxsize=1)
+def _home_field(p: int, r: int, modulus: tuple[int, ...], f0: tuple[int, ...]) -> ResidueField | None:
+    """A worker's field for the degree of f0, the first prime of that
+    degree: F_q[t]/(f0), or None at degree one, as ``monic_irreducibles``
+    gives it.  A worker takes its chunks of primes in order, so it
+    builds each degree's field once and holds one at a time.  The
+    modulus and f0 come from a scan's base field and enumerator, so
+    neither is tested again here."""
+    return ResidueField(_fq_cached(p, r, modulus), f0) if len(f0) > 2 else None
+
+
 def _scan_worker(payload):
-    # the modulus and the prime come from a scan's base field and
-    # enumerator, so neither is tested again here
-    p, r, modulus, coeffs, options = payload
-    return _scan_prime(_fq_cached(p, r, modulus), coeffs, options)
+    p, r, modulus, f0, coeffs, a, options = payload
+    home = _home_field(p, r, modulus, f0)
+    return _scan_prime(home, Poly(_fq_cached(p, r, modulus), coeffs), a, options)
 
 
-def _irregular_reports(base: BaseField, primes: list, options: ScanOptions, threads: int):
-    """Each irregular prime's report in order; each regular prime's
-    tables are dropped before the next prime."""
+def _irregular_reports(base: BaseField, degrees: list, options: ScanOptions, threads: int):
+    """Each irregular prime's report in order, from the primes of each
+    degree as ``monic_irreducibles`` lists them.  Each prime's tables
+    are dropped before the next prime, and each degree's field once its
+    primes are scanned or sent to the workers."""
     if threads == 1:
-        for f in primes:
-            report = _scan_prime(base, f.coeffs, options)
-            if report is not None:
-                yield report
+        while degrees:
+            primes = degrees.pop(0)
+            for f, a in zip(primes, primes.roots.tolist()):
+                report = _scan_prime(primes.home, f, a, options)
+                if report is not None:
+                    yield report
         return
-    payloads = [(base.p, base.r, base.modulus, f.coeffs, options) for f in primes]
+    payloads = [(base.p, base.r, base.modulus, primes[0].coeffs, f.coeffs, a, options)
+                for primes in degrees for f, a in zip(primes, primes.roots.tolist())]
+    degrees.clear()
     pool = _worker_pool(threads)
     try:
         for report in pool.map(_scan_worker, payloads, chunksize=8):
@@ -405,15 +432,16 @@ def scan(base: BaseField, max_degree: int, options: ScanOptions | None = None) -
         raise FieldError(f"residue fields beyond 2^{log2_cap} elements are not supported")
     _check_options(options, base.size**max_degree)
     _requested_threads(options)  # refuse a bad environment value before enumerating
-    primes = [f for d in range(1, max_degree + 1) for f in monic_irreducibles(base, d)]
-    threads = _resolve_threads(options, len(primes))
+    degrees = [monic_irreducibles(base, d) for d in range(1, max_degree + 1)]
+    primes_scanned = sum(map(len, degrees))
+    threads = _resolve_threads(options, primes_scanned)
     return ScanResult(
         q=base.size,
         fq_modulus=fq_modulus_str(base),
         max_degree=max_degree,
         precision=options.precision,
-        primes_scanned=len(primes),
-        reports=_irregular_reports(base, primes, options, threads),
+        primes_scanned=primes_scanned,
+        reports=_irregular_reports(base, degrees, options, threads),
     )
 
 

@@ -17,8 +17,11 @@ weighted sum over a table of omega(gamma^j), built once from a single
 Teichmuller lift of a generator gamma.  Multiplication by omega(gamma)
 is a linear map on W_k, so the table is filled by doubling: rows
 N..2N-1 are rows 0..N-1 times the matrix of omega(gamma)^N, log2(Q)
-matrix products in all.  Valuations are read from one table per
-context, covering v(L_n) at in-scope n and v(S_n(1)) elsewhere.  The
+matrix products in all.  The table depends on gamma only through its
+minimal polynomial over F_p, which relabelling a field keeps, so the
+fields a scan relabels from one field of their degree share one table
+per precision.  Valuations are read from one table per context,
+covering v(L_n) at in-scope n and v(S_n(1)) elsewhere.  The
 weights are rational integers and Frobenius sends omega(x) to
 omega(x)^p, so both sums at n and at pn mod (Q-1) have the same
 valuation and the table computes each p-orbit once, at its least
@@ -160,6 +163,24 @@ def mod_p_screen(rf: ResidueField) -> ModPScreen:
     return rf.screen
 
 
+def _teich_table(W: WittRing, order: int) -> np.ndarray:
+    """Row j: the coordinates of omega(gamma^j) = omega(gamma)^j in W.
+
+    Multiplication by omega(gamma) is Z/p^k-linear; row i of M holds the
+    coordinates of x^i * omega(gamma), so omega(gamma^j) is row 0 of M^j.
+    int64 products are exact while m (p^k - 1)^2 < 2^63."""
+    wg = W.teichmuller(W.theta)
+    exact64 = W.m * (W.pk - 1) ** 2 < 1 << 63
+    M = np.array(
+        [(W.from_coords(int(i == j) for j in range(W.m)) * wg).coords for i in range(W.m)],
+        dtype=np.int64 if exact64 else object,
+    )
+    teich = power_rows(W.one().coords, M, order, lambda a, b: a @ b % W.pk)
+    if W.from_coords(teich[-1]) * wg != W.one():
+        raise ConsistencyError("Teichmuller table does not close: omega(gamma)^(Q-1) != 1")
+    return teich
+
+
 class CharacterContext:
     """Tables for evaluating omega-power character sums over one prime."""
 
@@ -181,22 +202,17 @@ class CharacterContext:
         self._deg_weights = (logs[degs > 0], degs[degs > 0])
         self._unit_weights = (logs, np.ones_like(degs))
 
-        W = self.W
-        wg = W.teichmuller(rf.generator)
-        # multiplication by omega(gamma) is Z/p^k-linear; row i of M holds
-        # the coordinates of x^i * omega(gamma), so omega(gamma^j) is row 0
-        # of M^j.  int64 products are exact while m (p^k - 1)^2 < 2^63.
-        exact64 = W.m * (W.pk - 1) ** 2 < 1 << 63
-        M = np.array(
-            [(W.from_coords(int(i == j) for j in range(W.m)) * wg).coords for i in range(W.m)],
-            dtype=np.int64 if exact64 else object,
-        )
-        teich = power_rows(W.one().coords, M, self.order, lambda a, b: a @ b % W.pk)
-        if W.from_coords(teich[-1]) * wg != W.one():
-            raise ConsistencyError("Teichmuller table does not close: omega(gamma)^(Q-1) != 1")
         total_weight = max(int(w.sum()) for _, w in (self._deg_weights, self._unit_weights))
-        self._int64 = total_weight * (W.pk - 1) < INT64_SAFE_BOUND
-        self.teich = teich.astype(np.int64 if self._int64 else object, copy=False)
+        self._int64 = total_weight * (self.W.pk - 1) < INT64_SAFE_BOUND
+        # the table's rows are coordinates over G, the lift of the minimal
+        # polynomial of the generator over F_p; relabelling keeps that
+        # polynomial, so every field relabelled from one home shares them
+        lifts = rf.lifts if rf.home is not None else {}
+        if k not in lifts:
+            teich = _teich_table(self.W, self.order)
+            lifts[k] = teich.astype(np.int64 if self._int64 else object, copy=False)
+            lifts[k].setflags(write=False)
+        self.teich = lifts[k]
 
     def in_scope(self, n: int) -> bool:
         return 0 < n < self.order and n % (self.rf.q - 1) == 0

@@ -7,9 +7,10 @@ vector read from the leading term down, coefficients compared by packed
 value.  Text round trips are exact: ``parse_poly(poly_to_str(f)) == f``.
 
 The primes of F_q[t] are enumerated by Frobenius orbits, one field
-F_(q^d) per degree (``monic_irreducibles``), and are irreducible by
-construction, so a scan builds their fields directly, untested.  A
-polynomial from outside the enumerator is tested in one place,
+R0 = F_(q^d) per degree (``monic_irreducibles``), with a root of each
+prime in it.  They are irreducible by construction, so a scan builds
+their fields untested, each by relabelling R0 (``ResidueField.relabelled``).
+A polynomial from outside the enumerator is tested in one place,
 ``fields._residue_cached``, before ``residue_field`` first builds its
 field; the enumerator's own test runs only in its search for the first
 prime of each degree.
@@ -138,43 +139,60 @@ def monic_polys(field, d: int):
         yield Poly(field, tuple(reversed(tail)) + (1,))
 
 
-def monic_irreducibles(field, d: int) -> list[Poly]:
-    """The monic irreducibles of degree d over field, in canonical order.
+class Primes(list):
+    """The monic irreducibles of one degree d, a list of Poly in canonical
+    order, with the field they were found in: ``home`` is
+    R0 = F_q[t]/(f0), f0 the first of them, and ``roots[i]`` is a root in
+    it of prime i, the least element of its Frobenius orbit, so that
+    ``ResidueField.relabelled(home, f.coeffs, roots[i])`` is the residue
+    field of prime i.  At degree one no field is built: home is None and
+    the root of t + c is -c in F_q."""
+
+    def __init__(self, primes, home, roots: np.ndarray):
+        super().__init__(primes)
+        self.home = home
+        self.roots = roots
+
+
+def monic_irreducibles(field, d: int) -> Primes:
+    """The monic irreducibles of degree d over field, in canonical order,
+    with the field R0 they were found in and a root of each in it.
 
     They are the minimal polynomials of the Frobenius orbits of length
     exactly d in F_(q^d) (Lidl and Niederreiter, *Finite Fields*, Thm.
-    3.25).  One field serves the degree: R = F_q[t]/(f0), f0 the first
+    3.25).  One field serves the degree: R0 = F_q[t]/(f0), f0 the first
     monic irreducible in canonical order, found by the distinct-degree
     test and built directly.  Each orbit is kept at its least packed
-    element a, its conjugates a^(q^i) are gathers through R's Frobenius
+    element a, its conjugates a^(q^i) are gathers through R0's Frobenius
     table, and ``fields.orbit_polys`` multiplies out prod (x - a^(q^i))
     across all orbits at once, checking that every coefficient is in
-    F_q, the packed values below q.  Degree 1 is t + c directly.
-    These primes are irreducible by construction: a scan builds their
-    fields without testing them.  A degree with q^d above the
-    residue-field cap is refused."""
+    F_q, the packed values below q.  Degree 1 is t + c directly, with
+    no field built.  These primes are irreducible by construction: a
+    scan relabels R0 to each one's field, untested.  A degree with q^d
+    above the residue-field cap is refused."""
     q = field.size
     if d < 1:
-        return []
+        return Primes([], None, np.zeros(0, dtype=np.int32))
     if q**d > MAX_FIELD_SIZE:
         raise FieldError(
             f"residue field size q^d = {q**d} exceeds supported limit {MAX_FIELD_SIZE}"
         )
     if d == 1:
-        return [Poly(field, (c, 1)) for c in range(q)]
+        roots = field.vneg(np.arange(q, dtype=np.int32))
+        return Primes([Poly(field, (c, 1)) for c in range(q)], None, roots)
     f0 = next(f for f in monic_polys(field, d) if f.is_irreducible())
-    R = ResidueField(field, f0.coeffs)
-    conj = np.empty((R.size, d), dtype=np.int32)  # row a: a, a^q, .., a^(q^(d-1))
-    conj[:, 0] = np.arange(R.size)
+    R0 = ResidueField(field, f0.coeffs)
+    conj = np.empty((R0.size, d), dtype=np.int32)  # row a: a, a^q, .., a^(q^(d-1))
+    conj[:, 0] = np.arange(R0.size)
     for i in range(1, d):
-        conj[:, i] = R.vfrobq(conj[:, i - 1])
+        conj[:, i] = R0.vfrobq(conj[:, i - 1])
     a = conj[:, 0]
     keep = conj.min(axis=1) == a
     for ell in _prime_factors(d):
         keep &= conj[:, d // ell] != a  # the orbit is no shorter than d
-    coeffs = orbit_polys(R, conj[keep], q)
-    coeffs = coeffs[np.lexsort(coeffs[:, :d].T)]  # the x^(d-1) column is the primary key
-    return [Poly(field, tuple(row)) for row in coeffs.tolist()]
+    coeffs = orbit_polys(R0, conj[keep], q)
+    order = np.lexsort(coeffs[:, :d].T)  # the x^(d-1) column is the primary key
+    return Primes([Poly(field, tuple(row)) for row in coeffs[order].tolist()], R0, a[keep][order])
 
 
 def residue_field(prime: Poly) -> ResidueField:

@@ -557,6 +557,23 @@ def test_a_failure_mid_scan_leaves_no_out_file(tmp_path, capsys, monkeypatch):
     assert code == 2 and '"prime": "t^3 - t + 1"' in out and "t^3 - t - 1" not in out
 
 
+@pytest.mark.parametrize("out", ["directory", "missing/out.txt"])
+@pytest.mark.parametrize("command", ["classify", "bc"])
+def test_an_unwritable_out_is_refused_before_the_prime_is_built(command, out, tmp_path, capsys,
+                                                                 monkeypatch):
+    def never(*_):
+        raise AssertionError("the prime's residue field was built")
+
+    monkeypatch.setattr(herbrand, "residue_field", never)
+    monkeypatch.setattr(cli, "residue_field", never)
+    (tmp_path / "directory").mkdir()
+    path = tmp_path / out
+    code, stdout, err = run([command, "--q", "2", "--prime", "t^4 + t + 1", "--out", str(path)], capsys)
+    assert code == 1 and stdout == ""
+    assert err.startswith("bcscan: ") and err.rstrip().endswith(repr(str(path)))
+    assert os.listdir(tmp_path) == ["directory"] and os.listdir(tmp_path / "directory") == []
+
+
 @pytest.mark.parametrize("out", ["directory", "missing/scan.json"])
 def test_an_unwritable_out_is_refused_before_any_prime(out, tmp_path, capsys, monkeypatch):
     def never(*_):

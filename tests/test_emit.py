@@ -218,3 +218,10 @@ def test_json_whose_labels_contradict_its_columns_is_refused(q2_result):
     text = render_json(q2_result).replace('"h1_dim": "1"', '"h1_dim": "0"')
     with pytest.raises(FieldError, match="does not follow from its columns"):
         parse_scan_json(text)
+
+
+def test_a_checked_scan_matches_the_oracle():
+    # the local flags and graded valuations of every index of a scan
+    result = scanned(F3, 3, ScanOptions(check_local=True, cross_check=True))
+    assert result.reports
+    assert render_json(result) == emit_oracle.render_json(result)

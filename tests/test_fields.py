@@ -17,6 +17,8 @@ from bcscan.fields import (
     fq_make,
     residue_field_raw,
 )
+from bcscan.carlitz import bc_numbers
+from bcscan.lseries import CharacterContext
 from bcscan.poly import monic_irreducibles, parse_poly, residue_field
 
 SMALL_FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (2, 3), (2, 4), (3, 2)]
@@ -459,3 +461,54 @@ def test_the_generator_search_skips_the_constants_below_q(monkeypatch):
         assert tried and min(tried) >= 5, F
         assert F.generator == tried[-1] == reference_generator(F), F
         tried.clear()
+
+
+# q in {2, 3, 4, 5, 7, 8, 9, 16}, F_9 under both of its moduli
+RELABEL_BASES = [(2, 1, None), (3, 1, None), (2, 2, None), (5, 1, None), (7, 1, None),
+                 (2, 3, None), (3, 2, (1, 0, 1)), (3, 2, (2, 1, 1)), (2, 4, None)]
+
+
+def assert_same_field(R, S, rng):
+    """S multiplies, adds, applies Frobenius and inverts as R does, names
+    the same prime and class of t, and gives the same BC residues and
+    valuation table."""
+    Q = R.size
+    if Q <= 64:
+        a, b = (x.ravel() for x in np.meshgrid(np.arange(Q), np.arange(Q)))
+    else:
+        a, b = (np.array([rng.randrange(Q) for _ in range(4096)]) for _ in range(2))
+    a, b = a.astype(np.int32), b.astype(np.int32)
+    assert np.array_equal(S.vmul(a, b), R.vmul(a, b))
+    assert np.array_equal(S.vadd(a, b), R.vadd(a, b))
+    pairs = list(zip(a[:256].tolist(), b[:256].tolist()))
+    assert [S.mul(x, y) for x, y in pairs] == [R.mul(x, y) for x, y in pairs]
+    assert np.array_equal(S.vfrobq(np.arange(Q)), R.vfrobq(np.arange(Q)))
+    assert S._inv_t == R._inv_t
+    assert (S.t_res, S.prime_coeffs, S.d, S.q) == (R.t_res, R.prime_coeffs, R.d, R.q)
+    assert bc_numbers(S).values == bc_numbers(R).values
+    assert np.array_equal(CharacterContext(S, 4)._valuations, CharacterContext(R, 4)._valuations)
+
+
+@pytest.mark.parametrize("p,r,modulus", RELABEL_BASES)
+def test_a_relabelled_field_is_the_searched_one(p, r, modulus):
+    # every prime with q^d <= 256; at degree one, where the enumerator
+    # builds no field, the home is F_q[t]/(t) and the root of t + c is -c
+    F = fq_make(p, r, modulus)
+    rng = random.Random(F.size)
+    d = 1
+    while F.size**d <= 256:
+        primes = monic_irreducibles(F, d)
+        home = primes.home or ResidueField(F, (0, 1))
+        for f, a in zip(primes, primes.roots.tolist()):
+            assert_same_field(residue_field(f), ResidueField.relabelled(home, f.coeffs, a), rng)
+        d += 1
+
+
+def test_a_relabelling_by_a_non_root_or_a_non_generator_is_refused():
+    primes = monic_irreducibles(fq_make(2, 1), 4)
+    with pytest.raises(FieldError, match="not a root"):
+        ResidueField.relabelled(primes.home, primes[1].coeffs, int(primes.roots[0]))
+    # t^4 + t^2 + 1 = (t^2 + t + 1)^2 has the cube roots of unity of F_16
+    # as roots, and t -> such a root is not one to one
+    with pytest.raises(ConsistencyError, match="one to one"):
+        ResidueField.relabelled(primes.home, (1, 0, 1, 0, 1), primes.home.exp_of(5))

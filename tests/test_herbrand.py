@@ -9,7 +9,7 @@ import weakref
 
 import pytest
 
-from bcscan import cli, fields, herbrand, poly
+from bcscan import cli, fields, herbrand, lseries, poly
 from bcscan.carlitz import bc_numbers, irregular_indices
 from bcscan.fields import ConsistencyError, FieldError, fq_make
 from bcscan.herbrand import (
@@ -226,16 +226,17 @@ def test_thread_count_is_clamped(monkeypatch):
 
 
 def test_scan_frees_each_regular_report_before_the_next_prime(monkeypatch):
-    # a regular prime gets no report: its residue field and BC vector are
-    # all it holds.  Every prime's field and BC vector, irregular or not,
-    # go with the field's character contexts before the next prime, by
-    # reference counting alone: no cycle is left for the collector to find
+    # a regular prime gets no report: its residue field, relabelled from
+    # its degree's field, and its BC vector are all it holds.  Every
+    # prime's field and BC vector, irregular or not, go with the field's
+    # character contexts before the next prime, by reference counting
+    # alone: no cycle is left for the collector to find
     live, freed = [], []  # weak references to the last prime's objects
 
-    def tracked_field(base, coeffs, _real=herbrand.ResidueField):
+    def tracked_field(home, coeffs, a, _real=fields.ResidueField.relabelled):
         freed.extend(ref() is None for ref in live)
         live.clear()
-        rf = _real(base, coeffs)
+        rf = _real(home, coeffs, a)
         live.append(weakref.ref(rf))
         return rf
 
@@ -247,7 +248,7 @@ def test_scan_frees_each_regular_report_before_the_next_prime(monkeypatch):
 
         return built
 
-    monkeypatch.setattr(herbrand, "ResidueField", tracked_field)
+    monkeypatch.setattr(fields.ResidueField, "relabelled", staticmethod(tracked_field))
     monkeypatch.setattr(herbrand, "bc_numbers", tracked(herbrand.bc_numbers))
     monkeypatch.setattr(herbrand, "character_context", tracked(herbrand.character_context))
     gc.collect()
@@ -260,6 +261,37 @@ def test_scan_frees_each_regular_report_before_the_next_prime(monkeypatch):
     # the 12 primes of degree >= 2 build a field and a BC vector, 11 of
     # them have a next one, and one prime built a character context
     assert len(freed) == 2 * 11 + 1 and all(freed)
+
+
+@pytest.mark.parametrize("options", [ScanOptions(threads=1), ScanOptions(threads=1, cross_check=True)],
+                         ids=["default", "cross-check"])
+def test_a_scan_searches_one_field_per_degree_and_one_teich_table_per_precision(options, monkeypatch):
+    searched, tables, contexts = [], [], set()
+    real_init, real_table = fields.ResidueField.__init__, lseries._teich_table
+
+    def counted_init(self, base, coeffs):
+        searched.append(len(coeffs) - 1)
+        real_init(self, base, coeffs)
+
+    def counted_table(W, order):
+        tables.append((W.rf.d, W.k))
+        return real_table(W, order)
+
+    def recorded(rf, k, _real=herbrand.character_context):
+        contexts.add((rf.d, k))
+        return _real(rf, k)
+
+    monkeypatch.setattr(fields.ResidueField, "__init__", counted_init)
+    monkeypatch.setattr(lseries, "_teich_table", counted_table)
+    monkeypatch.setattr(herbrand, "character_context", recorded)
+    r = scanned(F3, 4, options)
+    assert len(r.reports) == 8
+    # the enumerator's field of each degree 2..4, then only the field a
+    # check flag gives each of the 3 primes of degree one
+    assert searched == [2, 3, 4] + [1] * 3 * options.cross_check
+    # one table per (degree, precision) at degree >= 2, where primes share
+    assert sorted(t for t in tables if t[0] > 1) == sorted(c for c in contexts if c[0] > 1)
+    assert {(3, 12), (4, 12)} <= contexts
 
 
 def count_irreducibility_tests(monkeypatch):
@@ -291,10 +323,16 @@ def test_a_scan_tests_irreducibility_only_in_the_first_prime_searches(monkeypatc
 
 
 def test_a_scan_worker_tests_neither_its_modulus_nor_its_prime(monkeypatch):
-    prime = monic_irreducibles(F4, 3)[7]
+    # the payload carries the degree's first prime f0 and the prime's root
+    # in F_4[t]/(f0); the worker builds that field itself, untested
+    primes = monic_irreducibles(F4, 3)
+    herbrand._home_field.cache_clear()
     calls = count_irreducibility_tests(monkeypatch)
-    herbrand._scan_worker((2, 2, F4.modulus, prime.coeffs, ScanOptions()))
+    payload = (2, 2, F4.modulus, primes[0].coeffs, primes[7].coeffs, int(primes.roots[7]), ScanOptions())
+    report = herbrand._scan_worker(payload)
     assert calls == []
+    assert herbrand._home_field.cache_info().currsize == 1
+    assert report == classify_prime(primes[7])  # irregular at n = 33
 
 
 def test_scan_rejects_bad_degree_and_size():
@@ -344,8 +382,22 @@ ROUTE_OPTIONS = {
 }
 
 
+# scanned fields are relabelled from one field per degree, classify_prime
+# searches each prime's own: at every prime with q^d <= 256 over F_2,
+# F_4, F_5, F_9 (both moduli) and F_16, and to degree 4 over F_3
+ROUTE_SCANS = {
+    "q2-D8": (F2, 8),
+    "q3-D4": (F3, 4),
+    "q4-D3": (F4, 3),
+    "q5-D3": (fq_make(5, 1), 3),
+    "q9-D2": (fq_make(3, 2), 2),
+    "q9x-D2": (fq_make(3, 2, (2, 1, 1)), 2),
+    "q16-D2": (fq_make(2, 4), 2),
+}
+
+
 @pytest.mark.parametrize("options", ROUTE_OPTIONS.values(), ids=ROUTE_OPTIONS.keys())
-@pytest.mark.parametrize("base,max_degree", [(F3, 4), (F4, 3)], ids=["q3-D4", "q4-D3"])
+@pytest.mark.parametrize("base,max_degree", ROUTE_SCANS.values(), ids=ROUTE_SCANS.keys())
 def test_a_scanned_report_is_the_one_classify_prime_gives(base, max_degree, options):
     reports = {rep.prime: rep for rep in scanned(base, max_degree, options).reports}
     for d in range(1, max_degree + 1):
