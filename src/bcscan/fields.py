@@ -18,8 +18,10 @@ relabelled (``ResidueField.relabelled``), from a searched field
 R0 = F_q[t]/(f0) of the same degree and a root a of f in it, by pulling
 R0's tables back through the isomorphism t -> a.  Both give f's packing,
 multiplication and Frobenius; only the generator may differ, and nothing
-computed from a field depends on it.  A scan relabels one R0 per degree
-for all its primes; ``residue_field`` searches.
+computed from a field depends on it.  A scan relabels one R0 per degree,
+degree one included, for all its primes; ``residue_field`` searches.
+Each field's label-free Witt tables live in ``lifts``: a searched field
+owns its own, and a relabelled field shares its home's.
 
 Multiplication, inversion and q-power Frobenius run through discrete-log
 tables of size p^m; addition is coordinatewise mod p.  The exp table is
@@ -61,17 +63,6 @@ class ConsistencyError(AssertionError):
     """Two independent computations of the same quantity disagreed."""
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    i = 2
-    while i * i <= n:
-        if n % i == 0:
-            return False
-        i += 1
-    return True
-
-
 def _prime_factors(n: int) -> tuple[int, ...]:
     out = []
     i = 2
@@ -84,6 +75,10 @@ def _prime_factors(n: int) -> tuple[int, ...]:
     if n > 1:
         out.append(n)
     return tuple(out)
+
+
+def _is_prime(n: int) -> bool:
+    return _prime_factors(n) == (n,)
 
 
 # ---------------------------------------------------------------------------
@@ -421,8 +416,6 @@ class PackedField:
             if e < 0:
                 raise ZeroDivisionError("negative power of zero")
             return 0
-        if self.order == 0:
-            return 1
         return self._exp[(self._log[a] * e) % self.order]
 
     def dlog(self, a: int) -> int:
@@ -431,7 +424,7 @@ class PackedField:
         return self._log[a]
 
     def exp_of(self, j: int) -> int:
-        return self._exp[j % self.order] if self.order else 1
+        return self._exp[j % self.order]
 
     # -- vectorized operations (packed int32 numpy arrays) -------------
 
@@ -634,11 +627,8 @@ class ResidueField(PackedField):
 
         # at d >= 2 the constants below q have order dividing q - 1
         super().__init__(base.p, base.r * self.d, mul0, range(q if self.d >= 2 else 2, q**self.d))
-        # the field this one was relabelled from, None for a searched one
-        self.home = None
         # label-free Witt tables by precision, filled by lseries and shared
-        # by every field relabelled from this one; a searched field's own
-        # character contexts do not read them
+        # by every field relabelled from this one
         self.lifts: dict = {}
 
     def _set_prime(self, base: BaseField, prime_coeffs: tuple[int, ...]) -> None:
@@ -698,7 +688,7 @@ class ResidueField(PackedField):
         exp = inv_L[home._npexp]
         rf.generator = int(exp[1 % order])
         rf._set_tables(exp, home._nplog[L], inv_L[home._npfrobq[L]])
-        rf.home, rf.lifts = home, home.lifts
+        rf.lifts = home.lifts
         return rf
 
     @property

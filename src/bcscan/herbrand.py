@@ -346,24 +346,20 @@ def _worker_pool(threads: int) -> ProcessPoolExecutor:
     return ProcessPoolExecutor(max_workers=threads, mp_context=_WorkerContext())
 
 
-def _scan_prime(home, prime: Poly, a: int, options: ScanOptions) -> PrimeReport | None:
+def _scan_prime(home: ResidueField, prime: Poly, a: int, options: ScanOptions) -> PrimeReport | None:
     """The report at an irregular prime, None at a regular one, which a
     check flag still classifies, for its checks.  The prime comes from
     the enumerator with its root a in ``home``, the one field of its
     degree (``monic_irreducibles``), so its own field is home relabelled
     by t -> a, untested, and all its tables go when this returns.  No
     multiple of q - 1 lies strictly between 0 and q - 1, so a prime of
-    degree one is regular and needs no field unless a check flag asks
-    for one; it then gets a field of its own, as home is None there.
-    The process that scans a prime writes its timing line; its
+    degree one is regular and gets no field unless a check flag asks
+    for one.  The process that scans a prime writes its timing line; its
     ``field`` step is the relabelling."""
     checks = options.check_local or options.cross_check
     seconds, report = {}, None
     if prime.degree > 1 or checks:
-        if home is None:
-            rf = _timed(seconds, "field", ResidueField, prime.field, prime.coeffs)
-        else:
-            rf = _timed(seconds, "field", ResidueField.relabelled, home, prime.coeffs, a)
+        rf = _timed(seconds, "field", ResidueField.relabelled, home, prime.coeffs, a)
         report = _classified(rf, options, range(1, rf.size - 1), seconds, checks)
         # the contexts refer back to the field, a cycle that only the
         # cyclic collector would free: drop them so the tables go now
@@ -374,14 +370,13 @@ def _scan_prime(home, prime: Poly, a: int, options: ScanOptions) -> PrimeReport 
 
 
 @functools.lru_cache(maxsize=1)
-def _home_field(p: int, r: int, modulus: tuple[int, ...], f0: tuple[int, ...]) -> ResidueField | None:
+def _home_field(p: int, r: int, modulus: tuple[int, ...], f0: tuple[int, ...]) -> ResidueField:
     """A worker's field for the degree of f0, the first prime of that
-    degree: F_q[t]/(f0), or None at degree one, as ``monic_irreducibles``
-    gives it.  A worker takes its chunks of primes in order, so it
-    builds each degree's field once and holds one at a time.  The
-    modulus and f0 come from a scan's base field and enumerator, so
-    neither is tested again here."""
-    return ResidueField(_fq_cached(p, r, modulus), f0) if len(f0) > 2 else None
+    degree: F_q[t]/(f0), as ``monic_irreducibles`` builds it.  A worker
+    takes its chunks of primes in order, so it builds each degree's
+    field once and holds one at a time.  The modulus and f0 come from a
+    scan's base field and enumerator, so neither is tested again here."""
+    return ResidueField(_fq_cached(p, r, modulus), f0)
 
 
 def _scan_worker(payload):

@@ -18,13 +18,14 @@ Teichmuller lift of a generator gamma.  Multiplication by omega(gamma)
 is a linear map on W_k, so the table is filled by doubling: rows
 N..2N-1 are rows 0..N-1 times the matrix of omega(gamma)^N, log2(Q)
 matrix products in all.  The table depends on gamma only through its
-minimal polynomial over F_p, which relabelling a field keeps, so the
-fields a scan relabels from one field of their degree share one table
-per precision.  Valuations are read from one table per context,
-covering v(L_n) at in-scope n and v(S_n(1)) elsewhere.  The
-weights are rational integers and Frobenius sends omega(x) to
-omega(x)^p, so both sums at n and at pn mod (Q-1) have the same
-valuation and the table computes each p-orbit once, at its least
+minimal polynomial over F_p, which relabelling a field keeps.  Every
+field reads its tables from ``ResidueField.lifts``, one per precision:
+a searched field keeps its own, and the fields a scan relabels from one
+field of their degree share that field's.  Valuations are read from one
+table per context, covering v(L_n) at in-scope n and v(S_n(1))
+elsewhere.  The weights are rational integers and Frobenius sends
+omega(x) to omega(x)^p, so both sums at n and at pn mod (Q-1) have the
+same valuation and the table computes each p-orbit once, at its least
 member.  Since omega(g) reduces to g mod p, both sums reduce mod p to
 combinations of the power sums of the monic g of each degree j < d,
 which Carlitz's polynomials e_j give for every exponent at once, one
@@ -128,10 +129,12 @@ class ModPScreen:
     """The units among one field's character sums, decided mod p.
 
     ``rep``, entry n: the least member of n's orbit under n -> pn mod
-    Q-1.  ``unit``, entry n: whether the sum at n has valuation 0, which
-    is L_n at in-scope n and S_n(1) at the others (entry 0 is unused)."""
+    Q-1; ``reps``: those least members other than 0, in order.
+    ``unit``, entry n: whether the sum at n has valuation 0, which is
+    L_n at in-scope n and S_n(1) at the others (entry 0 is unused)."""
 
     rep: np.ndarray
+    reps: np.ndarray
     unit: np.ndarray
 
 
@@ -159,7 +162,7 @@ def mod_p_screen(rf: ResidueField) -> ModPScreen:
         total += np.where(in_scope, j % p, 1)[:, None] * rf._unpack[row]
     unit = np.zeros(order, dtype=bool)
     unit[reps] = (total % p).any(axis=1)
-    rf.screen = ModPScreen(rep, unit[rep])
+    rf.screen = ModPScreen(rep, reps, unit[rep])
     return rf.screen
 
 
@@ -204,15 +207,11 @@ class CharacterContext:
 
         total_weight = max(int(w.sum()) for _, w in (self._deg_weights, self._unit_weights))
         self._int64 = total_weight * (self.W.pk - 1) < INT64_SAFE_BOUND
-        # the table's rows are coordinates over G, the lift of the minimal
-        # polynomial of the generator over F_p; relabelling keeps that
-        # polynomial, so every field relabelled from one home shares them
-        lifts = rf.lifts if rf.home is not None else {}
-        if k not in lifts:
+        if k not in rf.lifts:
             teich = _teich_table(self.W, self.order)
-            lifts[k] = teich.astype(np.int64 if self._int64 else object, copy=False)
-            lifts[k].setflags(write=False)
-        self.teich = lifts[k]
+            rf.lifts[k] = teich.astype(np.int64 if self._int64 else object, copy=False)
+            rf.lifts[k].setflags(write=False)
+        self.teich = rf.lifts[k]
 
     def in_scope(self, n: int) -> bool:
         return 0 < n < self.order and n % (self.rf.q - 1) == 0
@@ -229,9 +228,8 @@ class CharacterContext:
         """Entry n: v(L_n) at in-scope n, v(S_n(1)) at the other
         0 < n < Q-1, each capped at k (entry 0 is unused)."""
         screen = mod_p_screen(self.rf)
-        reps = np.flatnonzero(screen.rep == np.arange(self.order))[1:]
         vals = np.zeros(self.order, dtype=np.int64)
-        for r in reps[~screen.unit[reps]]:
+        for r in screen.reps[~screen.unit[screen.reps]]:
             r = int(r)
             s = self.closed_weighted_sum(r) if self.in_scope(r) else self._witt_sum(self._unit_weights, r)
             vals[r] = self.W.valuation(s)

@@ -7,13 +7,13 @@ vector read from the leading term down, coefficients compared by packed
 value.  Text round trips are exact: ``parse_poly(poly_to_str(f)) == f``.
 
 The primes of F_q[t] are enumerated by Frobenius orbits, one field
-R0 = F_(q^d) per degree (``monic_irreducibles``), with a root of each
-prime in it.  They are irreducible by construction, so a scan builds
-their fields untested, each by relabelling R0 (``ResidueField.relabelled``).
-A polynomial from outside the enumerator is tested in one place,
-``fields._residue_cached``, before ``residue_field`` first builds its
-field; the enumerator's own test runs only in its search for the first
-prime of each degree.
+R0 = F_(q^d) per degree, degree one included (``monic_irreducibles``),
+with a root of each prime in it.  They are irreducible by construction,
+so a scan builds their fields untested, each by relabelling R0
+(``ResidueField.relabelled``).  A polynomial from outside the enumerator
+is tested in one place, ``fields._residue_cached``, before
+``residue_field`` first builds its field; the enumerator's own test runs
+only in its search for the first prime of each degree.
 """
 
 from __future__ import annotations
@@ -145,8 +145,7 @@ class Primes(list):
     R0 = F_q[t]/(f0), f0 the first of them, and ``roots[i]`` is a root in
     it of prime i, the least element of its Frobenius orbit, so that
     ``ResidueField.relabelled(home, f.coeffs, roots[i])`` is the residue
-    field of prime i.  At degree one no field is built: home is None and
-    the root of t + c is -c in F_q."""
+    field of prime i."""
 
     def __init__(self, primes, home, roots: np.ndarray):
         super().__init__(primes)
@@ -166,10 +165,10 @@ def monic_irreducibles(field, d: int) -> Primes:
     element a, its conjugates a^(q^i) are gathers through R0's Frobenius
     table, and ``fields.orbit_polys`` multiplies out prod (x - a^(q^i))
     across all orbits at once, checking that every coefficient is in
-    F_q, the packed values below q.  Degree 1 is t + c directly, with
-    no field built.  These primes are irreducible by construction: a
-    scan relabels R0 to each one's field, untested.  A degree with q^d
-    above the residue-field cap is refused."""
+    F_q, the packed values below q: at degree one, R0 = F_q[t]/(t) and
+    t + c has the root -c.  These primes are irreducible by
+    construction: a scan relabels R0 to each one's field, untested.  A
+    degree with q^d above the residue-field cap is refused."""
     q = field.size
     if d < 1:
         return Primes([], None, np.zeros(0, dtype=np.int32))
@@ -177,9 +176,6 @@ def monic_irreducibles(field, d: int) -> Primes:
         raise FieldError(
             f"residue field size q^d = {q**d} exceeds supported limit {MAX_FIELD_SIZE}"
         )
-    if d == 1:
-        roots = field.vneg(np.arange(q, dtype=np.int32))
-        return Primes([Poly(field, (c, 1)) for c in range(q)], None, roots)
     f0 = next(f for f in monic_polys(field, d) if f.is_irreducible())
     R0 = ResidueField(field, f0.coeffs)
     conj = np.empty((R0.size, d), dtype=np.int32)  # row a: a, a^q, .., a^(q^(d-1))
@@ -192,7 +188,8 @@ def monic_irreducibles(field, d: int) -> Primes:
         keep &= conj[:, d // ell] != a  # the orbit is no shorter than d
     coeffs = orbit_polys(R0, conj[keep], q)
     order = np.lexsort(coeffs[:, :d].T)  # the x^(d-1) column is the primary key
-    return Primes([Poly(field, tuple(row)) for row in coeffs[order].tolist()], R0, a[keep][order])
+    # zip reads the rows off the columns as tuples, with no list per prime
+    return Primes([Poly(field, row) for row in zip(*coeffs[order].T.tolist())], R0, a[keep][order])
 
 
 def residue_field(prime: Poly) -> ResidueField:

@@ -491,17 +491,25 @@ def assert_same_field(R, S, rng):
 
 @pytest.mark.parametrize("p,r,modulus", RELABEL_BASES)
 def test_a_relabelled_field_is_the_searched_one(p, r, modulus):
-    # every prime with q^d <= 256; at degree one, where the enumerator
-    # builds no field, the home is F_q[t]/(t) and the root of t + c is -c
+    # every prime with q^d <= 256, degree one included
     F = fq_make(p, r, modulus)
     rng = random.Random(F.size)
     d = 1
     while F.size**d <= 256:
         primes = monic_irreducibles(F, d)
-        home = primes.home or ResidueField(F, (0, 1))
         for f, a in zip(primes, primes.roots.tolist()):
-            assert_same_field(residue_field(f), ResidueField.relabelled(home, f.coeffs, a), rng)
+            assert_same_field(residue_field(f), ResidueField.relabelled(primes.home, f.coeffs, a), rng)
         d += 1
+
+
+@pytest.mark.parametrize("p,r,modulus", RELABEL_BASES)
+def test_the_primes_of_degree_one_come_from_the_field_of_t(p, r, modulus):
+    # t + c in canonical order, each with the root -c in F_q[t]/(t)
+    F = fq_make(p, r, modulus)
+    primes = monic_irreducibles(F, 1)
+    assert [f.coeffs for f in primes] == [(c, 1) for c in range(F.size)]
+    assert primes.roots.tolist() == [F.neg(c) for c in range(F.size)]
+    assert (primes.home.prime_coeffs, primes.home.size) == ((0, 1), F.size)
 
 
 def test_a_relabelling_by_a_non_root_or_a_non_generator_is_refused():

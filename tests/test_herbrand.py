@@ -177,22 +177,30 @@ def test_scan_empty_q5():
 
 
 def test_a_default_scan_builds_no_field_at_degree_one(monkeypatch, capsys):
-    built = []
-    real_init = fields.ResidueField.__init__
+    # the enumerator builds the degree's field F_5[t]/(t), and a default
+    # scan relabels it for no prime: a prime of degree one is regular
+    searched, relabelled = [], []
+    real_init, real_relabelled = fields.ResidueField.__init__, fields.ResidueField.relabelled
 
-    def counted(self, base, coeffs):
-        built.append(coeffs)
+    def counted_init(self, base, coeffs):
+        searched.append(coeffs)
         real_init(self, base, coeffs)
 
-    monkeypatch.setattr(fields.ResidueField, "__init__", counted)
+    def counted_relabelled(home, coeffs, a):
+        relabelled.append(coeffs)
+        return real_relabelled(home, coeffs, a)
+
+    monkeypatch.setattr(fields.ResidueField, "__init__", counted_init)
+    monkeypatch.setattr(fields.ResidueField, "relabelled", staticmethod(counted_relabelled))
     assert cli.main(["scan", "--q", "5", "--max-degree", "1"]) == 0
     assert capsys.readouterr().out == (
         "prime  indices  dim\n\nscanned 5 primes of degree <= 1 over F_5; 0 irregular\n"
     )
-    assert built == []
-    # a check flag still classifies, and so builds, every prime
+    assert (searched, relabelled) == ([(0, 1)], [])
+    # a check flag still classifies, and so relabels the home for, every prime
     assert scanned(fq_make(5, 1), 1, ScanOptions(cross_check=True)).reports == ()
-    assert len(built) == 5
+    assert searched == [(0, 1)] * 2
+    assert relabelled == [(c, 1) for c in range(5)]
 
 
 def test_scan_thread_determinism():
@@ -286,11 +294,10 @@ def test_a_scan_searches_one_field_per_degree_and_one_teich_table_per_precision(
     monkeypatch.setattr(herbrand, "character_context", recorded)
     r = scanned(F3, 4, options)
     assert len(r.reports) == 8
-    # the enumerator's field of each degree 2..4, then only the field a
-    # check flag gives each of the 3 primes of degree one
-    assert searched == [2, 3, 4] + [1] * 3 * options.cross_check
-    # one table per (degree, precision) at degree >= 2, where primes share
-    assert sorted(t for t in tables if t[0] > 1) == sorted(c for c in contexts if c[0] > 1)
+    # the enumerator's field of each degree, and no other
+    assert searched == [1, 2, 3, 4]
+    # one table per (degree, precision), shared by the primes of the degree
+    assert sorted(tables) == sorted(contexts)
     assert {(3, 12), (4, 12)} <= contexts
 
 
@@ -311,9 +318,10 @@ def count_irreducibility_tests(monkeypatch):
 
 def test_a_scan_tests_irreducibility_only_in_the_first_prime_searches(monkeypatch):
     # each degree's search for its first prime f0 tests the monic
-    # polynomials up to f0 in canonical order; no prime is tested again
+    # polynomials up to f0 in canonical order, at degree one t alone; no
+    # prime is tested again
     searched = []
-    for d in range(2, 5):
+    for d in range(1, 5):
         first = monic_irreducibles(F3, d)[0]
         searched += list(itertools.takewhile(lambda f: f != first, monic_polys(F3, d))) + [first]
     calls = count_irreducibility_tests(monkeypatch)

@@ -30,6 +30,13 @@ def ctx_for(q_params, prime_str, k=12):
     return character_context(residue_field(parse_poly(prime_str, F)), k)
 
 
+def fresh_field(q_params, prime_str):
+    """A searched field of its own, so that no Teichmuller table in its
+    ``lifts`` comes from another test."""
+    f = parse_poly(prime_str, fq_make(*q_params))
+    return ResidueField(f.field, f.coeffs)
+
+
 def test_worked_example_q2_quadratic_n1():
     # S_1(T) = 1 - T, Q_1(T) = 1, L_1 = 1, valuation 0
     ctx = ctx_for((2, 1), "t^2 + t + 1", k=4)
@@ -126,10 +133,10 @@ def test_valuations_independent_of_precision():
 
 
 def test_l_value_independent_of_teichmuller_lift_offsets(monkeypatch):
-    rf = residue_field(parse_poly("t^4 + t + 1", fq_make(2, 1)))
-    a = CharacterContext(rf, 12)
+    # two fields, as one field's contexts share its table
+    a = CharacterContext(fresh_field((2, 1), "t^4 + t + 1"), 12)
     monkeypatch.setattr(WittRing, "_omega_start", steered_start((1, 0, 2, 1)))
-    b = CharacterContext(rf, 12)
+    b = CharacterContext(fresh_field((2, 1), "t^4 + t + 1"), 12)
     for n in [3, 9, 12]:
         assert l_value_at_one(a, n).coords == l_value_at_one(b, n).coords
 
@@ -247,7 +254,7 @@ TEICH_PRIMES = [((2, 1), "t^5 + t^2 + 1"), ((3, 1), "t^3 - t + 1"), ((2, 2), "t^
 @pytest.mark.parametrize("k", [12, 40])
 @pytest.mark.parametrize("offsets", [None, (1, 0, 2)])
 def test_teich_table_equals_successive_witt_products(pr, prime, k, offsets, monkeypatch):
-    rf = residue_field(parse_poly(prime, fq_make(*pr)))
+    rf = fresh_field(pr, prime)
     if offsets:  # the table's omega(gamma) is iterated from a steered start
         monkeypatch.setattr(WittRing, "_omega_start", steered_start(offsets))
     ctx = CharacterContext(rf, k)
@@ -266,7 +273,7 @@ def test_teich_table_equals_successive_witt_products(pr, prime, k, offsets, monk
 def test_teich_table_takes_few_witt_multiplications(monkeypatch):
     # Q = 4096: the table needs m products for its matrix and one for the
     # closure check, besides those inside the Teichmuller lift itself
-    rf = residue_field(parse_poly("t^12 + t^3 + 1", fq_make(2, 1)))
+    rf = fresh_field((2, 1), "t^12 + t^3 + 1")
     count = {"all": 0, "lift": 0}
     mul, teichmuller = WittElem.__mul__, WittRing.teichmuller
 
@@ -295,9 +302,22 @@ def test_a_teich_table_that_does_not_close_is_refused(monkeypatch):
         return rows[1:]
 
     monkeypatch.setattr(lseries, "power_rows", off_by_one)
-    rf = residue_field(parse_poly("t^3 - t + 1", fq_make(3, 1)))
+    rf = fresh_field((3, 1), "t^3 - t + 1")
     with pytest.raises(ConsistencyError, match="does not close"):
         CharacterContext(rf, 12)
+
+
+def test_a_searched_field_builds_one_teich_table_per_precision(monkeypatch):
+    rf = fresh_field((3, 1), "t^3 - t + 1")
+    built, real = [], lseries._teich_table
+
+    def counted(W, order):
+        built.append(W.k)
+        return real(W, order)
+
+    monkeypatch.setattr(lseries, "_teich_table", counted)
+    a, b = CharacterContext(rf, 12), CharacterContext(rf, 12)
+    assert built == [12] and a.teich is b.teich is rf.lifts[12]
 
 
 def primes_up_to(limit):
