@@ -88,17 +88,6 @@ def _render_detail(report: PrimeReport) -> str:
     return out.getvalue()
 
 
-def _classification_obj(c: IndexClassification) -> dict:
-    return {
-        "n": c.n,
-        "q_minus_1_divides": c.q_minus_1_divides,
-        "bc_divisible": c.bc_divisible,
-        "pic_length": c.pic_length,
-        "h1_dim": c.h1_dim,
-        "diagnostics": dict(c.diagnostics),
-    }
-
-
 _JSON_CONSTANTS = {True: "true", False: "false", None: "null"}
 
 
@@ -181,8 +170,8 @@ def _write_json(result: ScanResult, fh, detail: bool = False) -> None:
 
 
 def _parse_report(q: int, obj: dict) -> PrimeReport:
-    """A report's columns from its JSON; every classification in the
-    document must be the view its columns give."""
+    """A report's columns from its JSON; the document's object must be
+    the one ``_json_report`` renders from those columns."""
     cls = obj["classifications"]
     diags = [c["diagnostics"] for c in cls]
     local = None
@@ -203,7 +192,7 @@ def _parse_report(q: int, obj: dict) -> PrimeReport:
         local_vanished=local,
         cross_checked=any("l_valuation_graded" in d for d in diags),
     )
-    if [_classification_obj(c) for c in report.classifications] != cls:
+    if json.loads(_json_report(report)) != obj:
         raise FieldError(f"the report of {report.prime} does not follow from its columns")
     return report
 

@@ -11,39 +11,44 @@ sum(c_i * p**i).  Two constructions share this core:
   form coincides with base-q packing of the coefficient vector of the
   degree-< d representative, which keeps lifting and reduction trivial.
 
-Every prime of degree d has the residue field F_(q^d), up to the choice
-of labels.  A field is built in one of two ways: searched, from f alone,
-with a generator search and its tables filled from scratch; or
-relabelled (``ResidueField.relabelled``), from a searched field
-R0 = F_q[t]/(f0) of the same degree and a root a of f in it, by pulling
-R0's tables back through the isomorphism t -> a.  Both give f's packing,
-multiplication and Frobenius; only the generator may differ, and nothing
-computed from a field depends on it.  A scan relabels one R0 per degree,
-degree one included, for all its primes; ``residue_field`` searches.
-Each field's label-free Witt tables live in ``lifts``: a searched field
-owns its own, and a relabelled field shares its home's.
+A field is its exp table, the packed powers of its generator: the one
+constructor, ``PackedField.__init__``, derives every other table from
+it.  Every prime of degree d has the residue field F_(q^d), up to the
+choice of labels, and exp comes from a generator search from f alone
+(``_search_exp``) or from ``ResidueField.relabelled``, which maps the
+exp table of a searched field R0 = F_q[t]/(f0) of the same degree
+through the isomorphism t -> a, for a root a of f in R0.  Both give f's
+packing, multiplication and Frobenius; only the generator may differ,
+and nothing computed from a field depends on it.  A scan relabels one
+R0 per degree, degree one included, for all its primes;
+``residue_field`` searches.  Each field's label-free Witt tables live
+in ``lifts``: a searched field owns its own, and a relabelled field
+shares its home's.
 
 Multiplication, inversion and q-power Frobenius run through discrete-log
-tables of size p^m; addition is coordinatewise mod p.  The exp table is
-filled by doubling (``power_rows``), since multiplication by the
-generator is an F_p-linear map on coordinate vectors; ``power_rows``
-takes the product as an argument and also fills the Teichmuller table
-and the local powers of pi.  ``char_sums`` gathers a character sum at
-each of a few exponents, for the exact L-value sums, the mod-p
-screen's power sums of small degree and the local dlog components, and
+tables of size p^m; addition is coordinatewise mod p, through F_p-digit
+tables kept once per (p, m) (``_digit_tables``).  The search fills exp
+by doubling (``power_rows``), since multiplication by the generator is
+an F_p-linear map on coordinate vectors; ``power_rows`` takes the
+product as an argument and also fills the Teichmuller table and the
+local powers of pi.  ``char_sums`` gathers a character sum at each of
+a few exponents, for the exact L-value sums, the mod-p screen's power
+sums of small degree and the local dlog components, and
 ``orbit_polys`` multiplies out the minimal polynomials of Frobenius
 orbits, for the prime enumeration and the Witt modulus.  Everything
-is exact integer arithmetic.  numpy mirrors of the tables drive the
-vectorized helpers (``vadd``, ``vmul``, ``vscale``, ``vsum``, ``vfrobq``)
-that the truncated-series layer is built on, and ``vmatmul``, a matrix
-product over the field done as float BLAS products of F_p digits whose
-sums are small enough to stay exact.
+is exact integer arithmetic.  The log of 0 is the sentinel 2 (Q - 1),
+which the zero tail of the exp table maps back to 0, so the vectorized
+helpers (``vadd``, ``vmul``, ``vscale``, ``vsum``, ``vfrobq``) that the
+truncated-series layer is built on multiply packed arrays with one add
+and one gather; ``vmatmul`` is a matrix product over the field done as
+float BLAS products of F_p digits whose sums are small enough to stay
+exact.
 
 Field tables are immutable after construction and safe to share across
-threads.  ``fq_make`` and ``residue_field_raw`` intern their fields, so
-equal parameters give the identical object; a residue field also owns
-the character contexts built over it (``lseries.character_context``),
-which live exactly as long as the field.
+threads.  ``fq_make`` interns its fields, so equal parameters give the
+identical object, and ``residue_field_raw`` keeps the last field it
+built.  A residue field owns the character contexts built over it
+(``lseries.character_context``), which live exactly as long as the field.
 """
 
 from __future__ import annotations
@@ -279,95 +284,93 @@ def _first_rows_of_powers(M: np.ndarray, exps, p: int) -> list[np.ndarray]:
     return rows
 
 
+@functools.lru_cache(maxsize=17)
+def _digit_tables(p: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """The F_p-digit tables of the packed values below p^m: ``unpack``
+    (row v holds the m digits of v), the place values p^i and, at odd p,
+    the negation table.  Shared by every field of p^m elements; the bound
+    holds the sizes one scan touches, its base field and one size per
+    degree.  A size above MAX_FIELD_SIZE is refused before any table is
+    allocated."""
+    size = p**m
+    if size > MAX_FIELD_SIZE:
+        raise FieldError(f"field size {size} exceeds supported limit {MAX_FIELD_SIZE}")
+    unpack = np.zeros((size, m), dtype=np.int16 if p <= 1 << 15 else np.int32)
+    vals = np.arange(size)
+    for i in range(m):
+        unpack[:, i] = (vals // p**i) % p
+    packw = (p ** np.arange(m)).astype(np.int64)
+    neg = None if p == 2 else (((p - unpack) % p).astype(np.int64) @ packw).astype(np.int32)
+    for arr in (unpack, packw, neg):
+        if arr is not None:
+            arr.setflags(write=False)
+    return unpack, packw, neg
+
+
+def _search_exp(p: int, m: int, mul0, gen_candidates) -> np.ndarray:
+    """The packed powers gen^j, 0 <= j < p^m - 1, of the first of
+    gen_candidates that generates the units of the field of p^m elements
+    whose product is mul0 (in F_2, of gen = 1).
+
+    Multiplication by c is F_p-linear: row i of its matrix holds the
+    coordinates of p^i * c, so row 0 of the matrix's e-th power holds
+    those of c^e, and c generates iff no c^(order / l) is 1.  The
+    coordinates of gen^j are row 0 of M^j, and power_rows fills all of
+    them in log2(order) steps; gen^(order-1) * gen must be 1."""
+    unpack, packw, _ = _digit_tables(p, m)
+    order = p**m - 1
+
+    def mul_matrix(c: int) -> np.ndarray:
+        return unpack[[mul0(p**i, c) for i in range(m)]].astype(np.int64)
+
+    gen = 1
+    if order > 1:
+        exps = [order // ell for ell in _prime_factors(order)]
+        for cand in gen_candidates:
+            M = mul_matrix(cand)
+            if not any(np.array_equal(v, unpack[1]) for v in _first_rows_of_powers(M, exps, p)):
+                gen = cand
+                break
+        else:  # pragma: no cover - a generator always exists
+            raise FieldError("no multiplicative generator found")
+    else:
+        M = mul_matrix(1)
+    exp = (power_rows(unpack[1], M, order, lambda a, b: a @ b % p) @ packw).astype(np.int32)
+    if mul0(int(exp[-1]), gen) != 1:
+        raise FieldError("exp table does not close: gen^(order-1) * gen != 1")
+    return exp
+
+
 class PackedField:
     """Arithmetic core shared by BaseField and ResidueField."""
 
-    def __init__(self, p: int, m: int, mul0, gen_candidates):
+    def __init__(self, p: int, m: int, exp: np.ndarray):
+        """The field of p^m elements whose generator's powers, packed and
+        int32, are exp: the one place where log, Frobenius and the
+        zero-aware tables are derived.  An exp that does not enumerate
+        the units is refused."""
+        self._unpack, self._packw, self._neg_t = _digit_tables(p, m)
         self.p = p
         self.m = m
         self.size = p**m
-        self.order = self.size - 1
-        if self.size > MAX_FIELD_SIZE:
-            raise FieldError(
-                f"field size {self.size} exceeds supported limit {MAX_FIELD_SIZE}"
-            )
-        self._build_tables(mul0, gen_candidates)
-
-    # -- construction -------------------------------------------------
-
-    def _build_tables(self, mul0, gen_candidates) -> None:
-        p, m, size, order = self.p, self.m, self.size, self.order
-        unpack = np.zeros((size, m), dtype=np.int16 if p <= 1 << 15 else np.int32)
-        vals = np.arange(size)
-        for i in range(m):
-            unpack[:, i] = (vals // p**i) % p
-        self._unpack = unpack
-        self._packw = (p ** np.arange(m)).astype(np.int64)
-        if p != 2:
-            digs = (p - unpack) % p
-            self._neg_t = (digs.astype(np.int64) @ self._packw).astype(np.int32)
-            self._neg_t.setflags(write=False)
-        else:
-            self._neg_t = None
-
-        # multiplication by c is F_p-linear: row i of its matrix holds the
-        # coordinates of p^i * c, so row 0 of the matrix's e-th power holds
-        # those of c^e, and c generates iff no c^(order / l) is 1
-        def mul_matrix(c: int) -> np.ndarray:
-            return unpack[[mul0(p**i, c) for i in range(m)]].astype(np.int64)
-
-        gen = 1
-        if order > 1:
-            exps = [order // ell for ell in _prime_factors(order)]
-            for cand in gen_candidates:
-                if cand in (0, 1):
-                    continue
-                M = mul_matrix(cand)
-                if not any(np.array_equal(v, unpack[1]) for v in _first_rows_of_powers(M, exps, p)):
-                    gen = cand
-                    break
-            else:  # pragma: no cover - a generator always exists
-                raise FieldError("no multiplicative generator found")
-        else:
-            M = mul_matrix(1)
-        self.generator = gen
-
-        # the coordinates of gen^j are row 0 of M^j, and power_rows fills
-        # all of them in log2(order) steps
-        exp = power_rows(unpack[1], M, order, lambda a, b: a @ b % p)
-        exp = (exp @ self._packw).astype(np.int32)
-        seen = np.zeros(size, dtype=bool)
-        seen[exp] = True
-        if seen[0] or not seen[1:].all():
+        self.order = order = self.size - 1
+        # the log of 0 is the sentinel 2*order, and every sum involving
+        # it indexes the zero tail of _zexp, so a product of packed
+        # arrays is one add and one gather, with no mod and no mask
+        log = np.full(self.size, 2 * order, dtype=np.int32)
+        log[exp] = np.arange(len(exp), dtype=np.int32)
+        if len(exp) != order or log[0] != 2 * order or (log[1:] == 2 * order).any():
             raise FieldError("generator does not enumerate the unit group")
-        if mul0(int(exp[-1]), gen) != 1:
-            raise FieldError("exp table does not close: gen^(order-1) * gen != 1")
-        log = np.zeros(size, dtype=np.int32)
-        log[exp] = np.arange(order, dtype=np.int32)
-        frobq = exp[log.astype(np.int64) * self.frob_exponent % order]
-        frobq[0] = 0
-        self._set_tables(exp, log, frobq)
-
-    def _set_tables(self, exp: np.ndarray, log: np.ndarray, frobq: np.ndarray) -> None:
-        """Install the exp, log and Frobenius tables (log[0] and frobq[0]
-        are 0) and derive the inverses and the zero-aware pair from them."""
-        order = self.order
-        inv = exp[(order - log) % order]
-        inv[0] = 0
+        self._zexp = np.concatenate((exp, exp, np.zeros(2 * order + 1, np.int32)))
+        self._npfrobq = exp[log.astype(np.int64) * self.frob_exponent % order]
+        self._npfrobq[0] = 0
+        for arr in (self._zexp, log, self._npfrobq):
+            arr.setflags(write=False)
+        self._npexp = self._zexp[:order]
+        self._nplog = log
         self._exp = exp.tolist()
         self._log = log.tolist()
-        self._inv_t = inv.tolist()
-        self._npexp = exp
-        self._nplog = log
-        self._npfrobq = frobq
-        # Zero-aware pair: the log of 0 is the sentinel 2*order, and every
-        # sum involving it indexes the zero tail of _zexp, so a product of
-        # packed arrays is one add and one gather, with no mod and no mask.
-        self._zlog = self._nplog.copy()
-        self._zlog[0] = 2 * order
-        self._zexp = np.concatenate((self._npexp, self._npexp, np.zeros(2 * order + 1, np.int32)))
-        for arr in (self._npexp, self._nplog, self._zlog, self._zexp, self._npfrobq, self._unpack):
-            arr.setflags(write=False)
+        self.generator = self._exp[1 % order]
 
     # q-power used by series Frobenius; residue fields override.
     @property
@@ -404,7 +407,7 @@ class PackedField:
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return self._inv_t[a]
+        return self._exp[-self._log[a] % self.order]
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
@@ -443,14 +446,14 @@ class PackedField:
         return self.vadd(a, self.vneg(b))
 
     def vmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return self._zexp[self._zlog[np.asarray(a)] + self._zlog[np.asarray(b)]]
+        return self._zexp[self._nplog[np.asarray(a)] + self._nplog[np.asarray(b)]]
 
     def vscale(self, c: int, a: np.ndarray) -> np.ndarray:
         if c == 0:
             return np.zeros_like(a)
         if c == 1:
             return a.copy()
-        return self._zexp[self._zlog[a] + self._log[c]]
+        return self._zexp[self._nplog[a] + self._log[c]]
 
     def vsum(self, a: np.ndarray, axis: int = 0) -> np.ndarray:
         if self.p == 2:
@@ -492,7 +495,7 @@ class PackedField:
         cstep = max(1, MATMUL_CELLS // max(1, k * m))
         out = np.empty((r, n), dtype=np.int32)
         for c in range(0, n, cstep):
-            logb = self._zlog[b[:, c : c + cstep]]
+            logb = self._nplog[b[:, c : c + cstep]]
             width = logb.shape[1] * m
             rstep = max(1, MATMUL_CELLS // max(1, k, width))
             for s in range(0, r, rstep):
@@ -550,7 +553,7 @@ class BaseField(PackedField):
                 return sum(c * p**i for i, c in enumerate(rem))
 
             cands = range(p, p**r)  # the constants below p have order dividing p - 1
-        super().__init__(p, r, mul0, cands)
+        super().__init__(p, r, _search_exp(p, r, mul0, cands))
         self.q = self.size
         self.a_packed = p if r >= 2 else 1
         if r >= 2 and self.order > 1:
@@ -612,32 +615,18 @@ class ResidueField(PackedField):
 
     Packed values encode the degree-< d representative: base-q digit i is
     the (packed) coefficient of t^i.  Built from f alone, the field
-    searches a generator and fills its tables; ``relabelled`` builds the
-    same field from another field of its size that holds a root of f.
-    """
+    searches a generator for its exp table; ``relabelled`` builds the
+    same field from another field of its size that holds a root of f,
+    and hands the constructor that field's exp table mapped into f's
+    labels (``_exp``, private to this module)."""
 
-    def __init__(self, base: BaseField, prime_coeffs: tuple[int, ...]):
-        self._set_prime(base, prime_coeffs)
-        q, mod = self.q, list(prime_coeffs)
-
-        def mul0(a, b, base=base, mod=mod, q=q, d=self.d):
-            prod = _pl_mul(base, _digits(a, q, d), _digits(b, q, d))
-            rem = _pl_rem(base, prod, mod)
-            return sum(c * q**i for i, c in enumerate(rem))
-
-        # at d >= 2 the constants below q have order dividing q - 1
-        super().__init__(base.p, base.r * self.d, mul0, range(q if self.d >= 2 else 2, q**self.d))
-        # label-free Witt tables by precision, filled by lseries and shared
-        # by every field relabelled from this one
-        self.lifts: dict = {}
-
-    def _set_prime(self, base: BaseField, prime_coeffs: tuple[int, ...]) -> None:
+    def __init__(self, base: BaseField, prime_coeffs: tuple[int, ...], *, _exp: np.ndarray | None = None):
         self.base = base
         self.prime_coeffs = prime_coeffs
-        self.d = len(prime_coeffs) - 1
-        self.q = base.size  # before table build: frob_exponent reads it
+        self.d = d = len(prime_coeffs) - 1
+        self.q = q = base.size  # before the tables: frob_exponent reads it
         # the class of t: the root -c of t + c, else t itself, packed as q
-        self.t_res = base.neg(prime_coeffs[0]) if self.d == 1 else self.q
+        self.t_res = base.neg(prime_coeffs[0]) if d == 1 else q
         # character contexts by Witt precision, filled by
         # lseries.character_context; each refers back to the field, so
         # they go with it, freed by the cyclic collector unless a caller
@@ -646,6 +635,20 @@ class ResidueField(PackedField):
         # the mod-p screen of its character sums, set by
         # lseries.mod_p_screen on first use and shared by every context
         self.screen = None
+        # label-free Witt tables by precision, filled by lseries and shared
+        # by every field relabelled from this one
+        self.lifts: dict = {}
+        if _exp is None:
+            mod = list(prime_coeffs)
+
+            def mul0(a, b):
+                prod = _pl_mul(base, _digits(a, q, d), _digits(b, q, d))
+                rem = _pl_rem(base, prod, mod)
+                return sum(c * q**i for i, c in enumerate(rem))
+
+            # at d >= 2 the constants below q have order dividing q - 1
+            _exp = _search_exp(base.p, base.r * d, mul0, range(q if d >= 2 else 2, q**d))
+        super().__init__(base.p, base.r * d, _exp)
 
     @classmethod
     def relabelled(cls, home: "ResidueField", prime_coeffs, a: int) -> "ResidueField":
@@ -655,39 +658,32 @@ class ResidueField(PackedField):
         Sending t to a is an F_q-isomorphism from F_q[t]/(f) onto home.
         Packed, it is the table L, L[sum c_i q^i] = sum c_i a^i, built as
         one product of F_p digits with the m x m matrix of its images of
-        the basis, and home's tables are pulled back through it:
-        exp = L^-1[exp_0], log = log_0[L], frobq = L^-1[frobq_0[L]].  The
-        field multiplies, packs and applies Frobenius as f's searched
-        field does, with generator L^-1(gamma_0); it searches nothing,
-        multiplies no polynomial, and shares home's digit tables and
+        the basis, and f's exp table is home's mapped back through it,
+        exp = L^-1[exp_0], which the constructor takes as it takes a
+        searched one.  The field multiplies, packs and applies Frobenius
+        as f's searched field does, with generator L^-1(gamma_0); it
+        searches nothing, multiplies no polynomial, and shares home's
         ``lifts``.  f is taken as irreducible, as the enumerator makes
         it; an a that is not a root of f is refused."""
-        base = home.base
+        p, base, d = home.p, home.base, len(prime_coeffs) - 1
         if functools.reduce(lambda acc, c: home.add(home.mul(acc, a), c), reversed(prime_coeffs), 0):
             raise FieldError(f"{a} is not a root of the prime in {home!r}")
-        rf = cls.__new__(cls)
-        rf._set_prime(base, tuple(prime_coeffs))
-        p, m, order = home.p, home.m, home.order
-        rf.p, rf.m, rf.size, rf.order = p, m, home.size, order
-        rf._unpack, rf._packw, rf._neg_t = home._unpack, home._packw, home._neg_t
         # row i r + j: the digits of alpha^j a^i, the image of the basis
         # element alpha^j t^i packed as p^(i r + j), alpha the root of F_q;
         # the digit sums stay below m (p-1)^2, exact in float32 below 2^24.
         # BLAS may raise the invalid flag on exact operands (see vmatmul):
         # it is ignored, and L is checked to be a bijection instead
-        A = home._unpack[[home.mul(p**j, home.pow(a, i)) for i in range(rf.d) for j in range(base.r)]]
-        dtype = np.float32 if m * (p - 1) ** 2 < 1 << 24 else np.float64
+        A = home._unpack[[home.mul(p**j, home.pow(a, i)) for i in range(d) for j in range(base.r)]]
+        dtype = np.float32 if home.m * (p - 1) ** 2 < 1 << 24 else np.float64
         with np.errstate(invalid="ignore"):
             digits = home._unpack.astype(dtype) @ A.astype(dtype)
             digits -= p * np.floor(digits / p)
             L = (digits @ home._packw.astype(dtype)).astype(np.int32)
         inv_L = np.full_like(L, -1)
-        inv_L[L] = np.arange(rf.size, dtype=np.int32)
+        inv_L[L] = np.arange(home.size, dtype=np.int32)
         if (inv_L < 0).any():
             raise ConsistencyError("t -> a does not relabel the field one to one")
-        exp = inv_L[home._npexp]
-        rf.generator = int(exp[1 % order])
-        rf._set_tables(exp, home._nplog[L], inv_L[home._npfrobq[L]])
+        rf = cls(base, tuple(prime_coeffs), _exp=inv_L[home._npexp])
         rf.lifts = home.lifts
         return rf
 
@@ -748,15 +744,17 @@ def fq_make(p: int, r: int = 1, modulus=None) -> BaseField:
     return _fq_cached(p, r, mod)
 
 
-@functools.lru_cache(maxsize=16)
+@functools.lru_cache(maxsize=1)
 def _residue_cached(p, r, modulus, prime_coeffs) -> ResidueField:
     """Where a polynomial from outside the enumerator is tested for
     irreducibility before its field is built, once per field: a field
     found in the cache is not tested again.  lru_cache keeps no
     exception, so a reducible prime is refused on every call, before any
-    table is built.  The bound keeps a caller that visits many primes
-    from holding every field it built; a scan builds its enumerated
-    primes' fields directly, untested, and never comes here."""
+    table is built.  It keeps the last field it built, so a caller that
+    asks again for the prime it just asked for (the dual-route check
+    does) builds it once, and one that visits many primes holds only the
+    last; a scan builds its enumerated primes' fields directly, untested,
+    and never comes here."""
     base = _fq_cached(p, r, modulus)
     if not _pl_is_irreducible(base, list(prime_coeffs)):
         raise FieldError("polynomial is not irreducible")

@@ -43,7 +43,7 @@ def mul_rows(F, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     if np.count_nonzero(A.any(axis=0)) > np.count_nonzero(B.any(axis=0)):
         A, B = B, A
     cols = np.flatnonzero(A.any(axis=0))
-    logA, logB = F._zlog[A], F._zlog[B]
+    logA, logB = F._nplog[A], F._nplog[B]
     if F.p == 2:
         out = np.zeros_like(A)
         for j in cols:
@@ -68,13 +68,13 @@ def divide_rows(F, num: np.ndarray, den: np.ndarray) -> np.ndarray:
     if not den[:, 0].all():
         raise ZeroDivisionError("series has no inverse: zero constant term")
     rows, n = den.shape
-    inv0 = F._zexp[F.order - F._zlog[den[:, :1]]]
+    inv0 = F._zexp[F.order - F._nplog[den[:, :1]]]
     cols = np.flatnonzero(den[:, 1:].any(axis=0)) + 1
     step = min(int(cols[0]), max(1, fields.CHUNK_CELLS // (rows * cols.size))) if cols.size else n
     # y_k = num_k / den_0 + sum(-den_s / den_0 * y_(k-s)); the logs of y
     # are kept beside it, with a last column holding the log of 0 for
     # the y_(k-s) at k < s
-    logc = F._zlog[F.vneg(F.vmul(inv0, den[:, cols]))][:, :, None]
+    logc = F._nplog[F.vneg(F.vmul(inv0, den[:, cols]))][:, :, None]
     y = F.vmul(inv0, num)
     logy = np.full((rows, n + 1), 2 * F.order, dtype=np.int32)
     for k in range(0, n, step):
@@ -84,7 +84,7 @@ def divide_rows(F, num: np.ndarray, den: np.ndarray) -> np.ndarray:
             back = np.arange(k, hi) - cols[:a, None]
             terms = F._zexp[logc[:, :a] + logy[:, np.where(back < 0, n, back)]]
             y[:, k:hi] = F.vadd(y[:, k:hi], F.vsum(terms, axis=1))
-        logy[:, k:hi] = F._zlog[y[:, k:hi]]
+        logy[:, k:hi] = F._nplog[y[:, k:hi]]
     return y
 
 

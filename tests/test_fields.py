@@ -328,20 +328,19 @@ def assert_tables_match_sequential_build(F):
     for _ in range(order - 1):
         exp.append(mul0(exp[-1], g))
     assert mul0(exp[-1], g) == 1
-    log = [0] * F.size
+    log = [2 * order] + [0] * (F.size - 1)  # 0 has the sentinel log
     for j, v in enumerate(exp):
         log[v] = j
-    inv = [0] + [exp[-log[v] % order] for v in range(1, F.size)]
+    inv = [exp[-log[v] % order] for v in range(1, F.size)]
     frobq = [0] + [exp[log[v] * F.frob_exponent % order] for v in range(1, F.size)]
     assert F._npexp.tolist() == exp == F._exp, F
     assert F._nplog.tolist() == log == F._log, F
-    assert F._inv_t == inv
+    assert [F.inv(v) for v in range(1, F.size)] == inv
     assert F._npfrobq.tolist() == frobq
-    assert F._zlog.tolist() == [2 * order] + log[1:]
     assert F._zexp.tolist() == exp + exp + [0] * (2 * order + 1)
     neg = [sum((-c) % F.p * F.p**i for i, c in enumerate(_digits(v, F.p, F.m))) for v in range(F.size)]
     assert (neg if F.p != 2 else None) == (None if F._neg_t is None else F._neg_t.tolist())
-    for t in (F._npexp, F._nplog, F._npfrobq, F._zlog, F._zexp):
+    for t in (F._npexp, F._nplog, F._npfrobq, F._zexp):
         assert t.dtype == np.int32
 
 
@@ -445,17 +444,17 @@ def test_the_generator_search_skips_the_constants_below_q(monkeypatch):
     # passing candidate of the full range
     F5, mod25 = fq_make(5), default_modulus(5, 2)
     tried = []
-    build = fields.PackedField._build_tables
+    search = fields._search_exp
 
-    def recorded(self, mul0, candidates):
+    def recorded(p, m, mul0, candidates):
         def each():
             for c in candidates:
                 tried.append(c)
                 yield c
 
-        return build(self, mul0, each())
+        return search(p, m, mul0, each())
 
-    monkeypatch.setattr(fields.PackedField, "_build_tables", recorded)
+    monkeypatch.setattr(fields, "_search_exp", recorded)
     for build_field in (lambda: ResidueField(F5, (2, 0, 1)), lambda: BaseField(5, 2, mod25)):
         F = build_field()  # t^2 + 2 over F_5, then F_25 itself
         assert tried and min(tried) >= 5, F
@@ -483,7 +482,7 @@ def assert_same_field(R, S, rng):
     pairs = list(zip(a[:256].tolist(), b[:256].tolist()))
     assert [S.mul(x, y) for x, y in pairs] == [R.mul(x, y) for x, y in pairs]
     assert np.array_equal(S.vfrobq(np.arange(Q)), R.vfrobq(np.arange(Q)))
-    assert S._inv_t == R._inv_t
+    assert [S.inv(v) for v in range(1, Q)] == [R.inv(v) for v in range(1, Q)]
     assert (S.t_res, S.prime_coeffs, S.d, S.q) == (R.t_res, R.prime_coeffs, R.d, R.q)
     assert bc_numbers(S).values == bc_numbers(R).values
     assert np.array_equal(CharacterContext(S, 4)._valuations, CharacterContext(R, 4)._valuations)
@@ -520,3 +519,51 @@ def test_a_relabelling_by_a_non_root_or_a_non_generator_is_refused():
     # as roots, and t -> such a root is not one to one
     with pytest.raises(ConsistencyError, match="one to one"):
         ResidueField.relabelled(primes.home, (1, 0, 1, 0, 1), primes.home.exp_of(5))
+
+
+def test_fields_of_equal_size_share_one_set_of_digit_tables():
+    # F_16, the residue fields of t^4 + t + 1 over F_2 and of a quadratic
+    # over F_4, and a field relabelled from a degree's home, all built
+    # here: an interned field built many sizes ago may hold tables the
+    # bounded cache has since let go
+    F2, F4 = fq_make(2, 1), fq_make(2, 2)
+    primes = monic_irreducibles(F2, 4)
+    fields16 = [BaseField(2, 4, default_modulus(2, 4)), ResidueField(F2, (1, 1, 0, 0, 1)),
+                ResidueField(F4, monic_irreducibles(F4, 2)[0].coeffs),
+                ResidueField.relabelled(primes.home, primes[2].coeffs, int(primes.roots[2]))]
+    unpack, packw, neg = fields._digit_tables(2, 4)
+    for F in fields16:
+        assert F.size == 16
+        assert F._unpack is unpack and F._packw is packw and F._neg_t is neg is None
+    R, F9 = ResidueField(fq_make(3, 1), (1, 0, 1)), BaseField(3, 2, default_modulus(3, 2))
+    assert R._unpack is F9._unpack and R._neg_t is F9._neg_t is not None
+
+
+def test_an_exp_table_that_misses_a_unit_is_refused():
+    F = fq_make(2, 3)
+    exp = F._npexp.copy()
+    assert fields.PackedField(2, 3, exp)._nplog.tolist() == F._nplog.tolist()
+    repeated, with_zero = exp.copy(), exp.copy()
+    repeated[3] = repeated[2]
+    with_zero[5] = 0
+    for bad in (repeated, with_zero, exp[:-1]):
+        with pytest.raises(FieldError, match="enumerate the unit group"):
+            fields.PackedField(2, 3, bad)
+
+
+@pytest.mark.parametrize("p,r,modulus", RELABEL_BASES)
+def test_a_relabelled_fields_generator_maps_to_its_homes(p, r, modulus):
+    # t -> a sends the relabelled field's generator, a polynomial in t,
+    # to the generator gamma_0 of home: it is L^-1(gamma_0)
+    F = fq_make(p, r, modulus)
+    d = 1
+    while F.size**d <= 256:
+        primes = monic_irreducibles(F, d)
+        home = primes.home
+        for f, a in zip(primes, primes.roots.tolist()):
+            S = ResidueField.relabelled(home, f.coeffs, a)
+            image = 0
+            for c in reversed(S.lift_coeffs(S.generator)):
+                image = home.add(home.mul(image, a), c)
+            assert image == home.generator, (f, a)
+        d += 1

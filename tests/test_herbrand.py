@@ -96,6 +96,19 @@ def test_classify_prime_covers_full_range():
     assert labels[7] == OUT_OF_SCOPE
 
 
+def test_residue_field_keeps_only_the_field_it_built_last():
+    # classify_prime builds through residue_field's cache; once the next
+    # prime's field is built, the first one's, with its character
+    # contexts, goes at the next collection
+    f, g = monic_irreducibles(F3, 4)[:2]
+    classify_prime(f)
+    field = weakref.ref(residue_field(f))
+    assert field() is not None
+    classify_prime(g)
+    gc.collect()
+    assert field() is None
+
+
 def test_classify_prime_matches_bc_route():
     f = parse_poly("t^4 + t + 1", F2)
     rep = classify_prime(f)
@@ -177,29 +190,30 @@ def test_scan_empty_q5():
 
 
 def test_a_default_scan_builds_no_field_at_degree_one(monkeypatch, capsys):
-    # the enumerator builds the degree's field F_5[t]/(t), and a default
+    # the enumerator searches the degree's field F_5[t]/(t), and a default
     # scan relabels it for no prime: a prime of degree one is regular
     searched, relabelled = [], []
-    real_init, real_relabelled = fields.ResidueField.__init__, fields.ResidueField.relabelled
+    real_search, real_relabelled = fields._search_exp, fields.ResidueField.relabelled
 
-    def counted_init(self, base, coeffs):
-        searched.append(coeffs)
-        real_init(self, base, coeffs)
+    def counted_search(p, m, mul0, candidates):
+        searched.append((p, m))
+        return real_search(p, m, mul0, candidates)
 
     def counted_relabelled(home, coeffs, a):
         relabelled.append(coeffs)
         return real_relabelled(home, coeffs, a)
 
-    monkeypatch.setattr(fields.ResidueField, "__init__", counted_init)
+    fq_make(5, 1)  # interned before the count: F_5 itself is searched once
+    monkeypatch.setattr(fields, "_search_exp", counted_search)
     monkeypatch.setattr(fields.ResidueField, "relabelled", staticmethod(counted_relabelled))
     assert cli.main(["scan", "--q", "5", "--max-degree", "1"]) == 0
     assert capsys.readouterr().out == (
         "prime  indices  dim\n\nscanned 5 primes of degree <= 1 over F_5; 0 irregular\n"
     )
-    assert (searched, relabelled) == ([(0, 1)], [])
+    assert (searched, relabelled) == ([(5, 1)], [])
     # a check flag still classifies, and so relabels the home for, every prime
     assert scanned(fq_make(5, 1), 1, ScanOptions(cross_check=True)).reports == ()
-    assert searched == [(0, 1)] * 2
+    assert searched == [(5, 1)] * 2
     assert relabelled == [(c, 1) for c in range(5)]
 
 
@@ -275,11 +289,11 @@ def test_scan_frees_each_regular_report_before_the_next_prime(monkeypatch):
                          ids=["default", "cross-check"])
 def test_a_scan_searches_one_field_per_degree_and_one_teich_table_per_precision(options, monkeypatch):
     searched, tables, contexts = [], [], set()
-    real_init, real_table = fields.ResidueField.__init__, lseries._teich_table
+    real_search, real_table = fields._search_exp, lseries._teich_table
 
-    def counted_init(self, base, coeffs):
-        searched.append(len(coeffs) - 1)
-        real_init(self, base, coeffs)
+    def counted_search(p, m, mul0, candidates):
+        searched.append(m)
+        return real_search(p, m, mul0, candidates)
 
     def counted_table(W, order):
         tables.append((W.rf.d, W.k))
@@ -289,16 +303,34 @@ def test_a_scan_searches_one_field_per_degree_and_one_teich_table_per_precision(
         contexts.add((rf.d, k))
         return _real(rf, k)
 
-    monkeypatch.setattr(fields.ResidueField, "__init__", counted_init)
+    monkeypatch.setattr(fields, "_search_exp", counted_search)
     monkeypatch.setattr(lseries, "_teich_table", counted_table)
     monkeypatch.setattr(herbrand, "character_context", recorded)
     r = scanned(F3, 4, options)
     assert len(r.reports) == 8
-    # the enumerator's field of each degree, and no other
+    # the enumerator's field of each degree, and no other (F_3 is interned)
     assert searched == [1, 2, 3, 4]
     # one table per (degree, precision), shared by the primes of the degree
     assert sorted(tables) == sorted(contexts)
     assert {(3, 12), (4, 12)} <= contexts
+
+
+def test_every_field_a_scan_builds_enters_the_residue_field_constructor(monkeypatch):
+    # perfbench traces fields.ResidueField at __init__: a default scan
+    # enters it once for each degree's home and once for each prime of
+    # degree >= 2 that it relabels, so the trace covers every field built
+    homes, relabelled = [], []
+    real_init = fields.ResidueField.__init__
+
+    def counted_init(self, *args, **kwargs):
+        (relabelled if "_exp" in kwargs else homes).append(len(args[1]) - 1)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(fields.ResidueField, "__init__", counted_init)
+    r = scanned(fq_make(3), 4, ScanOptions(threads=1))
+    assert r.primes_scanned == 32 and len(r.reports) == 8
+    assert homes == [1, 2, 3, 4]
+    assert sorted(relabelled) == [2] * 3 + [3] * 8 + [4] * 18
 
 
 def count_irreducibility_tests(monkeypatch):
