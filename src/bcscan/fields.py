@@ -27,13 +27,17 @@ shares its home's.
 
 Multiplication, inversion and q-power Frobenius run through discrete-log
 tables of size p^m; addition is coordinatewise mod p, through F_p-digit
-tables kept once per (p, m) (``_digit_tables``).  The search fills exp
-by doubling (``power_rows``), since multiplication by the generator is
-an F_p-linear map on coordinate vectors; ``power_rows`` takes the
-product as an argument and also fills the Teichmuller table and the
-local powers of pi.  ``char_sums`` gathers a character sum at each of
-a few exponents, for the exact L-value sums, the mod-p screen's power
-sums of small degree and the local dlog components, and
+tables kept once per (p, m) (``_digit_tables``).  At odd p a sum of
+many elements maps each to one int64 that holds its digits in bit
+fields (``_digit_accumulator``), adds those, and reduces the digits
+mod p once per block of terms that no field can overflow.  The search
+fills exp by doubling (``power_rows``), since multiplication by the
+generator is an F_p-linear map on coordinate vectors; ``power_rows``
+takes the product as an argument and also fills the Teichmuller table
+and the local powers of pi.  ``char_sums`` gathers a character sum at
+each of a few exponents, for the exact L-value sums, the mod-p
+screen's power sums where a gather is cheaper than Carlitz's series,
+and the local dlog components, and
 ``orbit_polys`` multiplies out the minimal polynomials of Frobenius
 orbits, for the prime enumeration and the Witt modulus.  Everything
 is exact integer arithmetic.  The log of 0 is the sentinel 2 (Q - 1),
@@ -307,6 +311,39 @@ def _digit_tables(p: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray | 
     return unpack, packw, neg
 
 
+@functools.lru_cache(maxsize=17)
+def _digit_accumulator(p: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, int]:
+    """The accumulator table of the packed values below p^m, p odd:
+    ``acc`` (entry v holds the m digits of v in bit fields of B =
+    floor(62 / m) bits, digit i at bit B i), the field offsets B i, their
+    place values 2^(B i), the field mask 2^B - 1, and the block length
+    floor((2^B - 1) / (p - 1)), the count of values with digits below p
+    whose accumulators add with no field overflowing.  A sum of packed
+    values is then one int64 add per value and, per block, one unpacking
+    of its m fields mod p.  Cached as ``_digit_tables`` is."""
+    unpack, _, _ = _digit_tables(p, m)
+    bits = 62 // m
+    shifts = bits * np.arange(m, dtype=np.int64)
+    acc = np.zeros(p**m, dtype=np.int64)
+    for i in range(m):
+        acc |= unpack[:, i].astype(np.int64) << shifts[i]
+    place = np.int64(1) << shifts
+    for arr in (acc, shifts, place):
+        arr.setflags(write=False)
+    return acc, shifts, place, (1 << bits) - 1, ((1 << bits) - 1) // (p - 1)
+
+
+def _float_mod(x: np.ndarray, p: int) -> np.ndarray:
+    """x mod p in place for a float array of integers, as x - p floor(x / p)
+    through one temporary: exact below 2^24 in float32 and 2^53 in
+    float64, where np.remainder takes several times as long."""
+    t = x / p
+    np.floor(t, out=t)
+    t *= p
+    x -= t
+    return x
+
+
 def _search_exp(p: int, m: int, mul0, gen_candidates) -> np.ndarray:
     """The packed powers gen^j, 0 <= j < p^m - 1, of the first of
     gen_candidates that generates the units of the field of p^m elements
@@ -350,6 +387,8 @@ class PackedField:
         zero-aware tables are derived.  An exp that does not enumerate
         the units is refused."""
         self._unpack, self._packw, self._neg_t = _digit_tables(p, m)
+        if p != 2:
+            self._acc, self._acc_shifts, self._acc_place, self._acc_mask, self._acc_block = _digit_accumulator(p, m)
         self.p = p
         self.m = m
         self.size = p**m
@@ -434,8 +473,7 @@ class PackedField:
     def vadd(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         if self.p == 2:
             return np.bitwise_xor(a, b)
-        digs = (self._unpack[a].astype(np.int64) + self._unpack[b]) % self.p
-        return (digs @ self._packw).astype(np.int32)
+        return self._acc_pack(self._acc[a] + self._acc[b])
 
     def vneg(self, a: np.ndarray) -> np.ndarray:
         if self.p == 2:
@@ -458,8 +496,43 @@ class PackedField:
     def vsum(self, a: np.ndarray, axis: int = 0) -> np.ndarray:
         if self.p == 2:
             return np.bitwise_xor.reduce(a, axis=axis)
-        digs = self._unpack[a].sum(axis=axis, dtype=np.int64) % self.p
-        return (digs @ self._packw).astype(np.int32)
+        if a.shape[axis] == 0:
+            return np.zeros(np.delete(a.shape, axis), dtype=np.int32)
+        return np.take(self._run_sums(a, [0], axis), 0, axis=axis)
+
+    def _run_sums(self, a: np.ndarray, starts, axis: int) -> np.ndarray:
+        """Sums along axis of the runs of a from each of the increasing
+        starts to the next, the last to the end; no run is empty.  At odd
+        p a run longer than the accumulator's block is summed a block at
+        a time, each block sum reduced mod p and summed again."""
+        if self.p == 2:
+            return np.bitwise_xor.reduceat(a, starts, axis=axis)
+        x, starts, block = self._acc[a], np.asarray(starts), self._acc_block
+        while True:
+            ends = np.append(starts[1:], x.shape[axis])
+            if (ends - starts).max() <= block:
+                return self._acc_pack(np.add.reduceat(x, starts, axis=axis))
+            cuts = np.concatenate([np.arange(s, e, block) for s, e in zip(starts, ends)])
+            x = self._acc_carry(np.add.reduceat(x, cuts, axis=axis))
+            starts = np.searchsorted(cuts, starts)
+
+    # -- the odd-p accumulator (``_digit_accumulator``) ------------------
+
+    def _acc_digits(self, x: np.ndarray) -> np.ndarray:
+        """The m fields of the accumulators x, each reduced mod p, on a new last axis."""
+        digits = x[..., None] >> self._acc_shifts
+        digits &= self._acc_mask
+        digits %= self.p
+        return digits
+
+    def _acc_carry(self, x: np.ndarray) -> np.ndarray:
+        """The accumulators x with every field reduced mod p: each then
+        holds a field element's digits, and a block more can be added."""
+        return self._acc_digits(x) @ self._acc_place
+
+    def _acc_pack(self, x: np.ndarray) -> np.ndarray:
+        """The packed field elements whose digits are the fields of x mod p."""
+        return (self._acc_digits(x) @ self._packw).astype(np.int32)
 
     def vfrobq(self, a: np.ndarray) -> np.ndarray:
         return self._npfrobq[a]
@@ -507,7 +580,7 @@ class PackedField:
                         acc += planes[i][A] @ beta_b
                 _check_exact(acc, bound, "digit sum")
                 with np.errstate(invalid="ignore"):
-                    acc = np.remainder(acc.reshape(len(A), -1, m), p) @ self._packw.astype(dtype)
+                    acc = _float_mod(acc.reshape(len(A), -1, m), p) @ self._packw.astype(dtype)
                 _check_exact(acc, self.order, "packed entry")
                 out[s : s + rstep, c : c + cstep] = acc
         return out
@@ -677,8 +750,7 @@ class ResidueField(PackedField):
         dtype = np.float32 if home.m * (p - 1) ** 2 < 1 << 24 else np.float64
         with np.errstate(invalid="ignore"):
             digits = home._unpack.astype(dtype) @ A.astype(dtype)
-            digits -= p * np.floor(digits / p)
-            L = (digits @ home._packw.astype(dtype)).astype(np.int32)
+            L = (_float_mod(digits, p) @ home._packw.astype(dtype)).astype(np.int32)
         inv_L = np.full_like(L, -1)
         inv_L[L] = np.arange(home.size, dtype=np.int32)
         if (inv_L < 0).any():

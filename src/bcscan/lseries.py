@@ -27,39 +27,36 @@ elsewhere.  The weights are rational integers and Frobenius sends
 omega(x) to omega(x)^p, so both sums at n and at pn mod (Q-1) have the
 same valuation and the table computes each p-orbit once, at its least
 member.  Since omega(g) reduces to g mod p, both sums reduce mod p to
-combinations of the power sums of the monic g of each degree j < d,
-which Carlitz's polynomials e_j give for every exponent at once, one
-series division per degree (``monic_power_sums``).  That screen
-settles every orbit of valuation 0, once per field for every
-precision (``mod_p_screen``); only the rest take the exact Witt sum,
-a gather of ``fields.char_sums``.  The polynomial route stays
-available as an independent cross-check.
+combinations of the power sums S_j of the monic g of each degree
+j < d, weighted by j mod p at in-scope n and by 1 elsewhere.  That
+screen settles every orbit of valuation 0, once per field for every
+precision (``mod_p_screen``).  It asks for S_j only at the
+representatives where its weight is nonzero and Carlitz's vanishing
+law, S_j(k) = 0 when j (q-1) exceeds the base-q digit sum of k, does
+not already make it 0; each degree is then either read off Carlitz's
+series, one division over every exponent at once, or gathered from
+its q^j monic g at the representatives that need it, whichever costs
+fewer cells and steps (``monic_power_sums``).  Only the orbits the
+screen leaves take the exact Witt sum, one gather of
+``fields.char_sums`` reduced by one integer product.  The polynomial
+route, ``l_report``, stays available as an independent cross-check:
+one gather per index over the monic g of every degree, summed by
+degree, against the closed form's own weighted gather.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import fields
 from .fields import ConsistencyError, FieldError, ResidueField, char_sums, power_rows
 from .series import divide_rows
 from .witt import MAX_PRECISION, PrecisionError, WittElem, WittRing
 
 INT64_SAFE_BOUND = 1 << 62
-
-# monic g of degree j with q^j at most this are summed directly at the
-# wanted exponents; above it S_j comes from Carlitz's series, one
-# divide_rows over all Q exponents.  Best of 7 screens on a 2-core host,
-# one BLAS thread, 256 against 128: 92-112 against 110-130 ms at
-# t^16 + t^5 + t^3 + t^2 + 1 over F_2, the degree-16 primes being the
-# largest a scan reaches; 20-26 against 14-21 ms at t^8 + t^2 - 1 and
-# 234-308 against 177-249 ms at a degree-10 prime over F_3; 4-6 ms
-# either way at t^12 + t^3 + 1.  64 and 1024 were slower at degree 16,
-# and 16 up to three times slower everywhere.
-DIRECT_SUM_SIZE = 256
 
 
 def monic_power_sums(F, t: int, d: int, ns) -> np.ndarray:
@@ -80,30 +77,117 @@ def monic_power_sums(F, t: int, d: int, ns) -> np.ndarray:
 
     S_j(k) the sum of g^k: one ``divide_rows`` by a denominator of
     j + 2 terms.  As g^(-n) = g^k at k = -n mod Q-1, column i is
-    S_j(k) at that k.  Rows with q^j at most DIRECT_SUM_SIZE are summed
-    directly at the ns instead, through ``char_sums``."""
-    q, order = F.q, F.order
+    S_j(k) at that k.  Each row takes the cheaper of that division over
+    all Q exponents and a gather of its q^j monic g at the ns alone
+    (``_row_route``), and rows gathered at nearly the same ns share one
+    gather (``_gather_groups``)."""
     ns = np.asarray(ns, dtype=np.int64)
-    out = np.empty((d, ns.size), dtype=np.int32)
-    # the degrees j < J summed directly, in one gather: span holds
-    # c_0 + c_1 t + ... at the packed c < q^J, so the monic g of degree
-    # j sit at [q^j, 2 q^j), as they pack in F_q[t]/(f)
-    J = next((j for j in range(d) if q**j > DIRECT_SUM_SIZE), d)
-    span, tj = np.zeros(1, dtype=np.int32), 1
-    for _ in range(J):
-        span = F.vadd(F.vmul(np.arange(q, dtype=np.int32), tj)[:, None], span[None]).ravel()
-        tj = F.mul(tj, t)
-    logs = F._nplog[np.concatenate([span[q**j : 2 * q**j] for j in range(J)])].astype(np.int64)
-    bounds = np.cumsum([0] + [q**j for j in range(J)])
-    out[:J] = char_sums(order, F._npexp, logs, lambda g: _run_sums(F, g, bounds), ns).T
-    for j, (E, D) in zip(range(J, d), itertools.islice(_carlitz_coeffs(F, t), J, None)):
-        den = np.zeros(order + 1, dtype=np.int32)
-        den[q**j - q ** np.arange(j + 1)] = E
-        den[q**j] = F.neg(D)
-        num = np.zeros_like(den)
-        num[q**j] = E[0]
-        out[j] = divide_rows(F, num[None], den[None])[0, -ns % order + 1]
+    return _power_sums(F, t, ns, np.ones((d, ns.size), dtype=bool))
+
+
+def _power_sums(F, t: int, ns: np.ndarray, need: np.ndarray) -> np.ndarray:
+    """The rows of ``monic_power_sums`` at the ns where ``need``, a
+    (rows, ns) mask, is set.  Elsewhere an entry is 0, or its power sum
+    where a gather shared with another row reached it."""
+    order, q = F.order, F.q
+    out = np.zeros(need.shape, dtype=np.int32)
+    counts = need.sum(axis=1)
+    routes = [_row_route(F, j, int(c)) if c else None for j, c in enumerate(counts)]
+    last = max((j for j, route in enumerate(routes) if route == "divide"), default=-1)
+    for j, (E, D) in zip(range(last + 1), _carlitz_coeffs(F, t)):
+        if routes[j] == "divide":
+            out[j, need[j]] = _divided_row(F, j, E, D)[-ns[need[j]] % order + 1]
+    gathered = [j for j, route in enumerate(routes) if route == "gather"]
+    monic = _monic_logs(F, t, gathered)
+    for rows, at in _gather_groups(q, gathered, need):
+        logs = np.concatenate([monic[j] for j in rows])
+        starts = np.cumsum([0] + [q**j for j in rows[:-1]])
+        sums = char_sums(order, F._npexp, logs, lambda g: F._run_sums(g, starts, 1), ns[at])
+        out[np.array(rows)[:, None], at] = sums.T
     return out
+
+
+# The two routes of a row are costed in table lookups: a gathered cell
+# is one (the exp table), a cell of the division two (the log of an
+# earlier coefficient, then the exp of the term), and each chunk of a
+# gather or step of a division is charged as a full chunk of
+# CHUNK_CELLS cells, for the numpy calls it costs whatever its size.
+# Timed both ways (best of 3, one process) at a prime of each of F_2
+# d = 12 and 16, F_3 d = 8 and 10, F_4 d = 8, F_5 d = 5, F_7 d = 4,
+# F_8 d = 5, F_9 d = 5 and F_16 d = 4, every row whose routes differ by
+# more than a tenth takes the faster; the closest calls are row 7 at
+# F_3 d = 10 (divided, 22 against 26 ms) and row 5 at F_4 d = 8
+# (gathered, 9.5 ms either way).
+
+
+def _gather_cost(count: int, size: int) -> int:
+    """Lookups, and CHUNK_CELLS per chunk, of a ``char_sums`` gather of
+    size logs at count exponents."""
+    chunks = -(-count // max(1, fields.CHUNK_CELLS // size))
+    return count * size + fields.CHUNK_CELLS * chunks
+
+
+def _divide_cost(F, j: int) -> int:
+    """Lookups, and CHUNK_CELLS per step, of the ``divide_rows`` of row
+    j: Q coefficients, each a sum over the j + 1 terms of the
+    denominator, taken in steps of at most q^j - q^(j-1) columns."""
+    n, terms = F.order + 1, j + 1
+    step = min(F.q**j - F.q ** (j - 1) if j else 1, max(1, fields.CHUNK_CELLS // terms))
+    return 2 * n * terms + fields.CHUNK_CELLS * -(-n // step)
+
+
+def _row_route(F, j: int, count: int) -> str:
+    """How row j of the power sums is computed when it is wanted at
+    count exponents: "gather" or "divide", whichever costs less."""
+    return "gather" if _gather_cost(count, F.q**j) <= _divide_cost(F, j) else "divide"
+
+
+def _divided_row(F, j: int, E, D) -> np.ndarray:
+    """S_j(k) at u^(k+1), for k < Q, by Carlitz's series."""
+    q = F.q
+    den = np.zeros(F.order + 1, dtype=np.int32)
+    den[q**j - q ** np.arange(j + 1)] = E
+    den[q**j] = F.neg(D)
+    num = np.zeros_like(den)
+    num[q**j] = E[0]
+    return divide_rows(F, num[None], den[None])[0]
+
+
+def _monic_logs(F, t: int, degrees) -> dict[int, np.ndarray]:
+    """The discrete logs of the monic g of each of the degrees, at t.  At
+    the class of t, packed as q, the g of degree j pack as [q^j, 2 q^j);
+    at another t, c_0 + c_1 t + ... + c_(j-1) t^(j-1) over the packed
+    c < q^j is built up one degree at a time, and t^j added to it."""
+    q, top = F.q, max(degrees, default=-1)
+    if t == q:
+        return {j: F._nplog[q**j : 2 * q**j].astype(np.int64) for j in degrees}
+    out, span, tj = {}, np.zeros(1, dtype=np.int32), 1
+    for j in range(top + 1):
+        if j in degrees:
+            out[j] = F._nplog[F.vadd(tj, span)].astype(np.int64)
+        if j < top:
+            span = F.vadd(F.vmul(np.arange(q, dtype=np.int32), tj)[:, None], span[None]).ravel()
+            tj = F.mul(tj, t)
+    return out
+
+
+def _gather_groups(q: int, rows, need: np.ndarray) -> list[tuple[list[int], np.ndarray]]:
+    """The rows to gather, in increasing degree, as groups (rows,
+    positions where any of them is needed): a row joins the group before
+    it where one gather at the union of their positions costs less than
+    two."""
+    groups = []
+    for j in rows:
+        count = int(need[j].sum())
+        if groups:
+            held, mask, size, held_count = groups[-1]
+            both = mask | need[j]
+            both_count = int(both.sum())
+            if _gather_cost(both_count, size + q**j) <= _gather_cost(held_count, size) + _gather_cost(count, q**j):
+                groups[-1] = (held + [j], both, size + q**j, both_count)
+                continue
+        groups.append(([j], need[j], q**j, count))
+    return [(held, np.flatnonzero(mask)) for held, mask, _, _ in groups]
 
 
 def _carlitz_coeffs(F, t: int):
@@ -117,11 +201,6 @@ def _carlitz_coeffs(F, t: int):
              for i in range(len(E) + 1)]
         tj = F.mul(tj, t)
         D = functools.reduce(F.add, (F.mul(e, F.pow(tj, q**i)) for i, e in enumerate(E)))
-
-
-def _run_sums(F, g: np.ndarray, bounds) -> np.ndarray:
-    """Column i: the sum in F of each row's run g[:, bounds[i] : bounds[i + 1]]."""
-    return np.stack([F.vsum(g[:, a:b], axis=1) for a, b in zip(bounds, bounds[1:])], axis=1)
 
 
 @dataclass(frozen=True)
@@ -144,24 +223,31 @@ def mod_p_screen(rf: ResidueField) -> ModPScreen:
 
     omega(g) reduces to g mod p, so L_n reduces to -sum (deg g mod p)
     g^(-n) and S_n(1) to sum g^(-n), over the monic g of degree < d:
-    sums of the rows of ``monic_power_sums``, taken once per orbit
-    representative as their F_p digits and tested for zero."""
+    weighted sums of the rows of ``monic_power_sums`` in F_Q, taken once
+    per orbit representative and tested for zero.  A row is computed
+    only at the representatives where its weight is nonzero and
+    Carlitz's law leaves it possibly nonzero."""
     if rf.screen is not None:
         return rf.screen
-    order, p = rf.order, rf.p
+    order, p, q = rf.order, rf.p, rf.q
     rep = np.arange(order, dtype=np.int64)
     cur = rep.copy()
     for _ in range(rf.m - 1):
         cur = cur * p % order
         np.minimum(rep, cur, out=rep)
     reps = np.flatnonzero(rep == np.arange(order))[1:]
-    in_scope = reps % (rf.q - 1) == 0
-    total = np.zeros((reps.size, rf.m), dtype=np.int64)
-    for j, row in enumerate(monic_power_sums(rf, rf.t_res, rf.d, reps)):
-        # the weight of degree j: j for L_n at in-scope n, 1 for S_n(1)
-        total += np.where(in_scope, j % p, 1)[:, None] * rf._unpack[row]
+    in_scope = reps % (q - 1) == 0
+    # row j's weight: j for L_n at in-scope n, 1 for S_n(1) elsewhere;
+    # Carlitz's law makes S_j(k) zero wherever j (q - 1) exceeds l(k),
+    # the sum of the base-q digits of k = -n mod Q-1, which is a sum of
+    # its base-p digits, digit i weighted p^(i mod r), q = p^r
+    j = np.arange(rf.d)[:, None]
+    weight = np.where(in_scope, j % p, 1)
+    digit_sum = rf._unpack[order - reps] @ p ** (np.arange(rf.m) % rf.base.r)
+    need = (weight != 0) & (j * (q - 1) <= digit_sum)
+    rows = rf.vmul(_power_sums(rf, rf.t_res, reps, need), weight)
     unit = np.zeros(order, dtype=bool)
-    unit[reps] = (total % p).any(axis=1)
+    unit[reps] = rf.vsum(rows, axis=0) != 0
     rf.screen = ModPScreen(rep, reps, unit[rep])
     return rf.screen
 
@@ -194,15 +280,19 @@ class CharacterContext:
         self.Q = rf.size
         self.order = self.Q - 1
 
-        # discrete logs of the monic degree-j representatives; packed
-        # values of those representatives are exactly [q^j, 2 q^j)
-        log = self.rf._nplog
-        self.monic_logs = [log[q**j : 2 * q**j].astype(np.int64) for j in range(d)]
-        logs = np.concatenate(self.monic_logs)
-        degs = np.repeat(np.arange(d, dtype=np.int64), [q**j for j in range(d)])
+        # discrete logs of the monic degree-j representatives, one array
+        # with a view per degree; packed values of those representatives
+        # are exactly [q^j, 2 q^j)
+        log, sizes = self.rf._nplog, [q**j for j in range(d)]
+        logs = np.concatenate([log[s : 2 * s] for s in sizes]).astype(np.int64)
+        self._degree_starts = np.cumsum([0] + sizes[:-1])
+        self.monic_logs = [logs[a : a + s] for a, s in zip(self._degree_starts, sizes)]
+        degs = np.repeat(np.arange(d, dtype=np.int8), sizes)
         # (logs, weights) of the two sums the valuation table serves:
-        # deg(g) for L_n at in-scope n, 1 for S_n(1) elsewhere
-        self._deg_weights = (logs[degs > 0], degs[degs > 0])
+        # deg(g) for L_n at in-scope n, 1 for S_n(1) elsewhere; the one g
+        # of degree 0 comes first.  The weights are int8 (d <= 16), which
+        # products with int64 tables promote
+        self._deg_weights = (logs[1:], degs[1:])
         self._unit_weights = (logs, np.ones_like(degs))
 
         total_weight = max(int(w.sum()) for _, w in (self._deg_weights, self._unit_weights))
@@ -217,18 +307,30 @@ class CharacterContext:
         return 0 < n < self.order and n % (self.rf.q - 1) == 0
 
     def _witt_sum(self, weights, n: int) -> WittElem:
-        """sum of w(g) omega(g)^(-n) over the (logs, weights) pairs."""
+        """sum of w(g) omega(g)^(-n) over the (logs, weights) pairs: one
+        integer product w @ g, exact in int64 where ``_int64`` holds."""
         logs, w = weights
-        reduce = lambda g: (g * w[:, None]).sum(axis=1) % self.W.pk
+        if self._int64:
+            reduce = lambda g: w @ g % self.W.pk
+        else:
+            reduce = lambda g: (g * w[:, None]).sum(axis=1) % self.W.pk
         (total,) = char_sums(self.order, self.teich, logs, reduce, [n])
-        return self.W.from_coords(int(v) for v in total)
+        return self.W.from_coords(total)
+
+    def _degree_sums(self, n: int) -> tuple[WittElem, ...]:
+        """``char_degree_sum`` at every degree j < d, from one gather over
+        the monic g of all of them, split by degree."""
+        reduce = lambda g: np.add.reduceat(g, self._degree_starts, axis=1) % self.W.pk
+        (sums,) = char_sums(self.order, self.teich, self._unit_weights[0], reduce, [n])
+        return tuple(self.W.from_coords(row) for row in sums)
 
     @functools.cached_property
     def _valuations(self) -> np.ndarray:
         """Entry n: v(L_n) at in-scope n, v(S_n(1)) at the other
-        0 < n < Q-1, each capped at k (entry 0 is unused)."""
+        0 < n < Q-1, each capped at k (entry 0 is unused); as k is at
+        most MAX_PRECISION, int8 holds them."""
         screen = mod_p_screen(self.rf)
-        vals = np.zeros(self.order, dtype=np.int64)
+        vals = np.zeros(self.order, dtype=np.int8)
         for r in screen.reps[~screen.unit[screen.reps]]:
             r = int(r)
             s = self.closed_weighted_sum(r) if self.in_scope(r) else self._witt_sum(self._unit_weights, r)
@@ -287,7 +389,7 @@ def l_report(ctx: CharacterContext, n: int) -> LReport:
     if not 0 < n < ctx.order:
         raise FieldError(f"index must satisfy 0 < n < {ctx.order}")
     d = ctx.rf.d
-    s_coeffs = tuple(ctx.char_degree_sum(n, j) for j in range(d))
+    s_coeffs = ctx._degree_sums(n)
     s1 = ctx.W.zero()
     for c in s_coeffs:
         s1 = s1 + c

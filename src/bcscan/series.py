@@ -49,10 +49,15 @@ def mul_rows(F, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         for j in cols:
             out[:, j:] ^= F._zexp[logA[:, j, None] + logB[:, : n - j]]
         return out
-    acc = np.zeros(A.shape + (F.m,), dtype=np.int64)
-    for j in cols:
-        acc[:, j:] += F._unpack[F._zexp[logA[:, j, None] + logB[:, : n - j]]]
-    return ((acc % F.p) @ F._packw).astype(np.int32)
+    # one int64 accumulator per coefficient (fields._digit_accumulator),
+    # reduced mod p after every block - 1 terms: with the reduced sum
+    # before them they make at most a block
+    acc = np.zeros(A.shape, dtype=np.int64)
+    for i, j in enumerate(cols, 1):
+        acc[:, j:] += F._acc[F._zexp[logA[:, j, None] + logB[:, : n - j]]]
+        if i % (F._acc_block - 1) == 0:
+            acc = F._acc_carry(acc)
+    return F._acc_pack(acc)
 
 
 def divide_rows(F, num: np.ndarray, den: np.ndarray) -> np.ndarray:
@@ -83,7 +88,7 @@ def divide_rows(F, num: np.ndarray, den: np.ndarray) -> np.ndarray:
         if a:
             back = np.arange(k, hi) - cols[:a, None]
             terms = F._zexp[logc[:, :a] + logy[:, np.where(back < 0, n, back)]]
-            y[:, k:hi] = F.vadd(y[:, k:hi], F.vsum(terms, axis=1))
+            y[:, k:hi] = F.vsum(np.concatenate((y[:, None, k:hi], terms), axis=1), axis=1)
         logy[:, k:hi] = F._nplog[y[:, k:hi]]
     return y
 

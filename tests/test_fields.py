@@ -224,6 +224,45 @@ def test_vsum_axis_on_matrix():
     assert list(F.vsum(m, axis=1)) == [0, 2]
 
 
+def field_of(p, m):
+    """A field of p^m elements: F_p, or F_p[t] modulo its first prime of degree m."""
+    if m == 1:
+        return fq_make(p, 1)
+    f = monic_irreducibles(fq_make(p, 1), m)[0]
+    return ResidueField(f.field, f.coeffs)
+
+
+@pytest.mark.parametrize("p,m", [(3, 8), (3, 10), (5, 6), (7, 5)])
+def test_vsum_at_the_accumulators_block_boundary(p, m):
+    # a block is the most values whose m digits add in bit fields of
+    # floor(62 / m) bits without overflowing: fill one with the value whose
+    # digits are all p - 1, then overflow it by one copy
+    F = field_of(p, m)
+    block = ((1 << 62 // m) - 1) // (p - 1)
+    assert F._acc_block == block
+    top = F.size - 1
+    fold = lambda count: functools.reduce(F.add, [top] * count, 0)
+    for count in (block, block + 1, 2 * block + 1):
+        assert F.vsum(np.full(count, top, dtype=np.int32)) == fold(count)
+        for axis in range(3):
+            shape = [2, 3, 2]
+            shape[axis] = count
+            got = F.vsum(np.full(shape, top, dtype=np.int32), axis=axis)
+            assert got.shape == tuple(np.delete(shape, axis)) and (got == fold(count)).all()
+    assert F.vsum(np.zeros(0, dtype=np.int32)) == 0
+    empty = F.vsum(np.zeros((2, 0, 3), dtype=np.int32), axis=1)
+    assert empty.shape == (2, 3) and not empty.any()
+
+
+@pytest.mark.parametrize("p", [3, 65521])
+def test_vsum_over_a_prime_field_is_the_fold(p):
+    # at m = 1 a block is longer than any array: one sum, reduced once
+    F = fq_make(p, 1)
+    a = np.random.default_rng(p).integers(0, p, 100_000).astype(np.int32)
+    assert F.vsum(a) == functools.reduce(F.add, (int(x) for x in a), 0)
+    assert F.vsum(a.reshape(4, -1), axis=1).tolist() == [F.vsum(row) for row in a.reshape(4, -1)]
+
+
 def schoolbook_matmul(F, A, B):
     return F.vsum(F.vmul(A[:, :, None], B[None]), axis=1)
 

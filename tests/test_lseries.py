@@ -347,17 +347,44 @@ def direct_power_sums(rf, t, ns):
     return np.array(rows, dtype=np.int32)
 
 
-@pytest.mark.parametrize("direct", [1, lseries.DIRECT_SUM_SIZE])
-def test_monic_power_sums_equal_the_direct_sums(direct, monkeypatch):
-    # at direct = 1 every degree j >= 1 takes Carlitz's series; t runs
-    # over the class of t and the field's generator, whose monic g differ
-    monkeypatch.setattr(lseries, "DIRECT_SUM_SIZE", direct)
+def forced_route(route):
+    """A ``_row_route`` that sends every row to route, or the cost's own
+    choice at route "cost"."""
+    return lambda F, j, count, real=lseries._row_route: real(F, j, count) if route == "cost" else route
+
+
+@pytest.mark.parametrize("route", ["gather", "divide", "cost"])
+def test_monic_power_sums_equal_the_direct_sums(route, monkeypatch):
+    # every row j < d by the gather, by Carlitz's series and by the
+    # cheaper of the two; t runs over the class of t and the field's
+    # generator, whose monic g differ
+    monkeypatch.setattr(lseries, "_row_route", forced_route(route))
     for f in primes_up_to(256):
         rf = residue_field(f)
         ns = np.arange(1, rf.order)
         for t in {rf.t_res, rf.generator}:
             want = direct_power_sums(rf, t, ns)
             assert np.array_equal(monic_power_sums(rf, t, rf.d, ns), want), (str(f), t)
+
+
+def base_q_digit_sums(k, q, d):
+    return sum(k // q**i % q for i in range(d))
+
+
+def test_monic_power_sums_obey_carlitz_vanishing_law():
+    # S_j(k) = 0 wherever j (q - 1) exceeds l(k), the base-q digit sum of
+    # k = Q-1-n; checked on the power sums alone, with no screen
+    zeros = 0
+    for f in primes_up_to(256):
+        rf = residue_field(f)
+        ns = np.arange(1, rf.order)
+        sums = monic_power_sums(rf, rf.t_res, rf.d, ns)
+        digit_sum = base_q_digit_sums(rf.order - ns, rf.q, rf.d)
+        for j, row in enumerate(sums):
+            forced = j * (rf.q - 1) > digit_sum
+            assert not row[forced].any(), (str(f), j)
+            zeros += forced.sum()
+    assert zeros > 10000
 
 
 def assert_screen_matches_the_oracle(rf, ns):
@@ -393,13 +420,13 @@ def test_the_screen_equals_the_gather_oracle_at_q_to_the_16(seed):
 
 def test_an_escalated_context_reuses_its_fields_screen(monkeypatch):
     rf = ResidueField(fq_make(3, 1), (2, 0, 1, 0, 1))  # t^4 + t^2 - 1, no context yet
-    calls, sums = [], lseries.monic_power_sums
+    calls, sums = [], lseries._power_sums
 
     def counted(*args):
         calls.append(args)
         return sums(*args)
 
-    monkeypatch.setattr(lseries, "monic_power_sums", counted)
+    monkeypatch.setattr(lseries, "_power_sums", counted)
     # v_3(L_40) = 1 saturates W_1, so k = 1 escalates to k = 2
     assert pic_eigenspace_length(rf, 40, k=1) == 1
     assert sorted(rf.contexts) == [1, 2] and len(calls) == 1
@@ -410,12 +437,41 @@ def test_power_sums_do_not_depend_on_the_chunk_size(pr, prime, monkeypatch):
     rf = residue_field(parse_poly(prime, fq_make(*pr)))
     ns = np.arange(1, rf.order)
     tables = []
-    for direct in (1, lseries.DIRECT_SUM_SIZE):
+    for route in ("gather", "divide", "cost"):
         for cells in (1, fields.CHUNK_CELLS, 1 << 30):
-            monkeypatch.setattr(lseries, "DIRECT_SUM_SIZE", direct)
+            monkeypatch.setattr(lseries, "_row_route", forced_route(route))
             monkeypatch.setattr(fields, "CHUNK_CELLS", cells)
             tables.append(monic_power_sums(rf, rf.t_res, rf.d, ns))
     assert all(np.array_equal(t, tables[0]) for t in tables[1:])
+
+
+def test_the_screen_computes_only_the_power_sums_it_needs(monkeypatch):
+    # over F_2 every n is in scope, where row j has the weight j mod 2,
+    # so no even row is computed; row 11 of a degree-12 prime only where
+    # Carlitz's law allows S_11(k) != 0, 11 <= l(k)
+    f = parse_poly("t^12 + t^3 + 1", fq_make(2, 1))
+    rf = ResidueField(f.field, f.coeffs)
+    gathered, divided = {}, []
+    groups, divided_row = lseries._gather_groups, lseries._divided_row
+
+    def counted_groups(q, rows, want):
+        out = groups(q, rows, want)
+        gathered.update((j, at) for held, at in out for j in held)
+        return out
+
+    def counted_division(F, j, E, D):
+        divided.append(j)
+        return divided_row(F, j, E, D)
+
+    monkeypatch.setattr(lseries, "_gather_groups", counted_groups)
+    monkeypatch.setattr(lseries, "_divided_row", counted_division)
+    screen = mod_p_screen(rf)
+    assert not [j for j in list(gathered) + divided if j % 2 == 0]
+    assert 11 in gathered and 11 not in divided
+    reps = screen.reps[gathered[11]]
+    assert np.array_equal(reps, screen.reps[base_q_digit_sums(rf.order - screen.reps, 2, 12) >= 11])
+    assert 1 <= reps.size < 5
+    assert np.array_equal(screen.unit[1:], units_mod_p(rf, np.arange(1, rf.order)))
 
 
 @pytest.mark.parametrize("p,d", [(2, 16), (3, 10)])

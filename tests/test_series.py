@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bcscan.fields import FieldError, fq_make, power_rows, residue_field_raw
+from bcscan.poly import monic_irreducibles
 from bcscan.series import TruncSeries, derivative_rows, divide_rows, mul_rows
 from carlitz_oracle import compose, eval_poly_coeffs
 from series_oracle import inverse_rows
@@ -322,6 +323,25 @@ def test_divide_rows_equals_the_product_with_the_inverse(p, r, n):
         assert np.array_equal(got, mul_rows(F, num, inverse_rows(F, den)))
     # a one-row numerator is broadcast against the denominators
     assert np.array_equal(divide_rows(F, num[:1], mixed), mul_rows(F, num[:1], inverse_rows(F, mixed)))
+
+
+@pytest.mark.parametrize("p,d", [(3, 10), (5, 6)])
+def test_odd_p_row_kernel_past_the_accumulators_block(p, d):
+    # more nonzero terms per coefficient than one accumulator block holds
+    # (31 over F_3^10, 255 over F_5^6): mul_rows against the schoolbook,
+    # divide_rows against Newton's inverse
+    f = monic_irreducibles(fq_make(p, 1), d)[0]
+    F = residue_field_raw(f.field, f.coeffs)
+    n = F._acc_block + 40
+    rng = random.Random(p + d)
+    A, B = rand_rows(F, 2, n, rng, unit=True), rand_rows(F, 2, n, rng, unit=True)
+    # row 0: ones times the value whose digits are all p - 1, so every
+    # term of a coefficient carries the largest digits
+    A[0], B[0] = 1, F.size - 1
+    got = mul_rows(F, A, B)
+    for a, b, c in zip(as_series(F, A), as_series(F, B), as_series(F, got)):
+        assert c == ref_mul(a, b)
+    assert np.array_equal(divide_rows(F, B, A), mul_rows(F, B, inverse_rows(F, A)))
 
 
 def test_divide_rows_rejects_a_nonunit_denominator():
