@@ -51,8 +51,10 @@ exact.
 Field tables are immutable after construction and safe to share across
 threads.  ``fq_make`` interns its fields, so equal parameters give the
 identical object, and ``residue_field_raw`` keeps the last field it
-built.  A residue field owns the character contexts built over it
-(``lseries.character_context``), which live exactly as long as the field.
+built.  A residue field holds arrays only: its own tables, and the
+tables ``lseries`` derives from it (``screen``, ``lifts`` and
+``valuations``).  None of them refers back to the field, so reference
+counting frees it, and them, when its last user drops it.
 """
 
 from __future__ import annotations
@@ -700,14 +702,12 @@ class ResidueField(PackedField):
         self.q = q = base.size  # before the tables: frob_exponent reads it
         # the class of t: the root -c of t + c, else t itself, packed as q
         self.t_res = base.neg(prime_coeffs[0]) if d == 1 else q
-        # character contexts by Witt precision, filled by
-        # lseries.character_context; each refers back to the field, so
-        # they go with it, freed by the cyclic collector unless a caller
-        # done with the field clears them first, as a scan does
-        self.contexts: dict = {}
         # the mod-p screen of its character sums, set by
-        # lseries.mod_p_screen on first use and shared by every context
+        # lseries.mod_p_screen on first use and shared by every precision
         self.screen = None
+        # read-only int8 valuation tables by Witt precision, filled by
+        # lseries on first use
+        self.valuations: dict = {}
         # label-free Witt tables by precision, filled by lseries and shared
         # by every field relabelled from this one
         self.lifts: dict = {}

@@ -48,7 +48,7 @@ import numpy as np
 
 from .carlitz import bc_numbers, irregular_indices
 from .fields import MAX_FIELD_SIZE, BaseField, ConsistencyError, FieldError, ResidueField, _fq_cached, fq_make
-from .lseries import character_context, l_report, pic_eigenspace_length
+from .lseries import _valuation_table, character_context, l_report, pic_eigenspace_length
 from .localfield import LocalModel, bc_local_sweep, check_local_size
 from .poly import Poly, monic_irreducibles, poly_to_str, residue_field
 from .witt import MAX_PRECISION
@@ -206,8 +206,7 @@ def _classified(rf: ResidueField, options: ScanOptions, checked, seconds: dict,
     q, Q, k = rf.q, rf.size, options.precision
     scope = np.arange(1, Q - 1) % (q - 1) == 0
     bc = np.array(bc_vector.values[1 : Q - 1], dtype=np.int64)
-    chars = character_context(rf, k)
-    valuations = chars._valuations[1:].copy()
+    valuations = _valuation_table(rf, k)[1:].copy()
     idx = np.asarray(checked, dtype=np.int64) - 1
     for i in idx[scope[idx] & (valuations[idx] == k)]:  # k means "zero as far as W_k sees"
         valuations[i] = pic_eigenspace_length(rf, int(i) + 1, k=k)
@@ -225,6 +224,7 @@ def _classified(rf: ResidueField, options: ScanOptions, checked, seconds: dict,
     if options.cross_check:
         # the polynomial route recomputes S_n, checks its exact vanishing
         # at T=1 and the prefix-sum L against the closed form internally
+        chars = character_context(rf, k)
         for n in checked:
             rep = l_report(chars, n)
             value, what = (rep.l_value, f"L_{n}") if rep.in_scope else (rep.s_at_one, f"S_{n}(1)")
@@ -351,7 +351,8 @@ def _scan_prime(home: ResidueField, prime: Poly, a: int, options: ScanOptions) -
     check flag still classifies, for its checks.  The prime comes from
     the enumerator with its root a in ``home``, the one field of its
     degree (``monic_irreducibles``), so its own field is home relabelled
-    by t -> a, untested, and all its tables go when this returns.  No
+    by t -> a, untested.  Nothing the field holds refers back to it, so
+    reference counting frees it and all its tables when this returns.  No
     multiple of q - 1 lies strictly between 0 and q - 1, so a prime of
     degree one is regular and gets no field unless a check flag asks
     for one.  The process that scans a prime writes its timing line; its
@@ -361,9 +362,6 @@ def _scan_prime(home: ResidueField, prime: Poly, a: int, options: ScanOptions) -
     if prime.degree > 1 or checks:
         rf = _timed(seconds, "field", ResidueField.relabelled, home, prime.coeffs, a)
         report = _classified(rf, options, range(1, rf.size - 1), seconds, checks)
-        # the contexts refer back to the field, a cycle that only the
-        # cyclic collector would free: drop them so the tables go now
-        rf.contexts.clear()
     if options.include_timings:
         _write_timing(prime, seconds)
     return report if report is not None and report.irregular_indices else None

@@ -22,15 +22,17 @@ minimal polynomial over F_p, which relabelling a field keeps.  Every
 field reads its tables from ``ResidueField.lifts``, one per precision:
 a searched field keeps its own, and the fields a scan relabels from one
 field of their degree share that field's.  Valuations are read from one
-table per context, covering v(L_n) at in-scope n and v(S_n(1))
-elsewhere.  The weights are rational integers and Frobenius sends
-omega(x) to omega(x)^p, so both sums at n and at pn mod (Q-1) have the
-same valuation and the table computes each p-orbit once, at its least
-member.  Since omega(g) reduces to g mod p, both sums reduce mod p to
-combinations of the power sums S_j of the monic g of each degree
-j < d, weighted by j mod p at in-scope n and by 1 elsewhere.  That
-screen settles every orbit of valuation 0, once per field for every
-precision (``mod_p_screen``).  It asks for S_j only at the
+read-only int8 table per precision, kept in ``ResidueField.valuations``
+and covering v(L_n) at in-scope n and v(S_n(1)) elsewhere.  A
+``CharacterContext`` is a view over those tables, built on each call
+and not kept, so nothing a field holds refers back to it.  The weights
+are rational integers and Frobenius sends omega(x) to omega(x)^p, so
+both sums at n and at pn mod (Q-1) have the same valuation and the
+table computes each p-orbit once, at its least member.  Since omega(g)
+reduces to g mod p, both sums reduce mod p to combinations of the
+power sums S_j of the monic g of each degree j < d, weighted by j mod p
+at in-scope n and by 1 elsewhere.  That screen settles every orbit of
+valuation 0, once per field for every precision (``mod_p_screen``).  It asks for S_j only at the
 representatives where its weight is nonzero and Carlitz's vanishing
 law, S_j(k) = 0 when j (q-1) exceeds the base-q digit sum of k, does
 not already make it 0; each degree is then either read off Carlitz's
@@ -219,7 +221,7 @@ class ModPScreen:
 
 def mod_p_screen(rf: ResidueField) -> ModPScreen:
     """The field's screen, built on first use and kept in ``rf.screen``,
-    so that every precision's context shares it.
+    so that every precision's valuation table shares it.
 
     omega(g) reduces to g mod p, so L_n reduces to -sum (deg g mod p)
     g^(-n) and S_n(1) to sum g^(-n), over the monic g of degree < d:
@@ -276,17 +278,17 @@ class CharacterContext:
     def __init__(self, rf: ResidueField, k: int):
         self.rf = rf
         self.W = WittRing(rf, k)
-        q, d = rf.q, rf.d
+        d = rf.d
         self.Q = rf.size
         self.order = self.Q - 1
 
-        # discrete logs of the monic degree-j representatives, one array
-        # with a view per degree; packed values of those representatives
-        # are exactly [q^j, 2 q^j)
-        log, sizes = self.rf._nplog, [q**j for j in range(d)]
-        logs = np.concatenate([log[s : 2 * s] for s in sizes]).astype(np.int64)
+        # discrete logs of the monic representatives, one array with a
+        # view per degree
+        monic = _monic_logs(rf, rf.t_res, range(d))
+        logs = np.concatenate([monic[j] for j in range(d)])
+        sizes = [monic[j].size for j in range(d)]
         self._degree_starts = np.cumsum([0] + sizes[:-1])
-        self.monic_logs = [logs[a : a + s] for a, s in zip(self._degree_starts, sizes)]
+        self.monic_logs = np.split(logs, self._degree_starts[1:])
         degs = np.repeat(np.arange(d, dtype=np.int8), sizes)
         # (logs, weights) of the two sums the valuation table serves:
         # deg(g) for L_n at in-scope n, 1 for S_n(1) elsewhere; the one g
@@ -324,25 +326,12 @@ class CharacterContext:
         (sums,) = char_sums(self.order, self.teich, self._unit_weights[0], reduce, [n])
         return tuple(self.W.from_coords(row) for row in sums)
 
-    @functools.cached_property
-    def _valuations(self) -> np.ndarray:
-        """Entry n: v(L_n) at in-scope n, v(S_n(1)) at the other
-        0 < n < Q-1, each capped at k (entry 0 is unused); as k is at
-        most MAX_PRECISION, int8 holds them."""
-        screen = mod_p_screen(self.rf)
-        vals = np.zeros(self.order, dtype=np.int8)
-        for r in screen.reps[~screen.unit[screen.reps]]:
-            r = int(r)
-            s = self.closed_weighted_sum(r) if self.in_scope(r) else self._witt_sum(self._unit_weights, r)
-            vals[r] = self.W.valuation(s)
-        return vals[screen.rep]
-
     def valuation(self, n: int) -> int:
         """v_p of L_n for an in-scope n, of S_n(1) for any other
         0 < n < Q-1; k means zero as far as W_k can see."""
         if not 0 < n < self.order:
             raise FieldError(f"index must satisfy 0 < n < {self.order}")
-        return int(self._valuations[n])
+        return int(_valuation_table(self.rf, self.W.k)[n])
 
     def char_degree_sum(self, n: int, j: int) -> WittElem:
         """sum of omega(g)^(-n) over monic g of degree j < d."""
@@ -355,12 +344,32 @@ class CharacterContext:
 
 
 def character_context(rf: ResidueField, k: int) -> CharacterContext:
-    """The context of the field at precision k, built on first use and
-    kept in ``rf.contexts``, so it lives as long as the field."""
-    ctx = rf.contexts.get(k)
-    if ctx is None:
-        ctx = rf.contexts[k] = CharacterContext(rf, k)
-    return ctx
+    """A new context of the field at precision k.  It keeps nothing of
+    its own on the field: the Teichmuller table it reads is the field's
+    ``lifts[k]``, and its valuations the field's ``valuations[k]``."""
+    return CharacterContext(rf, k)
+
+
+def _valuation_table(rf: ResidueField, k: int) -> np.ndarray:
+    """Entry n: v(L_n) at in-scope n, v(S_n(1)) at the other
+    0 < n < Q-1, each capped at k (entry 0 is unused); as k is at most
+    MAX_PRECISION, int8 holds them.  Built on first use, from the Witt
+    sums at the orbit representatives the screen leaves, and kept
+    read-only in ``rf.valuations[k]``."""
+    vals = rf.valuations.get(k)
+    if vals is not None:
+        return vals
+    ctx = character_context(rf, k)
+    screen = mod_p_screen(rf)
+    vals = np.zeros(ctx.order, dtype=np.int8)
+    for r in screen.reps[~screen.unit[screen.reps]]:
+        r = int(r)
+        s = ctx.closed_weighted_sum(r) if ctx.in_scope(r) else ctx._witt_sum(ctx._unit_weights, r)
+        vals[r] = ctx.W.valuation(s)
+    vals = vals[screen.rep]
+    vals.setflags(write=False)
+    rf.valuations[k] = vals
+    return vals
 
 
 def l_value_at_one(ctx: CharacterContext, n: int) -> WittElem:
@@ -415,27 +424,15 @@ def l_report(ctx: CharacterContext, n: int) -> LReport:
     return LReport(n, True, s_coeffs, s1, tuple(q_coeffs), l_poly, ctx.W.valuation(l_poly))
 
 
-def saturating_valuation(valuation_at, k: int, cap: int = MAX_PRECISION) -> int:
-    """Run valuation_at(k) with doubling precision until the result is
-    strictly below the precision used; a valuation equal to k only means
-    "zero as far as W_k can see".  Raises PrecisionError at the cap."""
-    while True:
-        v = valuation_at(k)
-        if v < k:
-            return v
-        if k >= cap:
-            raise PrecisionError(f"valuation still saturated at the precision cap {cap}")
-        k = min(2 * k, cap)
-
-
 def pic_eigenspace_length(rf: ResidueField, n: int, k: int = 12) -> int:
     """p-adic valuation of L_n, the length of the corresponding
-    eigenspace of the p-part of the class module."""
-
-    def valuation_at(kk: int) -> int:
-        ctx = character_context(rf, kk)
-        if not ctx.in_scope(n):
-            raise FieldError(f"index {n} is not an in-scope character power")
-        return ctx.valuation(n)
-
-    return saturating_valuation(valuation_at, k)
+    eigenspace of the p-part of the class module.  The valuation table
+    is read at k, and k doubled while the entry equals k, which only
+    means "zero as far as W_k can see"; PrecisionError at the cap."""
+    if not (0 < n < rf.order and n % (rf.q - 1) == 0):
+        raise FieldError(f"index {n} is not an in-scope character power")
+    while (v := int(_valuation_table(rf, k)[n])) == k:
+        if k >= MAX_PRECISION:
+            raise PrecisionError(f"valuation still saturated at the precision cap {MAX_PRECISION}")
+        k = min(2 * k, MAX_PRECISION)
+    return v

@@ -532,7 +532,7 @@ def test_a_fault_at_a_regular_prime_still_exits_2(flag, capsys, monkeypatch):
 
 
 def test_a_failure_mid_scan_leaves_no_out_file(tmp_path, capsys, monkeypatch):
-    real, seen = herbrand.character_context, []
+    real, seen = herbrand._valuation_table, []
 
     def second_fails(rf, k):
         seen.append(poly_to_str(Poly(rf.base, rf.prime_coeffs)))
@@ -540,7 +540,7 @@ def test_a_failure_mid_scan_leaves_no_out_file(tmp_path, capsys, monkeypatch):
             raise ConsistencyError("injected at the second irregular prime")
         return real(rf, k)
 
-    monkeypatch.setattr(herbrand, "character_context", second_fails)
+    monkeypatch.setattr(herbrand, "_valuation_table", second_fails)
     args = ["scan", "--q", "3", "--max-degree", "3", "--format", "json", "--threads", "1"]
     path = tmp_path / "scan.json"
     code, out, err = run(args + ["--out", str(path)], capsys)

@@ -7,7 +7,7 @@ import random
 import numpy as np
 import pytest
 
-from bcscan import fields
+from bcscan import fields, lseries
 from bcscan.fields import (
     BaseField,
     ConsistencyError,
@@ -18,7 +18,6 @@ from bcscan.fields import (
     residue_field_raw,
 )
 from bcscan.carlitz import bc_numbers
-from bcscan.lseries import CharacterContext
 from bcscan.poly import monic_irreducibles, parse_poly, residue_field
 
 SMALL_FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (2, 3), (2, 4), (3, 2)]
@@ -524,7 +523,7 @@ def assert_same_field(R, S, rng):
     assert [S.inv(v) for v in range(1, Q)] == [R.inv(v) for v in range(1, Q)]
     assert (S.t_res, S.prime_coeffs, S.d, S.q) == (R.t_res, R.prime_coeffs, R.d, R.q)
     assert bc_numbers(S).values == bc_numbers(R).values
-    assert np.array_equal(CharacterContext(S, 4)._valuations, CharacterContext(R, 4)._valuations)
+    assert np.array_equal(lseries._valuation_table(S, 4), lseries._valuation_table(R, 4))
 
 
 @pytest.mark.parametrize("p,r,modulus", RELABEL_BASES)

@@ -9,6 +9,7 @@ import weakref
 
 import pytest
 
+import bcscan
 from bcscan import cli, fields, herbrand, lseries, poly
 from bcscan.carlitz import bc_numbers, irregular_indices
 from bcscan.fields import ConsistencyError, FieldError, fq_make
@@ -98,8 +99,7 @@ def test_classify_prime_covers_full_range():
 
 def test_residue_field_keeps_only_the_field_it_built_last():
     # classify_prime builds through residue_field's cache; once the next
-    # prime's field is built, the first one's, with its character
-    # contexts, goes at the next collection
+    # prime's field is built, the first one's, with its tables, goes
     f, g = monic_irreducibles(F3, 4)[:2]
     classify_prime(f)
     field = weakref.ref(residue_field(f))
@@ -250,9 +250,10 @@ def test_thread_count_is_clamped(monkeypatch):
 def test_scan_frees_each_regular_report_before_the_next_prime(monkeypatch):
     # a regular prime gets no report: its residue field, relabelled from
     # its degree's field, and its BC vector are all it holds.  Every
-    # prime's field and BC vector, irregular or not, go with the field's
-    # character contexts before the next prime, by reference counting
-    # alone: no cycle is left for the collector to find
+    # prime's field and BC vector, irregular or not, and the irregular
+    # prime's character context and valuation table, go before the next
+    # prime, by reference counting alone: no cycle is left for the
+    # collector to find
     live, freed = [], []  # weak references to the last prime's objects
 
     def tracked_field(home, coeffs, a, _real=fields.ResidueField.relabelled):
@@ -272,7 +273,8 @@ def test_scan_frees_each_regular_report_before_the_next_prime(monkeypatch):
 
     monkeypatch.setattr(fields.ResidueField, "relabelled", staticmethod(tracked_field))
     monkeypatch.setattr(herbrand, "bc_numbers", tracked(herbrand.bc_numbers))
-    monkeypatch.setattr(herbrand, "character_context", tracked(herbrand.character_context))
+    monkeypatch.setattr(lseries, "character_context", tracked(lseries.character_context))
+    monkeypatch.setattr(herbrand, "_valuation_table", tracked(herbrand._valuation_table))
     gc.collect()
     gc.disable()
     try:
@@ -281,8 +283,9 @@ def test_scan_frees_each_regular_report_before_the_next_prime(monkeypatch):
         gc.enable()
     assert [rep.prime for rep in r.reports] == ["t^4 + t + 1"]
     # the 12 primes of degree >= 2 build a field and a BC vector, 11 of
-    # them have a next one, and one prime built a character context
-    assert len(freed) == 2 * 11 + 1 and all(freed)
+    # them have a next one, and one prime built a character context and
+    # a valuation table
+    assert len(freed) == 2 * 11 + 2 and all(freed)
 
 
 @pytest.mark.parametrize("options", [ScanOptions(threads=1), ScanOptions(threads=1, cross_check=True)],
@@ -299,13 +302,13 @@ def test_a_scan_searches_one_field_per_degree_and_one_teich_table_per_precision(
         tables.append((W.rf.d, W.k))
         return real_table(W, order)
 
-    def recorded(rf, k, _real=herbrand.character_context):
+    def recorded(rf, k, _real=lseries.character_context):
         contexts.add((rf.d, k))
         return _real(rf, k)
 
     monkeypatch.setattr(fields, "_search_exp", counted_search)
     monkeypatch.setattr(lseries, "_teich_table", counted_table)
-    monkeypatch.setattr(herbrand, "character_context", recorded)
+    monkeypatch.setattr(lseries, "character_context", recorded)
     r = scanned(F3, 4, options)
     assert len(r.reports) == 8
     # the enumerator's field of each degree, and no other (F_3 is interned)
@@ -313,6 +316,24 @@ def test_a_scan_searches_one_field_per_degree_and_one_teich_table_per_precision(
     # one table per (degree, precision), shared by the primes of the degree
     assert sorted(tables) == sorted(contexts)
     assert {(3, 12), (4, 12)} <= contexts
+
+
+def test_a_default_scan_builds_one_character_context_per_irregular_prime(monkeypatch):
+    # perfbench counts the layer lseries.character_context, patched
+    # wherever a module holds it: a default scan builds one context, at
+    # the requested precision, for each irregular prime's valuation
+    # table, and none at a regular prime
+    built = []
+
+    def recorded(rf, k, _real=lseries.character_context):
+        built.append((poly_to_str(Poly(rf.base, rf.prime_coeffs)), k))
+        return _real(rf, k)
+
+    for module in (bcscan, herbrand, lseries):
+        monkeypatch.setattr(module, "character_context", recorded)
+    r = scanned(F3, 4, ScanOptions(threads=1))
+    assert len(r.reports) == 8
+    assert built == [(rep.prime, 12) for rep in r.reports]
 
 
 def test_every_field_a_scan_builds_enters_the_residue_field_constructor(monkeypatch):

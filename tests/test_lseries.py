@@ -1,8 +1,10 @@
 """L-values over truncated Witt vectors: worked example, identities,
 scope rules, valuations, precision behaviour."""
 
+import gc
 import itertools
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -18,7 +20,6 @@ from bcscan.lseries import (
     mod_p_screen,
     monic_power_sums,
     pic_eigenspace_length,
-    saturating_valuation,
 )
 from bcscan.witt import PrecisionError, WittElem, WittRing
 from l_valuation_oracle import units_mod_p
@@ -159,20 +160,33 @@ def test_report_fields_out_of_scope():
     assert isinstance(ctx.W.valuation(rep.s_at_one), int)
 
 
-def test_saturating_valuation_retries_until_resolved():
+def test_saturating_valuation_retries_until_resolved(monkeypatch):
+    # a true valuation of 5, which the table at k caps at k: it
+    # saturates while k <= 5, so k doubles from 1 until it passes 5
+    rf = residue_field(parse_poly("t^4 + t + 1", fq_make(2, 1)))
     calls = []
 
-    def fake(k):
+    def capped(rf, k):
         calls.append(k)
-        return min(5, k)  # true valuation 5, saturates while k <= 5
+        return np.full(rf.order, min(5, k), dtype=np.int8)
 
-    assert saturating_valuation(fake, 1) == 5
+    monkeypatch.setattr(lseries, "_valuation_table", capped)
+    assert pic_eigenspace_length(rf, 9, k=1) == 5
     assert calls == [1, 2, 4, 8]
 
 
-def test_saturating_valuation_hits_cap():
-    with pytest.raises(PrecisionError):
-        saturating_valuation(lambda k: k, 1, cap=16)
+def test_saturating_valuation_hits_cap(monkeypatch):
+    rf = residue_field(parse_poly("t^4 + t + 1", fq_make(2, 1)))
+    calls = []
+
+    def saturated(rf, k):
+        calls.append(k)
+        return np.full(rf.order, k, dtype=np.int8)
+
+    monkeypatch.setattr(lseries, "_valuation_table", saturated)
+    with pytest.raises(PrecisionError, match="^valuation still saturated at the precision cap 96$"):
+        pic_eigenspace_length(rf, 9, k=1)
+    assert calls == [1, 2, 4, 8, 16, 32, 64, 96]
 
 
 def test_pic_length_resolves_from_k1():
@@ -216,7 +230,7 @@ def test_valuation_table_equals_per_index_route(p, r, max_d):
 
 def test_valuation_table_gathers_once_per_frobenius_orbit(monkeypatch):
     f = parse_poly("t^12 + t^3 + 1", fq_make(2, 1))
-    rf = ResidueField(f.field, f.coeffs)  # a new field has no context yet
+    rf = ResidueField(f.field, f.coeffs)  # a new field has no table yet
     reps = {min(n * 2**i % 4095 for i in range(12)) for n in range(1, 4095)}
     assert 340 <= len(reps) <= 360
     summed, witt_sum = [], CharacterContext._witt_sum
@@ -419,7 +433,7 @@ def test_the_screen_equals_the_gather_oracle_at_q_to_the_16(seed):
 
 
 def test_an_escalated_context_reuses_its_fields_screen(monkeypatch):
-    rf = ResidueField(fq_make(3, 1), (2, 0, 1, 0, 1))  # t^4 + t^2 - 1, no context yet
+    rf = ResidueField(fq_make(3, 1), (2, 0, 1, 0, 1))  # t^4 + t^2 - 1, no table yet
     calls, sums = [], lseries._power_sums
 
     def counted(*args):
@@ -429,7 +443,35 @@ def test_an_escalated_context_reuses_its_fields_screen(monkeypatch):
     monkeypatch.setattr(lseries, "_power_sums", counted)
     # v_3(L_40) = 1 saturates W_1, so k = 1 escalates to k = 2
     assert pic_eigenspace_length(rf, 40, k=1) == 1
-    assert sorted(rf.contexts) == [1, 2] and len(calls) == 1
+    assert sorted(rf.valuations) == [1, 2] and len(calls) == 1
+
+
+def test_an_out_of_scope_index_is_refused_before_any_table(monkeypatch):
+    rf = fresh_field((3, 1), "t^4 + t^2 - 1")  # Q = 81, q - 1 = 2
+    tables, teich = [], lseries._teich_table
+    monkeypatch.setattr(lseries, "_teich_table", lambda *a: tables.append(a) or teich(*a))
+    for n in (41, 80):  # odd, and Q - 1
+        with pytest.raises(FieldError, match=f"^index {n} is not an in-scope character power$"):
+            pic_eigenspace_length(rf, n)
+    assert tables == [] and rf.valuations == {} and rf.screen is None
+
+
+def test_a_dropped_field_is_freed_by_reference_counting():
+    # nothing a field holds refers back to it, so once every table has
+    # been built and read, dropping the field frees it with no collection
+    gc.collect()
+    gc.disable()
+    try:
+        rf = ResidueField(fq_make(3), (2, 0, 1, 0, 1))  # t^4 + t^2 - 1
+        vals = [pic_eigenspace_length(rf, n) for n in range(2, rf.order, 2)]
+        ctx = character_context(rf, 12)
+        rep = l_report(ctx, 40)
+        assert rep.valuation == vals[40 // 2 - 1] == 1
+        field = weakref.ref(rf)
+        del rf, ctx, rep
+        assert field() is None
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("pr,prime", [((2, 1), "t^9 + t^4 + 1"), ((3, 1), "t^6 + t + 2")])
