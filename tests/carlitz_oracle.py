@@ -2,20 +2,23 @@
 recursion the package runs.
 
 The package applies phi(t) = t + F one way only, as the recursion
-x_(k+1) = T x_k + x_k^q with phi(a)(x) = sum(a_k x_k)
-(``localfield._apply_phi`` and ``LocalModel.galois_rows``).  This oracle
-builds the operator phi(a) itself, as an element of the ring of twisted
-polynomials A{F} in which F c = c^q F (Goss, *Basic Structures of
-Function Field Arithmetic*, Springer 1996), by Horner's rule in
-phi(t) = t + F, and applies it term by term: each coefficient c_i(t) is
-evaluated at a series by Horner, and F^i is the q^i-power.  On top of
-that sit the references the local model is checked against: the
-torsion polynomial phi(f) with its Eisenstein test, phi(f)(lambda) /
-lambda at a candidate t(lambda), the Galois image of lambda under one
-unit, composition of series and the one-series logarithmic derivative.
+x_(k+1) = T x_k + x_k^q with phi(a)(x) = sum(a_k x_k), in
+``localfield._apply_phi``; ``LocalModel.galois_rows`` combines the rows
+of its last pass.  This oracle builds the operator phi(a) itself, as an
+element of the ring of twisted polynomials A{F} in which F c = c^q F
+(Goss, *Basic Structures of Function Field Arithmetic*, Springer 1996),
+by Horner's rule in phi(t) = t + F, and applies it term by term: each
+coefficient c_i(t) is evaluated at a series by Horner, and F^i is the
+q^i-power.  On top of that sit the references the local model is
+checked against: the torsion polynomial phi(f) with its Eisenstein
+test, phi(f)(lambda) / lambda at a candidate t(lambda), the Galois
+image of lambda under one unit, composition of series, the one-series
+logarithmic derivative, and the eigen-uniformizer by fixed-point
+iteration, where the package reads it off a closed-form recursion.
 
-Nothing here calls ``_apply_phi`` or ``galois_rows``; from the package
-it uses only polynomial, residue-field and series arithmetic, and
+Nothing here calls ``_apply_phi``, ``galois_rows`` or
+``eigen_uniformizer``; from the package it uses only polynomial,
+residue-field and series arithmetic, ``carlitz.exp_coeffs`` and
 ``carlitz.additive_apply``.
 """
 
@@ -24,8 +27,8 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from bcscan.carlitz import additive_apply
-from bcscan.fields import FieldError, ResidueField
+from bcscan.carlitz import additive_apply, exp_coeffs
+from bcscan.fields import ConsistencyError, FieldError, ResidueField
 from bcscan.poly import Poly, lift_to_poly
 from bcscan.series import TruncSeries
 
@@ -259,3 +262,25 @@ def galois_image(model, g: int) -> TruncSeries:
     for i, c in enumerate(op.coeffs):
         out = out + eval_poly_coeffs(model.t_series, c.coeffs).shift_up(model.q**i)
     return out
+
+
+def uniformizer_fixed_point(model) -> TruncSeries:
+    """pi with ebar(pi) = lambda at the model's working precision, by the
+    iteration pi <- pi - (ebar(pi) - lambda) from pi = lambda.  ebar is
+    additive, so the next error is -sum(e_i err^(q^i), i >= 1), and each
+    pass multiplies the error's depth by at least q; a pass where it
+    does not grow raises."""
+    R, n = model.rf, model.n_work
+    e = exp_coeffs(R)
+    lam = TruncSeries.monomial(R, n, 1)
+    pi, prev = lam, 0
+    for _ in range(n + 2):
+        err = additive_apply(e, pi) - lam
+        if err.is_zero:
+            return pi
+        v = err.valuation()
+        if v <= prev:
+            raise ConsistencyError("uniformizer fixed point stalled")
+        prev = v
+        pi = pi - err
+    raise ConsistencyError("uniformizer fixed point did not close")

@@ -22,6 +22,7 @@ from carlitz_oracle import (
     eval_poly_coeffs,
     galois_image,
     torsion_residual,
+    uniformizer_fixed_point,
 )
 from series_oracle import inverse_rows
 
@@ -46,7 +47,7 @@ def component_by_n(m, n):
 
 def unit_ratios(m):
     """(gamma^j . lambda) / lambda, a 1-unit times chi(gamma^j), for every j."""
-    return [row.shift_down(1) for row in m.galois_rows()]
+    return [TruncSeries(m.rf, m.n_work, row).shift_down(1) for row in m.galois_rows()]
 
 
 class TestQuadraticOverF2:
@@ -64,10 +65,11 @@ class TestQuadraticOverF2:
 
     def test_galois_images(self):
         rows = self.m.galois_rows()
-        assert list(rows[0].c) == [0, 1, 0, 0, 0, 0]
+        assert rows.shape == (3, 6)
+        assert list(rows[0]) == [0, 1, 0, 0, 0, 0]
         # tbar . lambda = tbar l + l^2 + l^4 + l^5
-        assert list(rows[1].c) == [0, 2, 1, 0, 1, 1]
-        assert list(rows[2].c) == [0, 3, 1, 0, 1, 1]
+        assert list(rows[1]) == [0, 2, 1, 0, 1, 1]
+        assert list(rows[2]) == [0, 3, 1, 0, 1, 1]
 
     def test_dlog_values(self):
         tb, tb2 = 2, 3
@@ -79,9 +81,9 @@ class TestQuadraticOverF2:
         # pi = l + l^2 + l^4 and pi' = 1, so the n=2 component must be
         # pi^1 pi' mod l^4
         assert list(self.m.dlog_components()[1]) == [0, 1, 1, 0]
-        eig = self.m.eigen_uniformizer()
-        assert list(eig.series.c) == [0, 1, 1, 0, 1, 0]
-        assert list(eig.derivative.c) == [1, 0, 0, 0, 0]
+        pi = self.m.eigen_uniformizer()
+        assert list(pi.c) == [0, 1, 1, 0, 1, 0]
+        assert list(pi.derivative().c) == [1, 0, 0, 0, 0]
 
     def test_component_one_polluted(self):
         # 1 + l^3, not a multiple of pi^0 pi' = 1: the n=1 congruence
@@ -151,8 +153,8 @@ def test_recursion_matches_horner_routes_over_the_whole_range():
         assert torsion_residual(m, m.t_series).is_zero, f
         rows = m.galois_rows()
         if R.size > 2:
-            assert rows[1] == galois_image(m, R.generator), f
-            assert rows[-1] == galois_image(m, R.exp_of(R.size - 2)), f
+            assert np.array_equal(rows[1], galois_image(m, R.generator).c), f
+            assert np.array_equal(rows[-1], galois_image(m, R.exp_of(R.size - 2)).c), f
         count += 1
     assert count == 296
 
@@ -161,7 +163,7 @@ def dense_dlog_matrix(m):
     """Each ratio's derivative times its Newton inverse: the dense route
     the sparse division replaces."""
     R = m.rf
-    U = np.stack([row.c for row in m.galois_rows()])[:, 1:]
+    U = m.galois_rows()[:, 1:]
     return mul_rows(R, derivative_rows(R, U), inverse_rows(R, U[:, : m.N]))
 
 
@@ -204,8 +206,9 @@ def test_galois_rows_match_faithful_route(s, F):
     m = model(s, F)
     R = m.rf
     rows = m.galois_rows()
+    assert rows.shape == (R.size - 1, m.n_work)
     for j in range(R.size - 1):
-        assert rows[j] == galois_image(m, R.exp_of(j))
+        assert np.array_equal(rows[j], galois_image(m, R.exp_of(j)).c)
 
 
 @pytest.mark.parametrize("s,F", PRIMES)
@@ -217,7 +220,7 @@ def test_torsion_annihilates_every_row(s, F):
     coeff_series = [eval_poly_coeffs(m.t_series, c.coeffs) for c in torsion.coeffs]
     rows = m.galois_rows()
     for j in range(min(m.rf.size - 1, 6)):
-        x = rows[j]
+        x = TruncSeries(m.rf, m.n_work, rows[j])
         acc = TruncSeries.zero(m.rf, m.n_work)
         fx = x
         for i, cs in enumerate(coeff_series):
@@ -254,9 +257,53 @@ def test_unit_ratio_residues(s, F):
 def test_uniformizer_solves_exp_equation(s, F):
     m = model(s, F)
     e = exp_coeffs(m.rf)
-    eig = m.eigen_uniformizer()
+    pi = m.eigen_uniformizer()
     lam = TruncSeries.monomial(m.rf, m.n_work, 1)
-    assert additive_apply(e, eig.series) == lam
+    assert additive_apply(e, pi) == lam
+
+
+F8, F16 = fq_make(2, 3), fq_make(2, 4)
+F9A, F9B = fq_make(3, 2, (1, 0, 1)), fq_make(3, 2, (2, 1, 1))
+
+
+def _check_closed_form_uniformizer(primes):
+    """The closed-form pi equals the fixed-point iteration's; it is
+    nonzero only at the lambda^(q^k), with l_0 = 1, so pi' = 1.  Returns
+    the number of primes checked."""
+    seen = 0
+    for f in primes:
+        m = local_model(f)
+        pi = m.eigen_uniformizer()
+        assert pi == uniformizer_fixed_point(m), f
+        assert set(np.flatnonzero(pi.c)) <= {m.q**k for k in range(m.d + 1)}, f
+        assert pi[1] == 1 and pi.derivative() == TruncSeries.one(m.rf, m.n_work - 1), f
+        seen += 1
+    return seen
+
+
+@pytest.mark.parametrize(
+    "F,count",
+    [(F2, 71), (F3, 80), (F4, 90), (F5, 55), (fq_make(7), 28), (F8, 36), (F9A, 45), (F9B, 45), (F16, 136)],
+    ids=["q2", "q3", "q4", "q5", "q7", "q8", "q9-x2+1", "q9-x2+x+2", "q16"],
+)
+def test_closed_form_uniformizer_equals_the_fixed_point(F, count):
+    assert _check_closed_form_uniformizer(_whole_range_primes([F])) == count
+
+
+@pytest.mark.parametrize("d,count", [(10, 3), (11, 2)])
+def test_closed_form_uniformizer_equals_the_fixed_point_at_the_local_cap(d, count):
+    primes = monic_irreducibles(F2, d)
+    rng = np.random.default_rng(d)
+    picks = rng.choice(len(primes), size=count, replace=False)
+    assert _check_closed_form_uniformizer(primes[int(i)] for i in picks) == count
+
+
+def test_the_uniformizer_check_fires_when_ebar_misses_lambda(monkeypatch):
+    m = model("t^3 + t + 1", F2)
+    zq = TruncSeries.monomial(m.rf, m.n_work, m.q)
+    monkeypatch.setattr(localfield, "additive_apply", lambda e, x: TruncSeries.monomial(x.field, x.n, 1) + zq)
+    with pytest.raises(ConsistencyError, match=r"ebar\(pi\) is not lambda"):
+        m.eigen_uniformizer()
 
 
 @pytest.mark.parametrize("s,F", PRIMES)
@@ -266,11 +313,11 @@ def test_uniformizer_eigenproperty(s, F):
     m = model(s, F)
     R = m.rf
     e = exp_coeffs(R)
-    pi = m.eigen_uniformizer().series
+    pi = m.eigen_uniformizer()
     rows = m.galois_rows()
     for j in range(R.size - 1):
         lhs = additive_apply(e, pi.scale(R.exp_of(j)))
-        assert lhs.truncate(m.N) == rows[j].truncate(m.N)
+        assert np.array_equal(lhs.c[: m.N], rows[j][: m.N])
 
 
 @pytest.mark.parametrize("s,F", PRIMES)
