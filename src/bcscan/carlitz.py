@@ -5,8 +5,9 @@ The Carlitz module is the ring map phi from A = F_q[t] into additive
 operators determined by phi(t) = t + F, F the q-power map.  Mod a prime
 f of degree d the Carlitz exponential e(z) = sum(e_i z^(q^i)) has d
 integral coefficients (``exp_coeffs``); ``additive_apply`` applies such
-an additive polynomial to a series, and ``bc_numbers`` inverts e(z)/z, a
-series in w = z^(q-1), by one recurrence summed by Zech logarithms.
+an additive polynomial to each row of a series matrix, and
+``bc_numbers`` inverts e(z)/z, a series in w = z^(q-1), by one
+recurrence summed by Zech logarithms.
 phi itself acts in one place, the local model, through the recursion
 x_(k+1) = T x_k + x_k^q of ``localfield``.
 """
@@ -18,18 +19,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import FieldError, ResidueField
-from .series import TruncSeries
+from .series import frobenius_rows
 
 
-def additive_apply(scalars, x: TruncSeries) -> TruncSeries:
-    """sum(scalars[i] * x^(q^i)) for packed scalars over x's field."""
-    acc = TruncSeries.zero(x.field, x.n)
-    fx = x
-    for i, s in enumerate(scalars):
-        if s:
-            acc = acc + fx.scale(int(s))
-        if i + 1 < len(scalars):
-            fx = fx.frobenius_q()
+def additive_apply(F, scalars, X: np.ndarray) -> np.ndarray:
+    """sum(scalars[i] * X^(q^i)) row by row, for packed scalars over F
+    and X a (rows, n) coefficient matrix over F."""
+    acc = np.zeros(X.shape, dtype=np.int32)
+    for s in scalars:
+        acc = F.vadd(acc, F.vscale(int(s), X))
+        X = frobenius_rows(F, X)
     return acc
 
 

@@ -15,26 +15,27 @@ completed picture is the power-series model R[[lambda]]:
   ebar is additive, so pi is its additive inverse, read off a d-term
   recursion in closed form, and d pi/d lambda = 1.
 
-phi acts by one rule only, phi(t) = T + F applied as the recursion
-x_(k+1) = T x_k + x_k^q, phi(a)(x) = sum(a_k x_k), in ``_apply_phi``
-alone.  T is Newton's root of phi(f)(lambda) / lambda, and the last
-pass at T leaves the d rows phi(t^k)(lambda) that ``galois_rows``
-combines.  The first residual must sit at depth >= q^d - 1, as every
-middle coefficient of phi(f) is divisible by f (phi(f) is Eisenstein
-at f); the Newton solve checks that depth.  The twisted-polynomial
-ring, Horner evaluation at a series, the one-unit Galois image and the
-fixed-point iteration for pi are independent references kept in the
-tests (``tests/carlitz_oracle.py``).
+Every series here is a row of an int32 array run through the
+``series`` row kernel; T and pi are one-row arrays.  phi acts by one
+rule only, phi(t) = T + F applied as the recursion x_(k+1) = T x_k +
+x_k^q, phi(a)(x) = sum(a_k x_k), in ``_apply_phi`` alone, which carries
+x_k and its T-derivative as the two rows of one array.  T is Newton's
+root of phi(f)(lambda) / lambda, whose first residual must sit at depth
+>= q^d - 1 as phi(f) is Eisenstein at f, and the last pass at T leaves
+the d rows phi(t^k)(lambda) that ``galois_rows`` combines.  The
+twisted-polynomial ring, Horner evaluation at a series, the one-unit
+Galois image and the fixed-point iteration for pi are independent
+references kept in the tests (``tests/carlitz_oracle.py``).
 
-The sweep is whole tables: the Galois rows, read off the exp table as
-phi(a)(lambda) is F_q-linear in a; their dlogs, each ratio
-g.lambda / lambda divided into its derivative by ``series.divide_rows``
-along the ratio's few nonzero coefficients; the dlog components, the
-``fields.char_sums`` weights times that dlog matrix in one F_Q matrix
-product (``vmatmul``, float BLAS products of F_p digits); and
-pi^(n-1) for every n by ``fields.power_rows``, each component checked
-against it.  A model is built from its prime's residue field and keeps
-none of these tables: the sweep reads each once.
+The sweep is whole tables: the Galois rows, one per packed a as
+phi(a)(lambda) is F_q-linear in a, gathered through the exp table;
+their dlogs, each ratio g.lambda / lambda divided into its derivative
+by ``series.divide_rows`` along its few nonzero coefficients; the dlog
+components, the ``fields.char_sums`` weights times that dlog matrix in
+one F_Q matrix product (``vmatmul``, float BLAS products of F_p
+digits); and pi^(n-1) for every n by ``fields.power_rows``, each
+component checked against it.  A model is built from its prime's
+residue field and keeps none of these tables: the sweep reads each once.
 
 Internal truncation is q^d + 2: a logarithmic derivative costs one
 index to the division by lambda and one to d/dlambda, so reported
@@ -50,7 +51,7 @@ import numpy as np
 from .carlitz import additive_apply, exp_coeffs
 from .fields import ConsistencyError, FieldError, ResidueField, char_sums, power_rows
 from .poly import Poly, residue_field
-from .series import TruncSeries, derivative_rows, divide_rows, mul_rows
+from .series import derivative_rows, divide_rows, frobenius_rows, mul_rows
 
 # The dlog table is (Q-1) x Q and the components' matrix product takes
 # about Q^3 m^2 float multiply-adds, Q = p^m: on a 2-core host with one
@@ -66,22 +67,22 @@ def check_local_size(size: int) -> None:
         raise FieldError(f"the local model is supported up to q^d = {MAX_LOCAL_SIZE}, not {size}")
 
 
-def _apply_phi(T: TruncSeries, coeffs) -> tuple[TruncSeries, TruncSeries, np.ndarray]:
-    """phi(a)(z) / z and its T-derivative, t acting as T, a = sum(a_k t^k)
-    over F_q: sum(a_k y_k), y_0 = 1, y_(k+1) = T y_k + z^(q-1) y_k^q, and
-    y'_(k+1) = y_k + T y'_k, as (y_k^q)' = q (...) = 0.  Also the rows
-    y_k for k < deg a, y_k = phi(t^k)(z) / z."""
-    y, q = TruncSeries.one(T.field, T.n), T.field.q
-    acc = dacc = dy = TruncSeries.zero(T.field, T.n)
-    ys = []
+def _apply_phi(R, T: np.ndarray, coeffs) -> tuple[np.ndarray, np.ndarray]:
+    """[phi(a)(z) / z; its T-derivative] as a (2, n) array, t acting as the
+    one-row T, a = sum(a_k t^k) over F_q: sum(a_k [y_k; y'_k]), y_0 = 1,
+    y_(k+1) = T y_k + z^(q-1) y_k^q and y'_(k+1) = T y'_k + y_k, as
+    (y_k^q)' = q (...) = 0.  Also the rows y_k = phi(t^k)(z) / z, k < deg a."""
+    q, n = R.q, T.shape[1]
+    acc, y, ys = np.zeros((2, n), dtype=np.int32), np.zeros((2, n), dtype=np.int32), []
+    y[0, 0] = 1
     for k, a in enumerate(coeffs):
-        acc = acc + y.scale(int(a))
-        dacc = dacc + dy.scale(int(a))
+        acc = R.vadd(acc, R.vscale(int(a), y))
         if k + 1 < len(coeffs):
-            ys.append(y.c)
-            dy = y + T * dy
-            y = T * y + y.frobenius_q().shift_up(q - 1)
-    return acc, dacc, np.array(ys)
+            ys.append(y[0])
+            y = mul_rows(R, T, y)  # [T y_k; T y'_k]
+            y[0, q - 1 :] = R.vadd(y[0, q - 1 :], frobenius_rows(R, ys[-1][None])[0, : n - q + 1])
+            y[1] = R.vadd(y[1], ys[-1])
+    return acc, np.array(ys)
 
 
 class LocalModel:
@@ -92,50 +93,49 @@ class LocalModel:
         self.q, self.d = rf.q, rf.d
         self.N = self.q**self.d
         self.n_work = self.N + 2
-        # the d rows phi(t^k)(lambda) / lambda, k < d, of Newton's last
-        # phi pass, at the final T
         self.t_series, self._phi_rows = self._solve_t_series()
 
     # -- the t-expansion ----------------------------------------------------
 
-    def _solve_t_series(self) -> tuple[TruncSeries, np.ndarray]:
-        """Newton's method in T on phi(f)(lambda) / lambda = 0; T, and the
-        rows y_k, k < d, of the phi pass that found its residual zero."""
-        T = TruncSeries.const(self.rf, self.n_work, self.rf.t_res)
-        r, dG, ys = _apply_phi(T, self.prime.coeffs)
-        v = r.valuation()
+    def _solve_t_series(self) -> tuple[np.ndarray, np.ndarray]:
+        """Newton's method in T on phi(f)(lambda) / lambda = 0; T, a read-only
+        (1, n_work) row, and the rows y_k, k < d, of its last phi pass."""
+        R, n = self.rf, self.n_work
+        T = R.t_res * np.eye(1, n, dtype=np.int32)
+        (r, dG), ys = _apply_phi(R, T, self.prime.coeffs)
+        v = np.append(np.flatnonzero(r), n)[0]  # n when r is 0
         # Eisenstein middle coefficients all vanish at t-bar, so only the
         # monic top term survives: the first residual sits at q^d - 1
-        if not r.is_zero and v < self.N - 1:
+        if v < self.N - 1:
             raise ConsistencyError(f"initial torsion residual at depth {v}, expected >= {self.N - 1}")
-        steps, n = 0, self.n_work
-        while not r.is_zero:
-            # r vanishes below z^v, so r / dG mod z^n needs 1/dG only mod z^(n - v)
-            step = r.shift_down(v) * dG.truncate(n - v).inverse()
-            T = T - TruncSeries(self.rf, n, np.pad(step.c, (v, 0)))
-            r, dG, ys = _apply_phi(T, self.prime.coeffs)
-            if not r.is_zero and r.valuation() <= v:
+        steps = 0
+        while v < n:
+            # r vanishes below z^v, so r / dG mod z^n needs dG only mod z^(n - v)
+            T[:, v:] = R.vsub(T[:, v:], divide_rows(R, r[None, v:], dG[None, : n - v]))
+            (r, dG), ys = _apply_phi(R, T, self.prime.coeffs)
+            v, last = np.append(np.flatnonzero(r), n)[0], v
+            if v <= last:
                 raise ConsistencyError("Newton iteration for t(lambda) stalled")
-            v = r.valuation()
             steps += 1
             if steps > 40:  # pragma: no cover - quadratic convergence
                 raise ConsistencyError("Newton iteration for t(lambda) ran away")
+        T.setflags(write=False)
         return T, ys
 
     # -- Galois action on lambda ----------------------------------------------
 
     def galois_rows(self) -> np.ndarray:
-        """Row j: gamma^j . lambda = phi(a)(lambda), a = exp[j] as a polynomial
-        of degree < d: lambda sum(a_k y_k) over the rows y_k of the Newton
-        solve's last phi pass.  Valid because phi(f) kills lambda to
-        working precision, so only a mod f matters.  A (Q-1) x n_work
-        array, built on each call."""
-        R = self.rf
-        rows = np.zeros((R.order, self.n_work), dtype=np.int32)
+        """Row j: gamma^j . lambda = phi(a)(lambda) = lambda sum(a_k y_k) over
+        the rows y_k of Newton's last phi pass, a = exp[j] of degree < d:
+        phi(f) kills lambda to working precision, so only a mod f matters.
+        Each packed a gets its row once, by digit doubling: row c q^k + a =
+        row a + lambda c y_k, a < q^k.  A (Q-1) x n_work array, built anew."""
+        R, q = self.rf, self.q
+        rows = np.zeros((self.N, self.n_work), dtype=np.int32)
         for k, y in enumerate(self._phi_rows):
-            term = R.vmul(R._npexp[:, None] // self.q**k % self.q, y[None, :-1])
-            rows[:, 1:] = R.vadd(rows[:, 1:], term)
-        return rows
+            for c in range(1, q):
+                rows[c * q**k : (c + 1) * q**k, 1:] = R.vadd(rows[: q**k, 1:], R.vscale(c, y[None, :-1]))
+        return rows[R._npexp]
 
     # -- dlog components -------------------------------------------------------
 
@@ -169,23 +169,23 @@ class LocalModel:
 
     # -- eigen-uniformizer ------------------------------------------------------
 
-    def eigen_uniformizer(self) -> TruncSeries:
+    def eigen_uniformizer(self) -> np.ndarray:
         """pi with ebar(pi) = lambda, so the units act on pi through the
         residue character: g . pi = chi(g) pi.  ebar = sum(e_i z^(q^i), i < d)
         is additive, so pi is too: sum(l_k lambda^(q^k)) with l_0 = 1 and
         l_k = -sum(e_i l_(k-i)^(q^i), 1 <= i <= min(k, d-1)), and
-        d pi/d lambda = l_0 = 1.  Built on each call."""
-        R, q, e = self.rf, self.q, exp_coeffs(self.rf)
-        c, ls = np.zeros(self.n_work, dtype=np.int32), [1]
+        d pi/d lambda = l_0 = 1.  A read-only (1, n_work) row, built anew."""
+        R, q, e, ls = self.rf, self.q, exp_coeffs(self.rf), [1]
         while q ** len(ls) < self.n_work:
             k, acc = len(ls), 0
             for i in range(1, min(k, self.d - 1) + 1):
                 acc = R.add(acc, R.mul(e[i], R.pow(ls[k - i], q**i)))
             ls.append(R.neg(acc))
-        c[q ** np.arange(len(ls))] = ls
-        pi = TruncSeries(R, self.n_work, c)
-        if additive_apply(e, pi) != TruncSeries.monomial(R, self.n_work, 1):
+        pi = np.zeros((1, self.n_work), dtype=np.int32)
+        pi[0, q ** np.arange(len(ls))] = ls
+        if not np.array_equal(additive_apply(R, e, pi), np.eye(1, self.n_work, 1)):
             raise ConsistencyError("ebar(pi) is not lambda")
+        pi.setflags(write=False)
         return pi
 
 
@@ -213,9 +213,8 @@ def bc_local_sweep(model: LocalModel) -> LocalSweep:
     if N < 3:
         return LocalSweep(model.prime, {}, {})
     comps, pi = model.dlog_components(), model.eigen_uniformizer()
-    mul = lambda a, b: mul_rows(R, a, b)
     # row n - 1 of basis is pi^(n-1), whose coefficient n - 1 is 1
-    basis = power_rows(TruncSeries.one(R, N).c, pi.c[None, :N], N - 2, mul)
+    basis = power_rows(np.eye(1, N, dtype=np.int32)[0], pi[:, :N], N - 2, lambda a, b: mul_rows(R, a, b))
     c = np.diagonal(comps)
     bad = np.flatnonzero((comps != R.vmul(c[:, None], basis)).any(axis=1)[1:])
     if bad.size:

@@ -1,21 +1,21 @@
 """Truncated power series over a packed finite field.
 
-A ``TruncSeries`` holds coefficients 0..n-1 of a series known mod z^n.
-Operations are precision-honest: anything that genuinely loses knowledge
-of top coefficients (derivative, division by z) returns a shorter
-series, and binary operations between different truncation orders work
-at the shorter one.  No coefficient in a result is ever a guess.
+A series known mod z^n is its n packed coefficients, and the package's
+one series format is a (rows, n) int32 matrix of them, one series per
+row.  Product, quotient (an inverse is 1 over the series), derivative
+and q-power Frobenius have one implementation each, the row kernel
+below: ``mul_rows``, ``divide_rows``, ``derivative_rows`` and
+``frobenius_rows``, so numpy overhead is paid per column rather than
+per element.
 
-Coefficients live in a numpy int32 array (packed field elements).
-Product, quotient (an inverse is 1 over the series) and derivative have
-one implementation each, the row kernel below: ``mul_rows``,
-``divide_rows`` and ``derivative_rows`` act on (rows, n) coefficient
-matrices, one series per row.  ``TruncSeries`` calls them on a one-row
-view, and the local model's dlog table and its powers of the uniformizer
-call them on all of their rows at once, so numpy overhead is paid per
-column rather than per element.  Newton's inverse, composition and
-Horner evaluation at a series are not here: nothing in the package runs
-them, and the tests keep them as references in ``tests/series_oracle.py``
+``TruncSeries``, the public view of one series, calls the kernel on a
+one-row view; nothing else in the package builds one.  It is
+precision-honest: anything that loses knowledge of top coefficients
+(derivative, division by z) returns a shorter series, and binary
+operations work at the shorter truncation order, so no coefficient in
+a result is ever a guess.  Newton's inverse, composition and Horner
+evaluation at a series are not here: nothing in the package runs them,
+and the tests keep them as references in ``tests/series_oracle.py``
 and ``tests/carlitz_oracle.py``.
 """
 
@@ -91,6 +91,14 @@ def divide_rows(F, num: np.ndarray, den: np.ndarray) -> np.ndarray:
             y[:, k:hi] = F.vsum(np.concatenate((y[:, None, k:hi], terms), axis=1), axis=1)
         logy[:, k:hi] = F._nplog[y[:, k:hi]]
     return y
+
+
+def frobenius_rows(F, A: np.ndarray) -> np.ndarray:
+    """Row-wise q-power, q = F.frob_exponent: column i of A, raised to the
+    q, moves to column i q, and the other columns are 0."""
+    q, out = F.frob_exponent, np.zeros(A.shape, dtype=np.int32)
+    out[:, ::q] = F.vfrobq(A[:, : -(-A.shape[1] // q)])
+    return out
 
 
 def derivative_rows(F, A: np.ndarray) -> np.ndarray:
@@ -265,10 +273,4 @@ class TruncSeries:
 
     def frobenius_q(self) -> "TruncSeries":
         """q-power: sum a_i z^(i q) with coefficients raised to the q."""
-        F, n = self.field, self.n
-        q = F.frob_exponent
-        out = np.zeros(n, dtype=np.int32)
-        top = (n - 1) // q
-        idx = np.arange(top + 1)
-        out[idx * q] = F.vfrobq(self.c[idx])
-        return TruncSeries(F, n, out)
+        return TruncSeries(self.field, self.n, frobenius_rows(self.field, self.c[None])[0])

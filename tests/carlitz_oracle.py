@@ -19,7 +19,9 @@ iteration, where the package reads it off a closed-form recursion.
 Nothing here calls ``_apply_phi``, ``galois_rows`` or
 ``eigen_uniformizer``; from the package it uses only polynomial,
 residue-field and series arithmetic, ``carlitz.exp_coeffs`` and
-``carlitz.additive_apply``.
+``carlitz.additive_apply``.  The package keeps its series as rows of
+arrays; this oracle wraps each row it reads (the model's T, a row of
+``additive_apply``) in a ``TruncSeries``.
 """
 
 from __future__ import annotations
@@ -146,7 +148,7 @@ def twisted_apply(op: TwistedPoly, x, field: ResidueField | None = None):
     residue element together with its ResidueField.
     """
     if isinstance(x, TruncSeries):
-        return additive_apply(op.scalar_coeffs(x.field), x)
+        return apply_additive(op.scalar_coeffs(x.field), x)
     if isinstance(x, Poly):
         acc = Poly.zero(x.field)
         fx = x
@@ -209,6 +211,16 @@ def cyclotomic_poly(prime: Poly) -> TorsionPoly:
 # -- series references for the local model -------------------------------------
 
 
+def t_series(model) -> TruncSeries:
+    """The model's T, a one-row array, as a series."""
+    return TruncSeries(model.rf, model.n_work, model.t_series[0])
+
+
+def apply_additive(scalars, x: TruncSeries) -> TruncSeries:
+    """``carlitz.additive_apply`` on one series, as a one-row matrix."""
+    return TruncSeries(x.field, x.n, additive_apply(x.field, scalars, x.c[None])[0])
+
+
 def eval_poly_coeffs(s: TruncSeries, coeffs) -> TruncSeries:
     """Horner evaluation of a packed-coefficient polynomial at s."""
     acc = TruncSeries.zero(s.field, s.n)
@@ -260,7 +272,7 @@ def galois_image(model, g: int) -> TruncSeries:
     op = carlitz_action(lift_to_poly(model.rf, g))
     out = TruncSeries.zero(model.rf, model.n_work)
     for i, c in enumerate(op.coeffs):
-        out = out + eval_poly_coeffs(model.t_series, c.coeffs).shift_up(model.q**i)
+        out = out + eval_poly_coeffs(t_series(model), c.coeffs).shift_up(model.q**i)
     return out
 
 
@@ -275,7 +287,7 @@ def uniformizer_fixed_point(model) -> TruncSeries:
     lam = TruncSeries.monomial(R, n, 1)
     pi, prev = lam, 0
     for _ in range(n + 2):
-        err = additive_apply(e, pi) - lam
+        err = apply_additive(e, pi) - lam
         if err.is_zero:
             return pi
         v = err.valuation()

@@ -365,10 +365,19 @@ def test_torsion_is_annihilated_by_multiples_of_f():
 
 
 def test_additive_apply_matches_twisted_apply():
-    F2 = fq_make(2, 1)
-    R = residue_field(parse_poly("t^3 + t^2 + 1", F2))
-    rng = random.Random(59)
-    a = parse_poly("t^2 + 1", F2)
-    op = carlitz_action(a)
-    x = TruncSeries.from_coeffs(R, 12, [rng.randrange(8) for _ in range(12)])
-    assert twisted_apply(op, x) == additive_apply(op.scalar_coeffs(R), x)
+    """additive_apply on a (3, n) matrix, row by row: the oracle's
+    twisted_apply, and each term scalar * x^(q^i) as a power of the row's
+    series, which runs no Frobenius."""
+    for prime, a, F in (("t^3 + t^2 + 1", "t^2 + 1", fq_make(2, 1)), ("t^2 + 1", "t^2 - t", fq_make(3, 1))):
+        R = residue_field(parse_poly(prime, F))
+        rng = random.Random(59)
+        op = carlitz_action(parse_poly(a, F))
+        X = np.array([[rng.randrange(R.size) for _ in range(12)] for _ in range(3)], dtype=np.int32)
+        out = additive_apply(R, op.scalar_coeffs(R), X)
+        assert out.shape == X.shape
+        for row, got in zip(X, out):
+            x = TruncSeries(R, 12, row)
+            by_powers = TruncSeries.zero(R, 12)
+            for i, s in enumerate(op.scalar_coeffs(R)):
+                by_powers = by_powers + (x ** (R.q**i)).scale(s)
+            assert twisted_apply(op, x).c.tolist() == got.tolist() == by_powers.c.tolist()

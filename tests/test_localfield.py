@@ -13,7 +13,7 @@ from bcscan.localfield import (
     local_model,
 )
 from bcscan.poly import lift_to_poly, monic_irreducibles, parse_poly
-from bcscan.series import TruncSeries, derivative_rows, mul_rows
+from bcscan.series import TruncSeries, derivative_rows, frobenius_rows, mul_rows
 from carlitz_oracle import (
     eval_at,
     carlitz_action,
@@ -21,6 +21,7 @@ from carlitz_oracle import (
     dlog,
     eval_poly_coeffs,
     galois_image,
+    t_series,
     torsion_residual,
     uniformizer_fixed_point,
 )
@@ -60,8 +61,10 @@ class TestQuadraticOverF2:
         assert (self.m.N, self.m.n_work) == (4, 6)
 
     def test_t_expansion(self):
-        # t(lambda) = tbar + l^3 + l^4 + l^5
-        assert list(self.m.t_series.c) == [2, 0, 0, 1, 1, 1]
+        # t(lambda) = tbar + l^3 + l^4 + l^5, a read-only row
+        T = self.m.t_series
+        assert T.shape == (1, 6) and T.dtype == np.int32 and not T.flags.writeable
+        assert list(T[0]) == [2, 0, 0, 1, 1, 1]
 
     def test_galois_images(self):
         rows = self.m.galois_rows()
@@ -82,8 +85,9 @@ class TestQuadraticOverF2:
         # pi^1 pi' mod l^4
         assert list(self.m.dlog_components()[1]) == [0, 1, 1, 0]
         pi = self.m.eigen_uniformizer()
-        assert list(pi.c) == [0, 1, 1, 0, 1, 0]
-        assert list(pi.derivative().c) == [1, 0, 0, 0, 0]
+        assert pi.shape == (1, 6) and pi.dtype == np.int32 and not pi.flags.writeable
+        assert list(pi[0]) == [0, 1, 1, 0, 1, 0]
+        assert list(derivative_rows(self.m.rf, pi)[0]) == [1, 0, 0, 0, 0]
 
     def test_component_one_polluted(self):
         # 1 + l^3, not a multiple of pi^0 pi' = 1: the n=1 congruence
@@ -102,9 +106,9 @@ class TestQuadraticOverF2:
 def test_degree_one_expansions():
     # p = t: the torsion equation is linear, t(lambda) = -lambda^(q-1)
     # shifted by the root 0
-    assert list(model("t", F2).t_series.c) == [0, 1, 0, 0]
-    assert list(model("t", F3).t_series.c) == [0, 0, 2, 0, 0]
-    assert list(model("t + 1", F3).t_series.c) == [2, 0, 2, 0, 0]
+    assert model("t", F2).t_series.tolist() == [[0, 1, 0, 0]]
+    assert model("t", F3).t_series.tolist() == [[0, 0, 2, 0, 0]]
+    assert model("t + 1", F3).t_series.tolist() == [[2, 0, 2, 0, 0]]
 
 
 def test_degree_one_smallest_field_sweep_is_empty():
@@ -129,9 +133,10 @@ def test_t_series_depth_and_residual(s, F):
     """t(lambda) lies over tbar and differs from it only at depth q^d-1;
     plugging it back into the torsion equation gives exactly zero."""
     m = model(s, F)
-    eps = m.t_series - TruncSeries.const(m.rf, m.n_work, m.rf.t_res)
+    T = t_series(m)
+    eps = T - TruncSeries.const(m.rf, m.n_work, m.rf.t_res)
     assert eps.valuation() >= m.N - 1
-    assert torsion_residual(m, m.t_series).is_zero
+    assert torsion_residual(m, T).is_zero
 
 
 def _whole_range_primes(bases=(F2, F3, F4, F5)):
@@ -150,7 +155,7 @@ def test_recursion_matches_horner_routes_over_the_whole_range():
     for f in _whole_range_primes():
         m = local_model(f)
         R = m.rf
-        assert torsion_residual(m, m.t_series).is_zero, f
+        assert torsion_residual(m, t_series(m)).is_zero, f
         rows = m.galois_rows()
         if R.size > 2:
             assert np.array_equal(rows[1], galois_image(m, R.generator).c), f
@@ -211,13 +216,23 @@ def test_galois_rows_match_faithful_route(s, F):
         assert np.array_equal(rows[j], galois_image(m, R.exp_of(j)).c)
 
 
+def test_galois_rows_match_the_per_unit_oracle_at_q_2_to_the_10():
+    """20 seeded rows of the digit-doubled table at t^10 + t^3 + 1 against
+    phi of each unit's lift applied to lambda by the oracle."""
+    m = model("t^10 + t^3 + 1", F2)
+    rows = m.galois_rows()
+    assert rows.shape == (m.rf.order, m.n_work)
+    for j in np.random.default_rng(10).choice(m.rf.order, size=20, replace=False):
+        assert np.array_equal(rows[j], galois_image(m, m.rf.exp_of(int(j))).c), j
+
+
 @pytest.mark.parametrize("s,F", PRIMES)
 def test_torsion_annihilates_every_row(s, F):
     """phi(f) kills each g.lambda to full working precision, the fact
     that makes the one-generator iteration legitimate."""
     m = model(s, F)
     torsion = cyclotomic_poly(m.prime)
-    coeff_series = [eval_poly_coeffs(m.t_series, c.coeffs) for c in torsion.coeffs]
+    coeff_series = [eval_poly_coeffs(t_series(m), c.coeffs) for c in torsion.coeffs]
     rows = m.galois_rows()
     for j in range(min(m.rf.size - 1, 6)):
         x = TruncSeries(m.rf, m.n_work, rows[j])
@@ -258,8 +273,7 @@ def test_uniformizer_solves_exp_equation(s, F):
     m = model(s, F)
     e = exp_coeffs(m.rf)
     pi = m.eigen_uniformizer()
-    lam = TruncSeries.monomial(m.rf, m.n_work, 1)
-    assert additive_apply(e, pi) == lam
+    assert additive_apply(m.rf, e, pi).tolist() == np.eye(1, m.n_work, 1, dtype=int).tolist()
 
 
 F8, F16 = fq_make(2, 3), fq_make(2, 4)
@@ -274,9 +288,10 @@ def _check_closed_form_uniformizer(primes):
     for f in primes:
         m = local_model(f)
         pi = m.eigen_uniformizer()
-        assert pi == uniformizer_fixed_point(m), f
-        assert set(np.flatnonzero(pi.c)) <= {m.q**k for k in range(m.d + 1)}, f
-        assert pi[1] == 1 and pi.derivative() == TruncSeries.one(m.rf, m.n_work - 1), f
+        assert pi.shape == (1, m.n_work) and not pi.flags.writeable, f
+        assert np.array_equal(pi[0], uniformizer_fixed_point(m).c), f
+        assert set(np.flatnonzero(pi)) <= {m.q**k for k in range(m.d + 1)}, f
+        assert pi[0, 1] == 1 and np.array_equal(derivative_rows(m.rf, pi), np.eye(1, m.n_work - 1)), f
         seen += 1
     return seen
 
@@ -300,8 +315,8 @@ def test_closed_form_uniformizer_equals_the_fixed_point_at_the_local_cap(d, coun
 
 def test_the_uniformizer_check_fires_when_ebar_misses_lambda(monkeypatch):
     m = model("t^3 + t + 1", F2)
-    zq = TruncSeries.monomial(m.rf, m.n_work, m.q)
-    monkeypatch.setattr(localfield, "additive_apply", lambda e, x: TruncSeries.monomial(x.field, x.n, 1) + zq)
+    lam_plus_zq = (np.eye(1, m.n_work, 1) + np.eye(1, m.n_work, m.q)).astype(np.int32)
+    monkeypatch.setattr(localfield, "additive_apply", lambda F, e, X: lam_plus_zq)
     with pytest.raises(ConsistencyError, match=r"ebar\(pi\) is not lambda"):
         m.eigen_uniformizer()
 
@@ -315,9 +330,10 @@ def test_uniformizer_eigenproperty(s, F):
     e = exp_coeffs(R)
     pi = m.eigen_uniformizer()
     rows = m.galois_rows()
-    for j in range(R.size - 1):
-        lhs = additive_apply(e, pi.scale(R.exp_of(j)))
-        assert np.array_equal(lhs.c[: m.N], rows[j][: m.N])
+    # row j of the scaled pi is chi(gamma^j) pi = exp[j] pi
+    lhs = additive_apply(R, e, R.vmul(R._npexp[:, None], pi))
+    assert lhs.shape == rows.shape
+    assert np.array_equal(lhs[:, : m.N], rows[:, : m.N])
 
 
 @pytest.mark.parametrize("s,F", PRIMES)
@@ -330,16 +346,17 @@ def test_twisted_functional_equation(s, F):
     e = exp_coeffs(R)
     defect = R.pow(e[-1], R.q)
     rng = np.random.default_rng(7)
+    T = m.t_series
     for _ in range(3):
-        c = np.zeros(m.n_work, dtype=np.int32)
-        c[1:] = rng.integers(0, R.size, size=m.n_work - 1)
-        x = TruncSeries.from_coeffs(R, m.n_work, list(c))
+        x = np.zeros((1, m.n_work), dtype=np.int32)
+        x[0, 1:] = rng.integers(0, R.size, size=m.n_work - 1)
         xq = x
         for _ in range(m.d):
-            xq = xq.frobenius_q()
-        lhs = additive_apply(e, m.t_series * x) + xq.scale(defect)
-        rhs = m.t_series * additive_apply(e, x) + additive_apply(e, x).frobenius_q()
-        assert lhs.truncate(m.N + 1) == rhs.truncate(m.N + 1)
+            xq = frobenius_rows(R, xq)
+        ex = additive_apply(R, e, x)
+        lhs = R.vadd(additive_apply(R, e, mul_rows(R, T, x)), R.vscale(defect, xq))
+        rhs = R.vadd(mul_rows(R, T, ex), frobenius_rows(R, ex))
+        assert np.array_equal(lhs[:, : m.N + 1], rhs[:, : m.N + 1])
 
 
 @pytest.mark.parametrize(

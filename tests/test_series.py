@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from bcscan.fields import FieldError, fq_make, power_rows, residue_field_raw
 from bcscan.poly import monic_irreducibles
-from bcscan.series import TruncSeries, derivative_rows, divide_rows, mul_rows
+from bcscan.series import TruncSeries, derivative_rows, divide_rows, frobenius_rows, mul_rows
 from carlitz_oracle import compose, eval_poly_coeffs
 from series_oracle import inverse_rows
 
@@ -372,3 +372,23 @@ def test_derivative_rows_is_the_coefficient_formula(p, r):
             assert int(drow[i]) == want
     with pytest.raises(FieldError):
         derivative_rows(F, A[:, :1])
+
+
+@pytest.mark.parametrize(
+    "F",
+    [fq_make(p, r) for p, r in FIELDS] + [residue_field_raw(fq_make(3, 1), (1, 2, 0, 1))],
+    ids=[f"F{p}^{r}" for p, r in FIELDS] + ["F3[t]/(t^3+2t+1)"],
+)
+def test_frobenius_rows_matches_frobenius_q_row_by_row(F):
+    """Each row of frobenius_rows on a 4-row matrix is that row's
+    frobenius_q and its definition: coefficient i, raised to the q, at
+    z^(i q).  n runs around the stride q = F.frob_exponent."""
+    q = F.frob_exponent
+    rng = random.Random(q)
+    for n in sorted({1, q - 1, q, q + 1, 2 * q + 3}):
+        A = np.array([[rng.randrange(F.size) for _ in range(n)] for _ in range(4)], dtype=np.int32)
+        out = frobenius_rows(F, A)
+        assert out.shape == A.shape and out.dtype == np.int32
+        for row, got in zip(A, out):
+            want = [F.pow(int(row[i // q]), q) if i % q == 0 else 0 for i in range(n)]
+            assert got.tolist() == TruncSeries(F, n, row).frobenius_q().c.tolist() == want, n
